@@ -1192,6 +1192,9 @@ class AnalyzerAgent(Agent):
         fetches (each a spawned process with its own conversation id, so
         replies cannot cross wires); a wave must settle before the next
         starts, bounding both the NIC burst and the storage-grid load.
+        The fetches end with the job: killing the job's behaviour (agent
+        stop, container kill) kills the wave it is waiting on, so no fetch
+        outlives its agent and retries on an undeployed one.
         """
         fanout = self.scatter_fanout
         for start in range(0, len(shards), fanout):
@@ -1209,8 +1212,12 @@ class AnalyzerAgent(Agent):
                     ),
                     name="%s/scatter-fetch" % self.name,
                 ))
-            for process in processes:
-                yield process
+            try:
+                for process in processes:
+                    yield process
+            finally:
+                for process in processes:
+                    process.kill()  # no-op once finished
 
     def _learn_rule(self, message):
         """Install a rule shipped as a declarative spec (data, not code)."""

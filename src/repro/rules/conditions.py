@@ -230,8 +230,6 @@ class Pattern:
                     return None
         result = new_bindings if new_bindings is not None else dict(bindings)
         if self.bind is not None:
-            if result is bindings:
-                result = dict(bindings)
             result[self.bind] = fact
         return result
 

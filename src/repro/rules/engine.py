@@ -8,9 +8,21 @@ determinism), and fires them -- skipping activations whose exact
 may assert or retract facts; the engine loops until no new activations
 appear or ``max_cycles`` trips.
 
-This is a naive matcher, not a Rete network; at the reproduction's scale
-(thousands of facts, dozens of rules) it is plenty and far easier to audit.
+Matching is an indexed join recomputed from scratch every cycle.  Each
+pattern's facts are filtered once per pass (its *alpha list*: the facts
+the pattern accepts with no bindings).  A later pattern's alpha list is
+bucketed in a dict keyed by the attributes its ``Var``s share with earlier
+patterns, so each partial match visits only the facts whose join values
+hash equal instead of every fact of the type.  ``Pattern.match`` still
+decides every match (the index only prunes candidates), buckets keep
+assertion order, and an unhashable join value falls back to scanning the
+alpha list -- so the matches come out exactly as a nested-loop join would
+produce them.  There is no cross-cycle state (no Rete network): at the
+reproduction's scale (thousands of facts, dozens of rules) recomputing is
+cheap and keeps the engine easy to audit.
 """
+
+from repro.rules.conditions import Var
 
 
 class Rule:
@@ -146,12 +158,33 @@ class InferenceEngine:
         return activations
 
     def _match_rule(self, rule):
-        """Yield (facts_tuple, bindings) for every full join of the rule."""
+        """Return [(facts_tuple, bindings)] for every full join of the rule,
+        in nested-loop order (partial matches outer, facts in assertion
+        order inner)."""
         partial = [((), {})]
         for pattern in rule.patterns:
-            candidates = self.memory.facts(pattern.fact_type)
+            alpha = [
+                fact for fact in self.memory.facts(pattern.fact_type)
+                if pattern.match(fact, {}) is not None
+            ]
+            # Every partial match has bound the same names: each earlier
+            # pattern's Vars and bind= name.
+            bound = partial[0][1]
+            join = [
+                (attr, constraint.name)
+                for attr, constraint in pattern.constraints.items()
+                if isinstance(constraint, Var) and constraint.name in bound
+            ]
+            index = _bucket(alpha, [attr for attr, _ in join]) if join else None
             extended = []
             for facts, bindings in partial:
+                candidates = alpha
+                if index is not None:
+                    try:
+                        candidates = index.get(
+                            tuple([bindings[name] for _, name in join]), ())
+                    except TypeError:
+                        pass  # unhashable bound value: scan the alpha list
                 for fact in candidates:
                     if any(existing is fact for existing in facts):
                         continue  # a fact may satisfy only one pattern slot
@@ -165,3 +198,17 @@ class InferenceEngine:
 
     def __repr__(self):
         return "InferenceEngine(rules=%d, fired=%d)" % (len(self.rules), len(self.fired))
+
+
+def _bucket(facts, attrs):
+    """Group ``facts`` by their values of ``attrs``, keeping order.
+
+    Returns None when a value is unhashable; the caller then scans.
+    """
+    index = {}
+    try:
+        for fact in facts:
+            index.setdefault(tuple([fact[attr] for attr in attrs]), []).append(fact)
+    except TypeError:
+        return None
+    return index

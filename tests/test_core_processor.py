@@ -1,12 +1,22 @@
 """Tests for the processor grid: root brokering, analyzers, negotiation,
 fault tolerance."""
 
+import random
+
 import pytest
 
+from repro.core.health import SLOSpec
 from repro.core.processor import CROSS_CLUSTER
-from repro.core.system import GridManagementSystem, GridTopologySpec, HostSpec
+from repro.core.system import (
+    DeviceSpec,
+    GridManagementSystem,
+    GridTopologySpec,
+    HostSpec,
+)
 from repro.baselines.centralized import default_devices
+from repro.network.topology import DEFAULT_WAN, LinkSpec
 from repro.workloads.faults import FaultEvent, FaultPlan, apply_fault_plan
+from repro.workloads.scenarios import scaling_scenario
 
 
 def small_grid_spec(seed=7, **overrides):
@@ -172,6 +182,56 @@ class TestFaultTolerance:
         system.run(until=600)
         assert system.root.jobs_abandoned > 0
         assert system.root.reports_issued >= 1
+
+    def test_scatter_fetches_end_with_killed_analyzer(self):
+        # Two sites, WAN loss, a collector outage and an analyzer kill on a
+        # sharded grid with level-3 correlation: with seed 121 the kill at
+        # t=35 lands while analyzer-1 waits on a scatter-gather wave.  The
+        # wave's fetches must die with the job instead of retrying on the
+        # undeployed agent (which raised "agent ... is not deployed").
+        seed = 121
+        scenario = scaling_scenario(1000, 300)
+        spec = GridTopologySpec(
+            devices=[DeviceSpec(device.name, device.profile, "field")
+                     for device in scenario.devices],
+            collector_hosts=[HostSpec("col%d" % (i + 1), "field")
+                             for i in range(4)],
+            analysis_hosts=[HostSpec("inf%d" % (i + 1), "mgmt")
+                            for i in range(6)],
+            storage_host=HostSpec("stor", "mgmt"),
+            interface_host=HostSpec("iface", "mgmt"),
+            dataset_threshold=30,
+            shards=4,
+            seed=seed,
+            wan=LinkSpec(DEFAULT_WAN.latency, DEFAULT_WAN.bandwidth, 0.02),
+            reliability={"redelivery": True},
+            heartbeat_interval=2.0,
+            enable_cross=True,
+            telemetry=True,
+            slos=[SLOSpec("ship", p=99, target=5, window=120)],
+        )
+        system = GridManagementSystem(spec)
+        goals = system.make_paper_goals(
+            polls_per_type=300, interval=scenario.interval,
+            stagger=scenario.stagger,
+        )
+        random.Random(seed).shuffle(goals)
+        system.assign_goals(goals)
+        for collector in system.collectors:
+            collector.poll_retries = 12
+        apply_fault_plan(system, FaultPlan([
+            FaultEvent(10.0, FaultEvent.LINK_LOSS_BURST, "wan",
+                       loss_rate=0.05, clear_after=20.0),
+            FaultEvent(15.0, FaultEvent.HOST_DOWN, "col1", clear_after=10.0),
+            FaultEvent(35.0, FaultEvent.CONTAINER_DOWN, "analysis-1"),
+        ]))
+        killed = system.analyzers[0]
+        system.run(until=36.0)
+        assert killed.container is None
+        attempts = killed.fetch_attempts
+        system.run(until=120.0)
+        assert killed.fetch_attempts == attempts
+        assert sum(a.jobs_completed for a in system.analyzers[1:]) > 0
 
 
 class TestHeartbeatFailureDetection:

@@ -1,10 +1,14 @@
 """Unit tests for the inference engine and knowledge bases."""
 
-import pytest
+import itertools
 
-from repro.rules.conditions import GT, Pattern, Var
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.rules.conditions import CONTAINS, EQ, GT, IN, NE, Pattern, Var
 from repro.rules.engine import InferenceEngine, Rule
-from repro.rules.facts import WorkingMemory
+from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.rulebase import KnowledgeBase
 from repro.rules import stdlib
 
@@ -13,6 +17,85 @@ def _mark(tag):
     def action(context):
         context.assert_fact("marker", tag=tag, device=context.get("d", ""))
     return action
+
+
+def nested_loop_match(memory, rule):
+    """The plain nested-loop join: every partial match against every fact
+    of the pattern's type.  Oracle for the engine's indexed join."""
+    partial = [((), {})]
+    for pattern in rule.patterns:
+        candidates = memory.facts(pattern.fact_type)
+        extended = []
+        for facts, bindings in partial:
+            for fact in candidates:
+                if any(existing is fact for existing in facts):
+                    continue  # a fact may satisfy only one pattern slot
+                new_bindings = pattern.match(fact, bindings)
+                if new_bindings is not None:
+                    extended.append((facts + (fact,), new_bindings))
+        if not extended:
+            return []
+        partial = extended
+    return partial
+
+
+class NestedLoopEngine(InferenceEngine):
+    def _match_rule(self, rule):
+        return nested_loop_match(self.memory, rule)
+
+
+def _matches(pairs):
+    """(fact ids, bindings items) per match; values compare by identity
+    first, so a shared NaN object equals itself."""
+    return [(tuple(fact.id for fact in facts), list(bindings.items()))
+            for facts, bindings in pairs]
+
+
+def _normal(value):
+    """A memory-independent form of a binding value."""
+    if isinstance(value, Fact):
+        return ("fact", value.asserted_at)
+    return (type(value).__name__, repr(value))
+
+
+def _memory(specs):
+    ticks = itertools.count()  # asserted_at = assertion order
+    memory = WorkingMemory(clock=lambda: next(ticks))
+    for fact_type, attrs in specs:
+        memory.assert_new(fact_type, **attrs)
+    return memory
+
+
+_SHARED_NAN = float("nan")
+_VALUES = st.one_of(
+    st.sampled_from([0, 1, 1.0, True, 2, "a", None, _SHARED_NAN, [1], (1,)]),
+    st.builds(float, st.just("nan")),  # a fresh NaN object
+)
+_ATTRS = st.sampled_from(("x", "y", "z"))
+_FACT_SPECS = st.lists(
+    st.tuples(st.sampled_from(("a", "b")),
+              st.dictionaries(_ATTRS, _VALUES, max_size=3)),
+    max_size=12,
+)
+_CONSTRAINTS = st.one_of(
+    _VALUES,
+    st.sampled_from([EQ(1), NE(0), IN(1, "a"), CONTAINS(1)]),
+    st.sampled_from(("v", "w", "p0", "p1", "p2")).map(Var),
+)
+
+
+@st.composite
+def _patterns(draw):
+    """1-3 patterns; pattern i may bind its fact as ``p<i>``, which a
+    later pattern's ``Var("p<i>")`` then joins on."""
+    return [
+        Pattern(
+            draw(st.sampled_from(("a", "b"))),
+            bind=draw(st.sampled_from((None, "p%d" % index))),
+            **draw(st.dictionaries(_ATTRS, _CONSTRAINTS, max_size=3))
+        )
+        for index in range(draw(st.integers(1, 3)))
+    ]
 
 
 class TestEngine:
@@ -125,6 +208,96 @@ class TestEngine:
             Rule("empty", [], lambda c: None)
         with pytest.raises(ValueError):
             Rule("bad-level", [Pattern("a")], lambda c: None, level=7)
+
+
+class TestIndexedJoin:
+    """The indexed join returns exactly the nested-loop join's matches."""
+
+    def _check(self, memory, patterns):
+        rule = Rule("r", patterns, lambda context: None)
+        matches = InferenceEngine(memory, [rule])._match_rule(rule)
+        assert _matches(matches) == _matches(nested_loop_match(memory, rule))
+        return matches
+
+    def test_unhashable_join_value_falls_back_to_scan(self):
+        memory = WorkingMemory()
+        memory.assert_new("a", x=[1])
+        memory.assert_new("b", x=[1])
+        memory.assert_new("b", x=[2])
+        # Unhashable candidate values (no index is built), then an
+        # unhashable bound value (the lookup raises): both scan.
+        matches = self._check(memory, [
+            Pattern("a", x=Var("v")), Pattern("b", x=Var("v")),
+        ])
+        assert [facts[1]["x"] for facts, _ in matches] == [[1]]
+        memory.assert_new("c", x=1)
+        matches = self._check(memory, [
+            Pattern("a", x=Var("v")), Pattern("c", x=Var("v")),
+        ])
+        assert matches == []
+
+    def test_int_joins_equal_float_and_bool(self):
+        memory = WorkingMemory()
+        memory.assert_new("a", x=1)
+        memory.assert_new("b", x=1.0, kind="float")
+        memory.assert_new("b", x=2, kind="int")
+        memory.assert_new("b", x=True, kind="bool")
+        matches = self._check(memory, [
+            Pattern("a", x=Var("v")), Pattern("b", x=Var("v")),
+        ])
+        assert [facts[1]["kind"] for facts, _ in matches] == ["float", "bool"]
+
+    def test_bind_name_joins_on_fact_identity(self):
+        memory = WorkingMemory()
+        target = memory.assert_new("a", n=1)
+        lookalike = Fact("a", n=1)  # same content, never asserted
+        memory.assert_new("b", ref=lookalike, tag="other")
+        memory.assert_new("b", ref=target, tag="mine")
+        matches = self._check(memory, [
+            Pattern("a", bind="p"), Pattern("b", ref=Var("p")),
+        ])
+        assert [facts[1]["tag"] for facts, _ in matches] == ["mine"]
+        assert matches[0][1]["p"] is target
+
+    def test_indexed_fact_cannot_fill_two_slots(self):
+        memory = WorkingMemory()
+        first = memory.assert_new("a", x=1, y=1)
+        second = memory.assert_new("a", x=1, y=2)
+        matches = self._check(memory, [
+            Pattern("a", x=Var("v")), Pattern("a", x=Var("v")),
+        ])
+        assert [facts for facts, _ in matches] == [
+            (first, second), (second, first)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs=_FACT_SPECS, patterns=_patterns())
+    def test_matches_equal_nested_loop(self, specs, patterns):
+        self._check(_memory(specs), patterns)
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs=_FACT_SPECS,
+           rule_patterns=st.lists(_patterns(), min_size=1, max_size=3))
+    def test_run_fires_like_nested_loop(self, specs, rule_patterns):
+        def derive(index):
+            def action(context):
+                context.assert_fact("a", x=context.get("v", 0), y=index)
+            return action
+
+        outcomes = []
+        for engine_class in (InferenceEngine, NestedLoopEngine):
+            memory = _memory(specs)
+            rules = [Rule("r%d" % index, patterns, derive(index))
+                     for index, patterns in enumerate(rule_patterns)]
+            engine = engine_class(memory, rules)
+            engine.run()
+            outcomes.append((
+                [(name, [(var, _normal(value))
+                         for var, value in bindings.items()])
+                 for name, bindings in engine.fired],
+                engine.cycles_run,
+                [(fact.asserted_at, repr(fact)) for fact in memory.facts()],
+            ))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestKnowledgeBase:
