@@ -47,7 +47,6 @@ def _run_autonomic(balance):
         )
     system.assign_goals(system.make_paper_goals(polls_per_type=10))
     completed = system.run_until_records(30, timeout=8000)
-    system.stop_devices()
     return {
         "completed": completed,
         "makespan": max(r.generated_at for r in system.interface.reports),
@@ -104,7 +103,6 @@ def test_replication_and_failover(once):
             lambda: system.storage_container.remove(system.storage_agent))
         system.assign_goals(system.make_paper_goals(polls_per_type=4))
         completed = system.run_until_records(12, timeout=4000)
-        system.stop_devices()
         return {
             "completed": completed,
             "records": sum(r.records_analyzed

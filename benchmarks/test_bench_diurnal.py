@@ -27,7 +27,6 @@ def _run(spec, label):
     )
     system.assign_goals(goals)
     completed = system.run_until_records(MIX.total, timeout=8000)
-    system.stop_devices()
     makespan = max(r.generated_at for r in system.interface.reports)
     return {
         "label": label,

@@ -50,7 +50,6 @@ def _run(mode, wan=None):
     system.assign_site_goals(system.make_site_goals(polls_per_type=POLLS))
     total = 2 * POLLS * 3
     completed = system.run_until_records(total, timeout=4000)
-    system.stop_devices()
     kinds = sorted({finding.kind for finding in system.all_findings()})
     return {
         "mode": mode,

@@ -79,7 +79,6 @@ def main():
 
     total_records = SERVERS * 3 * CYCLES
     completed = system.run_until_records(total_records, timeout=20000)
-    system.stop_devices()
 
     print("completed:", completed,
           " records analyzed:", sum(r.records_analyzed

@@ -45,7 +45,6 @@ def run(mode):
         polls_per_type=POLLS_PER_TYPE))
     total = 2 * POLLS_PER_TYPE * 3
     completed = system.run_until_records(total, timeout=4000)
-    system.stop_devices()
     return system, completed
 
 

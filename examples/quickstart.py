@@ -35,8 +35,6 @@ def main():
             print("  %-18s %-8s device=%-12s level=%d" % (
                 finding.kind, finding.severity, finding.device, finding.level))
 
-    system.stop_devices()
-
 
 if __name__ == "__main__":
     main()

@@ -101,7 +101,6 @@ def main():
 
     system.run_until_records(12, timeout=4000)
     system.run(until=system.sim.now + 60)   # let reactions finish
-    system.stop_devices()
 
     print()
     print(system.utilization_report("reactive NOC").render())

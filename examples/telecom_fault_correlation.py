@@ -86,7 +86,6 @@ def main():
     system.assign_goals(system.make_paper_goals(
         polls_per_type=POLLS_PER_TYPE, interval=1.0))
     system.run_until_records(2 * warmup_records, timeout=4000)
-    system.stop_devices()
 
     print()
     print(system.utilization_report("telecom NOC").render())

@@ -66,7 +66,6 @@ def run_architecture(spec, label, polls_per_type=10, interval=1.0,
     completed = system.run_until_records(total_records, timeout=timeout)
     reports = system.interface.reports
     makespan = max((r.generated_at for r in reports), default=system.sim.now)
-    system.stop_devices()
     report = UtilizationReport.from_hosts(
         label, system.management_hosts(), horizon=system.sim.now,
         makespan=makespan,

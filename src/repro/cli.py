@@ -198,7 +198,6 @@ def _cmd_trace(args):
     system.assign_goals(system.make_paper_goals(polls_per_type=args.polls))
     total = args.polls * 3
     completed = system.run_until_records(total, timeout=3000)
-    system.stop_devices()
     telemetry = system.telemetry
     telemetry.finalize()
     if args.stream:
@@ -727,7 +726,6 @@ def _cmd_federation(args):
             heal_after=args.heal_after))
     total = args.sites * args.polls * 3
     completed = system.run_until_records(total, timeout=8000)
-    system.stop_devices()
     print(system.utilization_report().render())
     kinds = sorted({finding.kind for finding in system.all_findings()})
     print()

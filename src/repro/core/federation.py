@@ -1137,10 +1137,6 @@ class FederatedManagementSystem:
             self.sim.run(until=self.sim.now + settle)
         return self.records_analyzed() >= total
 
-    def stop_devices(self):
-        for device in self.devices.values():
-            device.stop()
-
     def management_hosts(self):
         return [
             host for host in self.network.hosts.values()

@@ -131,11 +131,6 @@ class GridTopologySpec:
             dataset per shard before the cross job dispatches anyway.
         scatter_fanout: max concurrent per-shard summary fetches inside
             one scatter-gather cross job.
-        lazy_devices: ``None`` (default) resolves to ``shards > 1``:
-            sharded big-topology runs replay device dynamics on demand
-            (zero kernel events for idle devices) while the unsharded
-            reproduction keeps the eager per-device processes.  Pass
-            True/False to force either mode.
     """
 
     def __init__(
@@ -169,7 +164,6 @@ class GridTopologySpec:
         shard_vnodes=64,
         scatter_window=10.0,
         scatter_fanout=4,
-        lazy_devices=None,
     ):
         if not devices:
             raise ValueError("at least one device is required")
@@ -243,9 +237,6 @@ class GridTopologySpec:
         self.shard_vnodes = int(shard_vnodes)
         self.scatter_window = scatter_window
         self.scatter_fanout = int(scatter_fanout)
-        self.lazy_devices = (
-            self.shards > 1 if lazy_devices is None else bool(lazy_devices)
-        )
 
     @classmethod
     def paper_figure6c(cls, seed=0, **overrides):
@@ -360,7 +351,6 @@ class GridManagementSystem:
             device = ManagedDevice(
                 self.sim, host, profile=device_spec.profile,
                 tick=self.spec.device_tick,
-                lazy=self.spec.lazy_devices,
             )
             self.devices[device_spec.name] = device
             self.device_engines[device_spec.name] = SnmpEngine(
@@ -779,7 +769,11 @@ class GridManagementSystem:
     # -- running ------------------------------------------------------------------
 
     def run(self, until=200.0):
-        """Advance the simulation (device dynamics run forever; bound it)."""
+        """Advance the simulation clock to ``until`` and return it.
+
+        Devices schedule no events of their own: their dynamics are
+        replayed when a poll reads them.
+        """
         return self.sim.run(until=until)
 
     def run_until_reports(self, count, timeout=600.0, settle=1.0):
@@ -814,10 +808,6 @@ class GridManagementSystem:
         if analyzed() >= total and settle > 0:
             self.sim.run(until=self.sim.now + settle)
         return analyzed() >= total
-
-    def stop_devices(self):
-        for device in self.devices.values():
-            device.stop()
 
     # -- reporting ------------------------------------------------------------------
 

@@ -331,7 +331,8 @@ class Simulator:
     def run(self, until=None, max_events=None):
         """Run until the queue drains, ``until`` is reached, or event cap hit.
 
-        Returns the simulated time at which the run stopped.
+        With ``until``, the clock ends at ``until`` even when the queue
+        drains first.  Returns the simulated time at which the run stopped.
         """
         executed = 0
         queue = self.queue
@@ -366,9 +367,7 @@ class Simulator:
             peek = queue.peek_time
             while True:
                 next_time = peek()
-                if next_time is None:
-                    break
-                if next_time > until:
+                if next_time is None or next_time > until:
                     self.now = until
                     break
                 event = pop()
@@ -384,9 +383,7 @@ class Simulator:
             if bounded:
                 if until is not None:
                     next_time = queue.peek_time()
-                    if next_time is None:
-                        break
-                    if next_time > until:
+                    if next_time is None or next_time > until:
                         self.now = until
                         break
                 if max_events is not None and executed >= max_events:

@@ -1,8 +1,9 @@
-"""Managed network devices with live, stochastic metric dynamics.
+"""Managed network devices with stochastic metric dynamics.
 
 A :class:`ManagedDevice` wraps a simulated :class:`~repro.network.topology.Host`
-(role ``"device"``), populates a MIB with callables that read its current
-state, and runs a background process that evolves the state every tick.
+(role ``"device"``) and populates a MIB with callables that read its
+state.  The state evolves in fixed ticks that are replayed on demand, when
+the device is read, so devices nobody polls cost no simulation work.
 Fault injection (used by the fault-management example and benches) switches
 the dynamics into degraded regimes that the stock analysis rules detect.
 """
@@ -81,7 +82,15 @@ class _Faults:
 
 
 class ManagedDevice:
-    """A device whose MIB reflects continuously evolving metrics.
+    """A device whose MIB reflects stochastically evolving metrics.
+
+    Dynamics advance in ticks of ``tick`` seconds, but nothing runs in the
+    background: the device spawns no process and schedules no kernel
+    events.  The state attributes (``cpu_load``, ``if_in_octets``, ...)
+    hold the values as of the last :meth:`catch_up`, which replays every
+    tick missed since then.  Every SNMP read, fault change and profile
+    swap catches up first, so an observer sees the values of a device
+    that had ticked all along, while an idle device costs nothing.
 
     Args:
         sim: the simulator.
@@ -90,30 +99,22 @@ class ManagedDevice:
             simulated resources).
         profile: a :class:`DeviceProfile` or profile name.
         tick: seconds between dynamics updates.
-        lazy: when True, no background dynamics process is spawned; the
-            device replays its missed ticks on demand (:meth:`catch_up`,
-            called by the SNMP engine before every read and by fault
-            injection).  Values are identical to eager mode -- each tick
-            draws from the device's own RNG stream in tick order -- but an
-            idle device costs *zero* kernel events.  This is the
-            big-topology win: at ``devices=5000, tick=1`` eager dynamics
-            alone schedule 5000 events per simulated second.
     """
 
-    def __init__(self, sim, host, profile="server", tick=1.0, lazy=False):
+    def __init__(self, sim, host, profile="server", tick=1.0):
         if isinstance(profile, str):
             profile = PROFILES[profile]
         self.sim = sim
         self.host = host
-        self.profile = profile
+        self._profile = profile
         self.tick = tick
-        self.lazy = lazy
         self.rng = sim.rng("device/" + host.name)
         self.faults = _Faults()
         self.started_at = sim.now
         self._ticks_done = 0
+        self._mib = None  # built on first read
 
-        # Live state
+        # State as of the last catch_up()
         self.cpu_load = profile.cpu_mean
         self.load_avg = profile.cpu_mean / 25.0
         self.mem_available_kb = int(profile.mem_total_kb * 0.6)
@@ -126,16 +127,16 @@ class ManagedDevice:
             for index in range(profile.process_slots)
         ]
 
-        if lazy:
-            # MIB built on first read; dynamics replayed on demand.
-            self._mib = None
-            self._dynamics = None
-        else:
-            self._mib = MibTree()
-            self._populate_mib()
-            self._dynamics = sim.spawn(
-                self._run_dynamics(), name="dyn:" + host.name,
-            )
+    @property
+    def profile(self):
+        return self._profile
+
+    @profile.setter
+    def profile(self, profile):
+        # A swap (e.g. rerouted traffic multiplying the rate) applies from
+        # now on: the ticks before it replay under the old profile.
+        self.catch_up()
+        self._profile = profile
 
     # -- MIB ---------------------------------------------------------------
 
@@ -207,68 +208,73 @@ class ManagedDevice:
 
     # -- dynamics -----------------------------------------------------------
 
-    def _run_dynamics(self):
-        while True:
-            yield self.tick
-            self._advance()
-
     def catch_up(self):
-        """Replay every tick a lazy device has missed up to ``sim.now``.
+        """Replay every tick missed up to ``sim.now``, in one loop.
 
-        Deterministically equivalent to eager dynamics: the same number of
-        ticks have elapsed by any given time, each consuming the same
-        draws from the device's private RNG stream in the same order, so a
-        read observes identical values either way.  No-op on eager
-        devices (their background process already did the work).
+        Each tick draws from the device's private RNG stream in a fixed
+        order, so the values are those of a device updated every tick.
+        The fault flags and the profile are read once per call: both only
+        change through :meth:`inject_fault`, :meth:`clear_fault` and the
+        ``profile`` setter, which catch up first.
         """
-        if self._dynamics is not None:
-            return
         target = int((self.sim.now - self.started_at) / self.tick)
-        while self._ticks_done < target:
-            self._advance()
+        missed = target - self._ticks_done
+        if missed <= 0:
+            return
+        self._ticks_done = target
+        profile = self._profile
+        faults = self.faults
+        # Draw from the stream's generator directly: the RngStream
+        # wrappers would add a call per draw to the hottest loop.
+        draws = self.rng._random
+        gauss = draws.gauss
+        randint = draws.randint
+        uniform = draws.uniform
 
-    def _advance(self):
-        """One dynamics tick (shared by the eager loop and lazy replay)."""
-        self._ticks_done += 1
-        # Re-read the profile each tick: scenarios may swap it at
-        # runtime (e.g. rerouted traffic multiplying the rate).
-        profile = self.profile
-        if self.faults.cpu_runaway:
-            self.cpu_load = self.rng.bounded_gauss(97.0, 2.0, 90.0, 100.0)
+        if faults.cpu_runaway:
+            cpu_mu, cpu_sigma, cpu_low, cpu_high = 97.0, 2.0, 90.0, 100.0
         else:
-            self.cpu_load = self.rng.bounded_gauss(
-                profile.cpu_mean, profile.cpu_sigma, 0.0, 100.0
-            )
-        self.load_avg = max(0.0, self.cpu_load / 25.0 + self.rng.gauss(0, 0.1))
-        if self.faults.memory_leak:
-            self.mem_available_kb = max(
-                0, int(self.mem_available_kb - profile.mem_total_kb * 0.02)
-            )
-        else:
-            self.mem_available_kb = int(self.rng.bounded_gauss(
-                profile.mem_total_kb * 0.6,
-                profile.mem_total_kb * 0.1,
-                profile.mem_total_kb * 0.2,
-                profile.mem_total_kb * 0.95,
-            ))
-        if self.faults.disk_filling:
-            self.disk_free_kb = max(
-                0, int(self.disk_free_kb - profile.disk_total_kb * 0.03)
-            )
-        self.proc_count = max(
-            1, int(self.proc_count + self.rng.randint(-3, 3))
-        )
-        for index in range(profile.interface_count):
-            if index in self.faults.down_interfaces:
-                continue
-            delta = self.rng.bounded_gauss(
-                profile.traffic_rate * self.tick,
-                profile.traffic_rate * self.tick * 0.3,
-                0.0,
-                profile.traffic_rate * self.tick * 3.0,
-            )
-            self.if_in_octets[index] += int(delta)
-            self.if_out_octets[index] += int(delta * self.rng.uniform(0.5, 1.0))
+            cpu_mu, cpu_sigma = profile.cpu_mean, profile.cpu_sigma
+            cpu_low, cpu_high = 0.0, 100.0
+        leaking = faults.memory_leak
+        mem_total = profile.mem_total_kb
+        leak = mem_total * 0.02
+        mem_mu, mem_sigma = mem_total * 0.6, mem_total * 0.1
+        mem_low, mem_high = mem_total * 0.2, mem_total * 0.95
+        filling = faults.disk_filling
+        fill = profile.disk_total_kb * 0.03
+        rate = profile.traffic_rate * self.tick
+        rate_sigma, rate_high = rate * 0.3, rate * 3.0
+        live = [
+            index for index in range(profile.interface_count)
+            if index not in faults.down_interfaces
+        ]
+        in_octets = self.if_in_octets
+        out_octets = self.if_out_octets
+        mem = self.mem_available_kb
+        disk = self.disk_free_kb
+        procs = self.proc_count
+
+        for _ in range(missed):
+            cpu = min(cpu_high, max(cpu_low, gauss(cpu_mu, cpu_sigma)))
+            load = max(0.0, cpu / 25.0 + gauss(0, 0.1))
+            if leaking:
+                mem = max(0, int(mem - leak))
+            else:
+                mem = int(min(mem_high, max(mem_low, gauss(mem_mu, mem_sigma))))
+            if filling:
+                disk = max(0, int(disk - fill))
+            procs = max(1, procs + randint(-3, 3))
+            for index in live:
+                delta = min(rate_high, max(0.0, gauss(rate, rate_sigma)))
+                in_octets[index] += int(delta)
+                out_octets[index] += int(delta * uniform(0.5, 1.0))
+
+        self.cpu_load = cpu
+        self.load_avg = load
+        self.mem_available_kb = mem
+        self.disk_free_kb = disk
+        self.proc_count = procs
 
     # -- fault injection -------------------------------------------------
 
@@ -309,11 +315,6 @@ class ManagedDevice:
             self.faults.down_interfaces.discard(interface)
         else:
             raise ValueError("unknown fault kind %r" % kind)
-
-    def stop(self):
-        """Halt the background dynamics process (lets ``sim.run()`` drain)."""
-        if self._dynamics is not None:
-            self._dynamics.kill()
 
     @property
     def name(self):

@@ -8,7 +8,7 @@ network to the requester's reply port.
 """
 
 from repro.network.transport import DeliveryError, Message
-from repro.snmp.oids import OID
+from repro.snmp.oids import as_oid
 
 
 class PduType:
@@ -35,7 +35,7 @@ class VarBind:
     __slots__ = ("oid", "value", "name", "error")
 
     def __init__(self, oid, value=None, name="", error=None):
-        self.oid = OID(oid)
+        self.oid = as_oid(oid)
         self.value = value
         self.name = name
         self.error = error
@@ -139,8 +139,8 @@ class SnmpEngine:
     def _handle(self, request):
         cpu_units = self.cpu_cost_per_varbind * max(1, len(request.varbinds))
         yield self.device.host.cpu.use(cpu_units, label="snmp-agent")
-        # Lazy devices replay missed dynamics ticks before the read so
-        # the response sees exactly the values an eager device would hold.
+        # Replay the dynamics ticks missed since the device was last read,
+        # so the response sees its values as of now.
         self.device.catch_up()
         varbinds = self._evaluate(request)
         self.pdus_handled += 1

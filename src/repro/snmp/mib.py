@@ -12,7 +12,7 @@ performance (CPU, memory), storage (disk, processes) and interface traffic
 
 import bisect
 
-from repro.snmp.oids import OID
+from repro.snmp.oids import OID, as_oid
 
 
 class MibObject:
@@ -27,7 +27,7 @@ class MibObject:
     """
 
     def __init__(self, oid, name, value, writable=False, units=""):
-        self.oid = OID(oid)
+        self.oid = as_oid(oid)
         self.name = name
         self._value = value
         self.writable = writable
@@ -69,25 +69,25 @@ class MibTree:
         return self.register(MibObject(oid, name, value, writable, units))
 
     def __contains__(self, oid):
-        return OID(oid) in self._objects
+        return as_oid(oid) in self._objects
 
     def __len__(self):
         return len(self._objects)
 
     def get(self, oid):
         """The object at exactly ``oid``, or None."""
-        return self._objects.get(OID(oid))
+        return self._objects.get(as_oid(oid))
 
     def get_next(self, oid):
         """The first object with OID strictly greater than ``oid``, or None."""
-        index = bisect.bisect_right(self._order, OID(oid))
+        index = bisect.bisect_right(self._order, as_oid(oid))
         if index >= len(self._order):
             return None
         return self._objects[self._order[index]]
 
     def walk(self, prefix):
         """All objects within the subtree rooted at ``prefix``, in order."""
-        prefix = OID(prefix)
+        prefix = as_oid(prefix)
         index = bisect.bisect_left(self._order, prefix)
         results = []
         while index < len(self._order):

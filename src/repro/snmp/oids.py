@@ -45,7 +45,7 @@ class OID:
 
     def is_prefix_of(self, other):
         """True when ``other`` lies in this OID's subtree (or equals it)."""
-        other = OID(other)
+        other = as_oid(other)
         return other.parts[: len(self.parts)] == self.parts
 
     @property
@@ -64,16 +64,16 @@ class OID:
         return isinstance(other, OID) and other.parts == self.parts
 
     def __lt__(self, other):
-        return self.parts < OID(other).parts
+        return self.parts < as_oid(other).parts
 
     def __le__(self, other):
-        return self.parts <= OID(other).parts
+        return self.parts <= as_oid(other).parts
 
     def __gt__(self, other):
-        return self.parts > OID(other).parts
+        return self.parts > as_oid(other).parts
 
     def __ge__(self, other):
-        return self.parts >= OID(other).parts
+        return self.parts >= as_oid(other).parts
 
     def __hash__(self):
         return hash(self.parts)
@@ -83,3 +83,8 @@ class OID:
 
     def __repr__(self):
         return "OID(%r)" % str(self)
+
+
+def as_oid(value):
+    """``value`` if it already is an :class:`OID`, else ``OID(value)``."""
+    return value if isinstance(value, OID) else OID(value)

@@ -151,13 +151,11 @@ def _canonical_findings(system):
 
 class TestScatterGatherEquivalence:
     def _run(self, shards):
-        system = GridManagementSystem(
-            _sharded_spec(shards, lazy_devices=False))
+        system = GridManagementSystem(_sharded_spec(shards))
         system.devices["dev1"].inject_fault("cpu_runaway")
         system.devices["dev2"].inject_fault("cpu_runaway")
         system.assign_goals(system.make_paper_goals(polls_per_type=4))
         assert system.run_until_records(12, timeout=4000)
-        system.stop_devices()
         return system
 
     def test_sharded_level3_equals_unsharded(self):
@@ -266,7 +264,6 @@ class TestRebalance:
         # still completes end to end.
         system.assign_goals(system.make_paper_goals(polls_per_type=2))
         assert system.run_until_records(18, timeout=4000)
-        system.stop_devices()
         assert sum(s.records_stored for s in system.stores) == 18
 
     def test_remove_guards(self):
@@ -284,7 +281,6 @@ class TestShardMetrics:
             _sharded_spec(2, devices=3, seed=5, telemetry=True))
         system.assign_goals(system.make_paper_goals(polls_per_type=4))
         assert system.run_until_records(12, timeout=4000)
-        system.stop_devices()
         snapshot = system.telemetry.metrics_snapshot()
         gauges = snapshot["registry"]["gauges"]
         assert gauges["shard.records{shard=0}"] + \
@@ -307,6 +303,5 @@ class TestShardMetrics:
         assert system.run_until_records(12, timeout=4000)
         system.add_storage_shard()
         system.sim.run(until=system.sim.now + 150.0)
-        system.stop_devices()
         counters = system.telemetry.metrics_snapshot()["registry"]["counters"]
         assert counters.get("shard.rebalanced", 0) > 0

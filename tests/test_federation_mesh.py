@@ -64,7 +64,6 @@ def run_workload(system, polls_per_type=4, timeout=3000):
         polls_per_type=polls_per_type))
     total = len(system.sites) * polls_per_type * 3
     completed = system.run_until_records(total, timeout=timeout)
-    system.stop_devices()
     return completed
 
 

@@ -26,7 +26,6 @@ def run():
     trace_transport(system.transport, tracer)
     system.assign_goals(system.make_paper_goals(polls_per_type=10))
     completed = system.run_until_records(30, timeout=4000)
-    system.stop_devices()
     return system, tracer, completed, pre_attach_deliveries
 
 

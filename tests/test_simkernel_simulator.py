@@ -30,6 +30,13 @@ class TestScheduling:
         sim.run()
         assert fired == [1]
 
+    def test_run_until_reaches_until_after_queue_drains(self):
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        assert sim.run(until=5.0) == 5.0
+        assert sim.now == 5.0
+        assert Simulator().run(until=3.0) == 3.0
+
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []

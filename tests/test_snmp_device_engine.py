@@ -1,15 +1,110 @@
 """Unit tests for managed devices, the SNMP engine and the client."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.network.topology import Network
 from repro.network.transport import Transport
 from repro.simkernel.simulator import Simulator
-from repro.snmp.device import ManagedDevice, PROFILES
+from repro.snmp.device import DeviceProfile, ManagedDevice, PROFILES
 from repro.snmp.engine import PduType, SnmpEngine, SnmpError
 from repro.snmp.manager import SnmpClient, SnmpTimeout
 from repro.snmp.mib import std
 from repro.snmp.traps import TrapSink
+
+
+def advance(device):
+    """One dynamics tick: the per-tick reference for ``catch_up``."""
+    profile = device.profile
+    if device.faults.cpu_runaway:
+        device.cpu_load = device.rng.bounded_gauss(97.0, 2.0, 90.0, 100.0)
+    else:
+        device.cpu_load = device.rng.bounded_gauss(
+            profile.cpu_mean, profile.cpu_sigma, 0.0, 100.0
+        )
+    device.load_avg = max(
+        0.0, device.cpu_load / 25.0 + device.rng.gauss(0, 0.1))
+    if device.faults.memory_leak:
+        device.mem_available_kb = max(
+            0, int(device.mem_available_kb - profile.mem_total_kb * 0.02)
+        )
+    else:
+        device.mem_available_kb = int(device.rng.bounded_gauss(
+            profile.mem_total_kb * 0.6,
+            profile.mem_total_kb * 0.1,
+            profile.mem_total_kb * 0.2,
+            profile.mem_total_kb * 0.95,
+        ))
+    if device.faults.disk_filling:
+        device.disk_free_kb = max(
+            0, int(device.disk_free_kb - profile.disk_total_kb * 0.03)
+        )
+    device.proc_count = max(
+        1, int(device.proc_count + device.rng.randint(-3, 3)))
+    for index in range(profile.interface_count):
+        if index in device.faults.down_interfaces:
+            continue
+        delta = device.rng.bounded_gauss(
+            profile.traffic_rate * device.tick,
+            profile.traffic_rate * device.tick * 0.3,
+            0.0,
+            profile.traffic_rate * device.tick * 3.0,
+        )
+        device.if_in_octets[index] += int(delta)
+        device.if_out_octets[index] += int(delta * device.rng.uniform(0.5, 1.0))
+
+
+class PerTickDevice(ManagedDevice):
+    """Replays missed ticks one :func:`advance` at a time (the oracle)."""
+
+    def catch_up(self):
+        target = int((self.sim.now - self.started_at) / self.tick)
+        while self._ticks_done < target:
+            self._ticks_done += 1
+            advance(self)
+
+
+def _device(device_class=ManagedDevice, profile="server", tick=1.0):
+    sim = Simulator(seed=11)
+    host = Network(sim).add_host("dev1", "site1", role="device")
+    return sim, device_class(sim, host, profile=profile, tick=tick)
+
+
+def _state(device):
+    return (
+        device._ticks_done, device.cpu_load, device.load_avg,
+        device.mem_available_kb, device.disk_free_kb, device.proc_count,
+        list(device.if_in_octets), list(device.if_out_octets),
+        device.rng._random.getstate(),
+    )
+
+
+def _hot(profile, base, scale):
+    """``base``'s dynamics scaled by ``scale``, on ``profile``'s MIB shape."""
+    return DeviceProfile(
+        "%s-x%g" % (base.name, scale),
+        interface_count=profile.interface_count,
+        process_slots=profile.process_slots,
+        cpu_mean=base.cpu_mean, cpu_sigma=base.cpu_sigma,
+        mem_total_kb=int(base.mem_total_kb * scale),
+        disk_total_kb=int(base.disk_total_kb * scale),
+        traffic_rate=base.traffic_rate * scale,
+    )
+
+
+_FAULT_KINDS = ("cpu_runaway", "memory_leak", "disk_filling", "interface_down")
+
+_STEPS = st.lists(st.tuples(
+    st.floats(min_value=0.0, max_value=4.0),
+    st.one_of(
+        st.just(("read",)),
+        st.tuples(st.sampled_from(("inject", "clear")),
+                  st.sampled_from(_FAULT_KINDS), st.integers(0, 23)),
+        st.tuples(st.just("swap"), st.sampled_from(sorted(PROFILES)),
+                  st.sampled_from((0.5, 1.0, 6.0))),
+    ),
+), max_size=12)
 
 
 @pytest.fixture
@@ -38,6 +133,7 @@ class TestDevice:
         sim, _, _, device, _, _ = stack
         before = list(device.if_in_octets)
         sim.run(until=5.0)
+        device.catch_up()
         assert device.if_in_octets != before
         assert 0 <= device.cpu_load <= 100
 
@@ -45,9 +141,11 @@ class TestDevice:
         sim, _, _, device, _, _ = stack
         device.inject_fault("cpu_runaway")
         sim.run(until=3.0)
+        device.catch_up()
         assert device.cpu_load >= 90.0
         device.clear_fault("cpu_runaway")
         sim.run(until=10.0)
+        device.catch_up()
         assert device.cpu_load < 90.0
 
     def test_disk_filling_fault_drains_disk(self, stack):
@@ -55,6 +153,7 @@ class TestDevice:
         before = device.disk_free_kb
         device.inject_fault("disk_filling")
         sim.run(until=10.0)
+        device.catch_up()
         assert device.disk_free_kb < before
 
     def test_interface_down_fault_changes_oper_status(self, stack):
@@ -66,6 +165,56 @@ class TestDevice:
         device.clear_fault("interface_down", interface=0)
         assert device.mib.get(status_oid).read() == 1
 
+    def test_profile_swap_applies_from_now_on(self):
+        # Reading after a mid-run swap must not replay the ticks before
+        # the swap at the new rate.
+        sim, swapped = _device(profile="router", tick=0.5)
+        ref_sim, reference = _device(profile="router", tick=0.5)
+        hot = _hot(swapped.profile, swapped.profile, 6.0)
+        sim.run(until=5.0)
+        ref_sim.run(until=5.0)
+        reference.catch_up()
+        swapped.profile = hot
+        reference.profile = hot
+        sim.run(until=10.0)
+        ref_sim.run(until=10.0)
+        swapped.catch_up()
+        reference.catch_up()
+        assert _state(swapped) == _state(reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile=st.sampled_from(sorted(PROFILES)),
+           tick=st.sampled_from((0.1, 0.25, 0.5, 1.0, 2.5)),
+           steps=_STEPS)
+    # The octet counters sum every tick, so one read after thousands of
+    # ticks also checks the rarely taken clamp branches.
+    @example(profile="server", tick=0.5, steps=[(1500.0, ("read",))])
+    @example(profile="router", tick=0.5, steps=[(1500.0, ("read",))])
+    @example(profile="switch", tick=0.5, steps=[(1500.0, ("read",))])
+    def test_replay_equals_per_tick_dynamics(self, profile, tick, steps):
+        sim, device = _device(profile=profile, tick=tick)
+        oracle_sim, oracle = _device(PerTickDevice, profile=profile, tick=tick)
+        for delay, action in steps:
+            for each_sim in (sim, oracle_sim):
+                each_sim.run(until=each_sim.now + delay)
+            # The oracle catches up before every action on its own, so a
+            # change the device forgets to catch up for shows as a diff.
+            oracle.catch_up()
+            for each in (device, oracle):
+                if action[0] == "read":
+                    each.catch_up()
+                elif action[0] == "swap":
+                    each.profile = _hot(
+                        each.profile, PROFILES[action[1]], action[2])
+                else:
+                    kind, interface = action[1], action[2]
+                    interface %= each.profile.interface_count
+                    if action[0] == "inject":
+                        each.inject_fault(kind, interface=interface)
+                    else:
+                        each.clear_fault(kind, interface=interface)
+            assert _state(device) == _state(oracle)
+
     def test_invalid_fault_kinds_rejected(self, stack):
         _, _, _, device, _, _ = stack
         with pytest.raises(ValueError):
@@ -74,14 +223,6 @@ class TestDevice:
             device.inject_fault("interface_down")  # missing index
         with pytest.raises(ValueError):
             device.inject_fault("interface_down", interface=99)
-
-    def test_stop_halts_dynamics(self, stack):
-        sim, _, _, device, _, _ = stack
-        sim.run(until=2.0)
-        device.stop()
-        snapshot = device.cpu_load
-        sim.run(until=10.0)
-        assert device.cpu_load == snapshot
 
 
 class TestEngineAndClient:

@@ -30,6 +30,12 @@ class TestOID:
         assert OID("1.2.9") < OID("1.10")
         assert OID("2") > OID("1.9.9.9")
 
+    def test_ordering_against_strings_and_tuples(self):
+        assert OID("1.2") < "1.10" and OID("1.2") <= (1, 2)
+        assert OID("2") > (1, 9) and OID("2") >= "2"
+        with pytest.raises(ValueError):
+            OID("1.2") < "1..2"
+
     def test_child_and_parent(self):
         oid = OID("1.3").child(6, 1)
         assert oid == OID("1.3.6.1")

@@ -347,7 +347,6 @@ def _grid_spec(seed=7, telemetry=True, **overrides):
 def _run(system, polls_per_type=4, timeout=600.0):
     system.assign_goals(system.make_paper_goals(polls_per_type=polls_per_type))
     completed = system.run_until_records(polls_per_type * 3, timeout=timeout)
-    system.stop_devices()
     return completed
 
 
@@ -443,7 +442,6 @@ class TestGridTelemetry:
         system.network.hosts["stor"].fail()
         system.assign_goals(system.make_paper_goals(polls_per_type=2))
         system.run(until=120.0)
-        system.stop_devices()
         recorder = system.telemetry.recorder
         dead = recorder.find(name="ship", status="dead-letter")
         assert dead
