@@ -18,7 +18,7 @@ the current run fail.
 gate: unlike the baseline comparison, it cannot drift downward when a
 regressed baseline is (re-)committed.  Used to pin hard-won improvements
 -- e.g. ``--floor spawn_join_per_sec=90000`` keeps the slim spawn/join
-win from ever silently eroding back to the pre-wheel ~68k/s level.
+win from ever silently eroding back to the pre-slim-join ~68k/s level.
 
 ``--ratio NUM/DEN=MAX`` gates a *lower-is-better* relationship between
 two metrics of the same current run (no baseline involved): the check

@@ -6,9 +6,9 @@ Usage::
         --results benchmarks/results/BENCH_kernel.json --tolerance 0.10
 
 Telemetry is designed to be pay-for-what-you-trace: attaching the session
-recorder (profiler off) must leave the kernel hot loop and the end-to-end
-Figure-6c run within ``tolerance`` of the telemetry-free measurements from
-the same bench run.  Two comparisons, both from one ``BENCH_kernel.json``
+recorder must leave the kernel hot loop and the end-to-end Figure-6c run
+within ``tolerance`` of the telemetry-free measurements from the same
+bench run.  Two comparisons, both from one ``BENCH_kernel.json``
 so machine speed cancels out:
 
 * ``zero_delay_telemetry_events_per_sec`` vs ``zero_delay_events_per_sec``

@@ -133,14 +133,14 @@ def test_bench_zero_delay_throughput():
 
 
 def test_bench_timer_churn_throughput():
-    """Heartbeat-reset churn: the timer wheel's target profile.
+    """Heartbeat-reset churn: a large pending-timer population.
 
     ``PENDING_TIMERS`` watchdogs sit ~30s in the future; every simulated
     second each one is cancelled and re-armed (the retransmit/heartbeat
     reset pattern that dominates bigtopo's pending-timer population).
     Each processed heartbeat costs one pop, one O(1) lazy cancel and two
-    near-future schedules -- superlinear on a single binary heap,
-    near-constant on the calendar wheel.
+    near-future schedules; cancelled watchdogs stay in the heap until
+    they surface, so every sift runs over ~2x ``PENDING_TIMERS`` entries.
     """
     rounds_of_heartbeats = TIMER_CHURN_EVENTS // PENDING_TIMERS
 
@@ -368,8 +368,8 @@ def test_bench_zero_delay_telemetry_throughput():
     """The zero-delay chain with a telemetry session attached.
 
     The flight recorder must be pay-for-what-you-trace: attaching a
-    :class:`Telemetry` (profiler off -- spans and metrics are passive
-    bookkeeping that the kernel never touches) should leave the hot loop's
+    :class:`Telemetry` (spans and metrics are passive bookkeeping that
+    the kernel never touches) should leave the hot loop's
     throughput within noise of the plain run above.  The CI overhead gate
     (``benchmarks/check_telemetry_overhead.py``) compares the two.
     """
@@ -377,7 +377,7 @@ def test_bench_zero_delay_telemetry_throughput():
 
     def work():
         sim = Simulator(seed=SEED)
-        Telemetry(sim)  # attached, profiler off: the production default
+        Telemetry(sim)  # attached with default options
         for index in range(PENDING_TIMERS):
             sim.schedule(1e9 + index, _noop)
         remaining = [ZERO_DELAY_EVENTS]

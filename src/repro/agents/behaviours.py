@@ -35,8 +35,8 @@ class Behaviour:
         telemetry = agent.telemetry if agent.container is not None else None
         if telemetry is not None and telemetry.attribution:
             # One sim-time span per behaviour activation: the trace answers
-            # "which agent's behaviours occupy the timeline" without the
-            # wall-clock KernelProfiler.  Passive -- no events, no RNG.
+            # "which agent's behaviours occupy the timeline" in simulated
+            # time.  Passive -- no events, no RNG.
             self._span = telemetry.recorder.start(
                 "behaviour:%s" % type(self).__name__,
                 telemetry.BEHAVIOUR_TRACE,

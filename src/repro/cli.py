@@ -183,8 +183,7 @@ def _cmd_trace(args):
 
     if args.follow:
         return _cmd_trace_follow(args)
-    telemetry_options = {"profile": args.profile,
-                         "attribution": args.attribution}
+    telemetry_options = {"attribution": args.attribution}
     if args.stream:
         telemetry_options["stream_dir"] = args.stream
     spec = GridTopologySpec.paper_figure6c(
@@ -223,14 +222,6 @@ def _cmd_trace(args):
         if args.slowest:
             print()
             _print_slowest(telemetry.recorder, args.slowest)
-    if telemetry.profiler is not None:
-        print()
-        print(format_table(
-            ("callback", "events", "total s"),
-            [(name, count, "%.4f" % total_seconds)
-             for name, count, total_seconds in telemetry.profiler.top(10)],
-            title="kernel profile (hottest callbacks):",
-        ))
     if args.out:
         export.dump_json(telemetry.chrome_trace(), args.out)
         print()
@@ -810,8 +801,6 @@ def build_parser():
                        help="classifier/storage shards (>1 turns on the "
                             "consistent-hash sharded lane and its "
                             "shard.* metrics)")
-    trace.add_argument("--profile", action="store_true",
-                       help="also profile kernel callbacks (slower)")
     trace.add_argument("--reliable", action="store_true",
                        help="route critical sends over the reliable channel")
     trace.add_argument("--stream", metavar="DIR", default=None,

@@ -15,8 +15,8 @@ Public surface:
   busy-time ledger.
 * :class:`RngStream` -- named, seed-derived random streams for determinism.
 * :mod:`metrics <repro.simkernel.metrics>` -- time series / counters.
-* :mod:`telemetry <repro.simkernel.telemetry>` -- causal spans, the kernel
-  profiler and the session :class:`Telemetry` flight recorder.
+* :mod:`telemetry <repro.simkernel.telemetry>` -- causal spans and the
+  session :class:`Telemetry` flight recorder.
 """
 
 from repro.simkernel.events import EventQueue, ScheduledEvent, SimEvent
@@ -31,19 +31,13 @@ from repro.simkernel.resources import Resource, ResourceKind, Use
 from repro.simkernel.rng import RngStream, derive_seed
 from repro.simkernel.metrics import Counter, Gauge, MetricRegistry, TimeSeries
 from repro.simkernel.trace import SimulationTracer, TraceRecord, trace_transport
-from repro.simkernel.telemetry import (
-    KernelProfiler,
-    Span,
-    SpanRecorder,
-    Telemetry,
-)
+from repro.simkernel.telemetry import Span, SpanRecorder, Telemetry
 
 __all__ = [
     "Counter",
     "EventQueue",
     "Gauge",
     "Interrupted",
-    "KernelProfiler",
     "MetricRegistry",
     "Process",
     "ProcessKilled",

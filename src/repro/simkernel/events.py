@@ -10,46 +10,32 @@ Two kinds of "event" live here and they are deliberately distinct:
   the rendezvous primitive used for message queues, job completion and
   process joins.
 
-The queue has three lanes, all merged into one exact global
+The queue has two lanes, merged into one exact global
 (time, priority, seq) order on ``pop``:
 
+* **heap** -- future events, and same-instant events with a non-default
+  priority, go into one binary heap of ``(time, priority, seq, event)``
+  entries, so every sift compares plain tuples in C (``seq`` is unique,
+  so the event itself is never compared).
 * **fast lane** -- same-instant default-priority events (``spawn``,
   ``SimEvent.trigger``, already-triggered ``add_waiter``) go through a
-  plain FIFO deque, skipping any ordered structure entirely.  Because
-  fast-lane entries always carry the *current* simulated time and
-  priority 0, and are appended in strictly increasing ``seq`` order, a
-  single head-to-head comparison against the timer-side head reproduces
-  the exact global ordering.
-* **timer wheel** -- future events land in calendar buckets keyed by
-  ``int(time / wheel_width)``: an O(1) append on schedule, an O(1) lazy
-  mark on cancel.  A bucket is *activated* (cancelled entries filtered,
-  the rest sorted once) only when it becomes the earliest pending bucket,
-  so a population of N pending timers costs one sort per bucket instead
-  of 2N heap sifts.  This is what keeps the pending-timer-heavy profiles
-  (retransmit backoffs, heartbeats, fetch patience ladders) near-constant
-  per event as the device population grows.
-* **heap fallback** -- far-future events (beyond ``wheel_span`` buckets
-  of lookahead) and events pushed while very few timers are pending
-  (where a tiny binary heap is faster than bucket bookkeeping) go through
-  the classic binary heap.  ``pop`` compares the heap head against the
-  activated bucket head precisely, so the split is invisible.
+  plain FIFO deque, skipping the heap entirely.  Because fast-lane
+  entries always carry the *current* simulated time and priority 0, and
+  are appended in strictly increasing ``seq`` order, a single
+  head-to-head comparison against the heap head reproduces the exact
+  global ordering.
 
-The wheel is a pure scheduling-speed optimisation: pops come out in the
-exact (time, priority, seq) order the single-heap design had, which
-``tests/test_simkernel_determinism.py`` pins operation-by-operation
-against a reference model and wheel-vs-heap (``EventQueue(wheel=False)``)
-over random interleavings.
+``pop(until)`` returns the next event only if it is due at or before
+``until``, so the simulator's run loop makes one queue call per event.
+``tests/test_simkernel_determinism.py`` pins the pop order, operation by
+operation, against a reference model over random push / fast-push /
+cancel / bounded-pop interleavings.
 """
 
 import collections
 import heapq
 import itertools
-from bisect import insort
-from operator import attrgetter
-
-#: C-level sort key for bucket activation: one attrgetter call per event
-#: plus C tuple comparisons beats n-log-n Python ``__lt__`` calls.
-_SORT_KEY = attrgetter("time", "priority", "seq")
+import math
 
 
 class ScheduledEvent:
@@ -80,19 +66,6 @@ class ScheduledEvent:
                 queue._live -= 1
                 self.queue = None
 
-    def sort_key(self):
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other):
-        # Inlined field comparisons: this runs on every heap sift and every
-        # bucket sort, so the tuple allocation sort_key() would do per
-        # comparison is pure waste.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
         return "ScheduledEvent(t=%g, prio=%d, %s)" % (self.time, self.priority, state)
@@ -101,76 +74,27 @@ class ScheduledEvent:
 class EventQueue:
     """A deterministic priority queue of :class:`ScheduledEvent`.
 
-    Cancelled events stay in their lane and are skipped on pop/activation;
-    this keeps cancellation O(1) at the cost of occasional lazy cleanup.
-    ``len`` is O(1): a live count is incremented on push and decremented by
-    both pop and :meth:`ScheduledEvent.cancel`.
-
-    Args:
-        wheel: route near-future events through the calendar timer wheel
-            (default).  ``False`` restores the single binary heap -- same
-            pop order, used by the equivalence tests and A/B benches.
-        wheel_width: seconds of simulated time per calendar bucket.
-        wheel_span: buckets of lookahead; events further out fall back to
-            the heap (they are popped from there precisely, never migrated).
-        wheel_min_pending: while fewer timers than this are pending, new
-            events use the heap -- a near-empty binary heap beats bucket
-            bookkeeping, and the precise head-to-head merge on ``pop``
-            makes the split invisible.
+    Cancelled events stay in their lane and are skipped on pop; this keeps
+    cancellation O(1) at the cost of occasional lazy cleanup.  ``len`` is
+    O(1): a live count is incremented on push and decremented by both pop
+    and :meth:`ScheduledEvent.cancel`.
     """
 
-    def __init__(self, wheel=True, wheel_width=0.5, wheel_span=8192,
-                 wheel_min_pending=64):
+    def __init__(self):
         self._heap = []
         self._fast = collections.deque()
         self._counter = itertools.count()
         self._live = 0
-        self._wheel = wheel
-        if wheel_width <= 0:
-            raise ValueError("wheel_width must be positive")
-        self._inv_width = 1.0 / wheel_width
-        self._span = wheel_span
-        self._min_pending = wheel_min_pending
-        self._buckets = {}      # bucket no -> [min_time, *unsorted events]
-        self._bucket_heap = []  # bucket numbers with a _buckets entry
-        self._cur = []          # activated bucket, sorted ascending
-        self._cur_idx = 0       # pop cursor into _cur
-        self._cur_no = -1       # highest bucket number merged into _cur
-        self._base_no = 0       # highest bucket number activated so far
 
     def __len__(self):
         return self._live
 
     def push(self, time, callback, args=(), priority=0):
         """Insert a callback to fire at absolute ``time``; returns the event."""
-        event = ScheduledEvent(time, priority, next(self._counter), callback,
-                               args, self)
+        seq = next(self._counter)
+        event = ScheduledEvent(time, priority, seq, callback, args, self)
         self._live += 1
-        if self._wheel:
-            no = int(time * self._inv_width)
-            cur = self._cur
-            if cur and no <= self._cur_no:
-                # Lands inside (or before) the activated bucket: a precise
-                # sorted insert keeps _cur the exact front segment.  Only
-                # the not-yet-popped tail is searched.
-                insort(cur, event, self._cur_idx)
-                return event
-            bucket = self._buckets.get(no)
-            if bucket is not None:
-                bucket.append(event)
-                if time < bucket[0]:
-                    bucket[0] = time
-                return event
-            if (no - self._base_no > self._span
-                    or self._live - len(self._fast) <= self._min_pending):
-                heapq.heappush(self._heap, event)
-                return event
-            # Slot 0 holds the bucket's min time (a float): pop/peek use it
-            # as a lower bound to prove a fast-lane win without activating.
-            self._buckets[no] = [time, event]
-            heapq.heappush(self._bucket_heap, no)
-            return event
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def push_fifo(self, time, callback, args=()):
@@ -178,7 +102,7 @@ class EventQueue:
 
         The caller must guarantee ``time`` is the simulator's *current*
         instant (no pending entry fires earlier than it): :meth:`pop` then
-        only needs one comparison against the timer-side head to keep the
+        only needs one comparison against the heap head to keep the
         global (time, priority, seq) order exact.
         """
         event = ScheduledEvent(time, 0, next(self._counter), callback, args,
@@ -187,244 +111,43 @@ class EventQueue:
         self._live += 1
         return event
 
-    def _timer_head(self):
-        """The next live timer-side event as ``(event, from_heap)``.
+    def pop(self, until=math.inf):
+        """Remove and return the next live event due at or before ``until``.
 
-        Skips cancelled entries, activates the earliest pending bucket when
-        the current one is drained, and merges the activated bucket head
-        against the heap head precisely.  Returns ``(None, False)`` when no
-        timer-side event is pending.
+        Returns None when the queue holds no live event, or when the next
+        one is due after ``until`` (it then stays queued).
         """
-        cur = self._cur
-        idx = self._cur_idx
-        length = len(cur)
-        while idx < length and cur[idx].cancelled:
-            idx += 1
-        if idx >= length:
-            if length:
-                del cur[:]
-            idx = 0
-            bucket_heap = self._bucket_heap
-            if bucket_heap:
-                buckets = self._buckets
-                while bucket_heap:
-                    no = heapq.heappop(bucket_heap)
-                    pending = buckets.pop(no)
-                    pending = [event for event in pending[1:]
-                               if not event.cancelled]
-                    if pending:
-                        pending.sort(key=_SORT_KEY)
-                        cur.extend(pending)
-                        self._cur_no = no
-                        if no > self._base_no:
-                            self._base_no = no
-                        break
-        self._cur_idx = idx
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        if idx < len(cur):
-            head = cur[idx]
-            if heap:
-                top = heap[0]
-                if top.time < head.time or (
-                        top.time == head.time and (
-                            top.priority < head.priority or (
-                                top.priority == head.priority
-                                and top.seq < head.seq))):
-                    return top, True
-            return head, False
-        if heap:
-            return heap[0], True
-        return None, False
-
-    def pop(self):
-        """Remove and return the next non-cancelled event, or None if empty."""
         fast = self._fast
         while fast and fast[0].cancelled:
             fast.popleft()
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
         if fast:
-            first = fast[0]
-            ftime = first.time
-            # Fast-lane early win: every bound below is <= the earliest
-            # live timer-side time (heads may be cancelled, bucket mins may
-            # be stale -- both only make the bound lower), so a strict
-            # ``ftime < bound`` proves the global head without touching --
-            # in particular without *activating* -- the timer structures.
-            if self._wheel:
-                bound = None
-                cur = self._cur
-                idx = self._cur_idx
-                if idx < len(cur):
-                    bound = cur[idx].time
-                bucket_heap = self._bucket_heap
-                if bucket_heap:
-                    time = self._buckets[bucket_heap[0]][0]
-                    if bound is None or time < bound:
-                        bound = time
-                heap = self._heap
-                if heap:
-                    time = heap[0].time
-                    if bound is None or time < bound:
-                        bound = time
-            else:
-                heap = self._heap
-                bound = heap[0].time if heap else None
-            if bound is None or ftime < bound:
-                fast.popleft()
-                self._live -= 1
-                first.queue = None
-                return first
-        # Inline the common timer-side states (a live activated-bucket head,
-        # or no wheel activity at all): _timer_head is only called when a
-        # bucket needs activating or the cur head is cancelled, keeping the
-        # zero-delay and tiny-heap profiles free of the function call.
-        from_heap = True
-        if self._wheel:
-            cur = self._cur
-            idx = self._cur_idx
-            if idx < len(cur):
-                head = cur[idx]
-                if head.cancelled:
-                    timer, from_heap = self._timer_head()
-                else:
-                    heap = self._heap
-                    while heap and heap[0].cancelled:
-                        heapq.heappop(heap)
-                    timer = head
-                    from_heap = False
-                    if heap:
-                        top = heap[0]
-                        if top.time < head.time or (
-                                top.time == head.time and (
-                                    top.priority < head.priority or (
-                                        top.priority == head.priority
-                                        and top.seq < head.seq))):
-                            timer = top
-                            from_heap = True
-            elif self._bucket_heap:
-                timer, from_heap = self._timer_head()
-            else:
-                if idx:
-                    del cur[:]
-                    self._cur_idx = 0
-                heap = self._heap
-                while heap and heap[0].cancelled:
+            event = fast[0]
+            if heap:
+                time, priority, seq, top = heap[0]
+                # ``heap[0] < (event.time, 0, event.seq)``, unallocated.
+                if time < event.time or (time == event.time and (
+                        priority < 0 or (priority == 0 and seq < event.seq))):
+                    if time > until:
+                        return None
                     heapq.heappop(heap)
-                timer = heap[0] if heap else None
-        else:
-            heap = self._heap
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
-            timer = heap[0] if heap else None
-        if fast:
-            first = fast[0]
-            if timer is not None and (
-                    timer.time < first.time or (
-                        timer.time == first.time and (
-                            timer.priority < first.priority or (
-                                timer.priority == first.priority
-                                and timer.seq < first.seq)))):
-                event = timer
-                if from_heap:
-                    heapq.heappop(self._heap)
-                else:
-                    self._cur_idx += 1
-            else:
-                event = fast.popleft()
-        elif timer is not None:
-            event = timer
-            if from_heap:
-                heapq.heappop(self._heap)
-            else:
-                self._cur_idx += 1
+                    self._live -= 1
+                    top.queue = None
+                    return top
+            if event.time > until:
+                return None
+            fast.popleft()
+        elif heap:
+            if heap[0][0] > until:
+                return None
+            event = heapq.heappop(heap)[3]
         else:
             return None
         self._live -= 1
         event.queue = None
         return event
-
-    def peek_time(self):
-        """Time of the next live event, or None."""
-        fast = self._fast
-        while fast and fast[0].cancelled:
-            fast.popleft()
-        if fast:
-            ftime = fast[0].time
-            # Same lower-bound trick as pop: only the *time* is returned,
-            # so a non-strict ``ftime <= bound`` suffices here.
-            if self._wheel:
-                bound = None
-                cur = self._cur
-                idx = self._cur_idx
-                if idx < len(cur):
-                    bound = cur[idx].time
-                bucket_heap = self._bucket_heap
-                if bucket_heap:
-                    time = self._buckets[bucket_heap[0]][0]
-                    if bound is None or time < bound:
-                        bound = time
-                heap = self._heap
-                if heap:
-                    time = heap[0].time
-                    if bound is None or time < bound:
-                        bound = time
-            else:
-                heap = self._heap
-                bound = heap[0].time if heap else None
-            if bound is None or ftime <= bound:
-                return ftime
-        if self._wheel:
-            cur = self._cur
-            idx = self._cur_idx
-            if idx < len(cur) and not cur[idx].cancelled:
-                # A live activated-bucket head: only times matter here, so
-                # one head-to-head against the heap is enough.
-                timer_time = cur[idx].time
-                heap = self._heap
-                while heap and heap[0].cancelled:
-                    heapq.heappop(heap)
-                if heap and heap[0].time < timer_time:
-                    timer_time = heap[0].time
-            elif idx < len(cur) or self._bucket_heap:
-                timer, _ = self._timer_head()
-                timer_time = None if timer is None else timer.time
-            else:
-                heap = self._heap
-                while heap and heap[0].cancelled:
-                    heapq.heappop(heap)
-                timer_time = heap[0].time if heap else None
-        else:
-            heap = self._heap
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
-            timer_time = heap[0].time if heap else None
-        if fast:
-            if timer_time is not None and timer_time < fast[0].time:
-                return timer_time
-            return fast[0].time
-        if timer_time is not None:
-            return timer_time
-        return None
-
-    def clear(self):
-        for event in self._heap:
-            event.queue = None
-        for event in self._fast:
-            event.queue = None
-        for bucket in self._buckets.values():
-            for event in bucket[1:]:
-                event.queue = None
-        for index in range(self._cur_idx, len(self._cur)):
-            self._cur[index].queue = None
-        self._heap = []
-        self._fast.clear()
-        self._buckets = {}
-        self._bucket_heap = []
-        self._cur = []
-        self._cur_idx = 0
-        self._cur_no = -1
-        self._live = 0
 
 
 class SimEvent:

@@ -24,6 +24,13 @@ Example::
     sim.run()
     assert proc.result == "done"
 
+Events live in one :class:`~repro.simkernel.events.EventQueue` (a binary
+heap plus a FIFO lane for same-instant work), and :meth:`Simulator.run`
+is one loop: pop the next event due by ``until``, advance the clock, call
+the trace hooks, run the callback.  Trace hooks are the kernel's only
+extension point; the per-layer wall-time ledger in
+``benchmarks/e2e/layers.py`` is built on them.
+
 Process setup is deliberately allocation-light (the spawn/join path runs
 hundreds of thousands of times per experiment): the ``.completion``
 :class:`SimEvent`, the per-process ``_Resumer`` and the unique-ified name
@@ -34,6 +41,8 @@ finish, in exactly the order (and through exactly the same zero-delay
 lane) the eager completion event used, so event ordering is unchanged
 (pinned by ``tests/test_simkernel_determinism.py``).
 """
+
+import math
 
 from repro.simkernel.events import EventQueue, SimEvent
 from repro.simkernel.resources import Use
@@ -210,7 +219,6 @@ class Simulator:
         self.spawned = 0
         self._name_counts = {}
         self._trace_hooks = []
-        self._profiler = None
         self._rng_streams = {}
 
     # -- time & events ---------------------------------------------------
@@ -328,68 +336,27 @@ class Simulator:
 
     # -- running -----------------------------------------------------------
 
-    def run(self, until=None, max_events=None):
-        """Run until the queue drains, ``until`` is reached, or event cap hit.
+    def run(self, until=None):
+        """Run until the queue drains or the next event is due after ``until``.
 
         With ``until``, the clock ends at ``until`` even when the queue
-        drains first.  Returns the simulated time at which the run stopped.
+        drains first; events due later stay queued.  ``until`` earlier
+        than :attr:`now` raises :class:`SimulationError`.  Returns the
+        simulated time at which the run stopped.
         """
-        executed = 0
-        queue = self.queue
-        pop = queue.pop
-        bounded = until is not None or max_events is not None
+        if until is None:
+            limit = math.inf
+        elif until < self.now:
+            raise SimulationError(
+                "cannot run until the past (until=%r, now=%r)"
+                % (until, self.now))
+        else:
+            limit = until
+        pop = self.queue.pop
+        # ``hooks`` is the live list, so hooks added mid-run are honoured.
         hooks = self._trace_hooks
-        profiler = self._profiler
-        if not bounded and profiler is None:
-            # The unbounded, unprofiled loop is the kernel's hottest path:
-            # strip the per-event bookkeeping branches entirely.  ``hooks``
-            # is the live list, so hooks added mid-run are still honoured.
-            while True:
-                event = pop()
-                if event is None:
-                    break
-                if event.time < self.now - 1e-12:
-                    raise SimulationError("time went backwards")
-                self.now = event.time
-                if hooks:
-                    for hook in hooks:
-                        hook(self.now, event)
-                event.callback(*event.args)
-            return self.now
-        if profiler is not None:
-            from time import perf_counter
-            account = profiler.account
-        elif until is not None and max_events is None:
-            # Until-only loop: no event counter, no per-event bound-mode
-            # branches.  ``run_until_records`` drives the big-topology
-            # benches through repeated bounded slices, so at devices=5000
-            # this loop executes every kernel event of the run.
-            peek = queue.peek_time
-            while True:
-                next_time = peek()
-                if next_time is None or next_time > until:
-                    self.now = until
-                    break
-                event = pop()
-                if event.time < self.now - 1e-12:
-                    raise SimulationError("time went backwards")
-                self.now = event.time
-                if hooks:
-                    for hook in hooks:
-                        hook(self.now, event)
-                event.callback(*event.args)
-            return self.now
         while True:
-            if bounded:
-                if until is not None:
-                    next_time = queue.peek_time()
-                    if next_time is None or next_time > until:
-                        self.now = until
-                        break
-                if max_events is not None and executed >= max_events:
-                    break
-                executed += 1
-            event = pop()
+            event = pop(limit)
             if event is None:
                 break
             if event.time < self.now - 1e-12:
@@ -398,28 +365,14 @@ class Simulator:
             if hooks:
                 for hook in hooks:
                     hook(self.now, event)
-            if profiler is None:
-                event.callback(*event.args)
-            else:
-                started = perf_counter()
-                event.callback(*event.args)
-                account(event.callback, perf_counter() - started)
+            event.callback(*event.args)
+        if until is not None:
+            self.now = until
         return self.now
 
     def add_trace_hook(self, hook):
         """Register ``hook(now, scheduled_event)`` called before each event."""
         self._trace_hooks.append(hook)
-
-    def set_profiler(self, profiler):
-        """Install (or, with ``None``, remove) a kernel profiler.
-
-        ``profiler.account(callback, elapsed_seconds)`` is called after
-        every executed event -- see
-        :class:`~repro.simkernel.telemetry.KernelProfiler`.  Off by
-        default; takes effect on the next :meth:`run` call (the loop caches
-        the profiler reference for speed).
-        """
-        self._profiler = profiler
 
     # -- randomness ----------------------------------------------------------
 

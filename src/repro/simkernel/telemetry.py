@@ -7,16 +7,13 @@ recording **spans**: named intervals with a causal parent, grouped into
 traces that follow one collector batch through the Figure-2 pipeline
 (collect -> ship -> classify -> notify -> dispatch -> analyze -> report).
 
-Three pieces:
+Two pieces:
 
 * :class:`SpanRecorder` -- a bounded store of :class:`Span` objects with
   deterministic ids (two identical seeded runs produce identical span
   trees).  Exports a Chrome-trace/Perfetto JSON timeline
   (:meth:`SpanRecorder.to_chrome_trace`) that loads directly into
   ``chrome://tracing`` / https://ui.perfetto.dev.
-* :class:`KernelProfiler` -- per-callback-qualname time/count accounting
-  on the simulator hot loop (off by default; see
-  :meth:`~repro.simkernel.simulator.Simulator.set_profiler`).
 * :class:`Telemetry` -- the session facade: one recorder, one session-wide
   :class:`~repro.simkernel.metrics.MetricRegistry`, labelled metric
   *sources* (per grid / host / agent) and export helpers.
@@ -752,61 +749,12 @@ def load_streaming_trace(directory):
     return recorder, manifest
 
 
-class KernelProfiler:
-    """Per-callback-qualname time/count accounting for the simulator loop.
-
-    Installed via :meth:`Simulator.set_profiler`; the run loop then wraps
-    every event callback in a wall-clock measurement.  Off by default --
-    the measurement itself (two ``perf_counter`` calls per event) is the
-    dominant cost at kernel-microbench rates, so the profiler is a
-    diagnosis tool, not an always-on metric.
-    """
-
-    __slots__ = ("stats",)
-
-    def __init__(self):
-        self.stats = {}  # qualname -> [count, total_seconds]
-
-    def account(self, callback, elapsed):
-        name = getattr(callback, "__qualname__", None)
-        if name is None:
-            name = type(callback).__name__
-        entry = self.stats.get(name)
-        if entry is None:
-            self.stats[name] = [1, elapsed]
-        else:
-            entry[0] += 1
-            entry[1] += elapsed
-
-    def top(self, limit=20):
-        """``(qualname, count, total_seconds)`` rows, hottest first."""
-        rows = [
-            (name, count, total)
-            for name, (count, total) in self.stats.items()
-        ]
-        rows.sort(key=lambda row: row[2], reverse=True)
-        return rows[:limit]
-
-    def snapshot(self):
-        return {
-            name: {"count": count, "total_seconds": total}
-            for name, (count, total) in sorted(self.stats.items())
-        }
-
-    def __repr__(self):
-        events = sum(count for count, _ in self.stats.values())
-        return "KernelProfiler(callbacks=%d, events=%d)" % (
-            len(self.stats), events)
-
-
 class Telemetry:
-    """The session flight recorder: spans + metrics + profiling, unified.
+    """The session flight recorder: spans + metrics, unified.
 
     Args:
         sim: the simulator.
         capacity: span-store bound (see :class:`SpanRecorder`).
-        profile: install a :class:`KernelProfiler` on the simulator hot
-            loop (off by default; expensive at microbench rates).
         stream_dir: when set, attach a :class:`StreamingTraceExporter`
             rotating closed spans to this directory (removes the capacity
             ceiling for week-long / 5000-device traced runs).  Call
@@ -828,7 +776,7 @@ class Telemetry:
     #: allocated) so enabling attribution never renumbers batch traces.
     BEHAVIOUR_TRACE = "t-behaviours"
 
-    def __init__(self, sim, capacity=100_000, profile=False, stream_dir=None,
+    def __init__(self, sim, capacity=100_000, stream_dir=None,
                  stream_chunk_spans=5000, attribution=False):
         from repro.simkernel.metrics import MetricRegistry
 
@@ -840,10 +788,6 @@ class Telemetry:
         if stream_dir is not None:
             self.exporter = StreamingTraceExporter(
                 self.recorder, stream_dir, chunk_spans=stream_chunk_spans)
-        self.profiler = None
-        if profile:
-            self.profiler = KernelProfiler()
-            sim.set_profiler(self.profiler)
         self._sources = []
 
     # -- metric sources ----------------------------------------------------
@@ -876,8 +820,6 @@ class Telemetry:
         }
         if self.exporter is not None:
             payload["spans"]["exported"] = self.exporter.spans_exported
-        if self.profiler is not None:
-            payload["kernel_profile"] = self.profiler.snapshot()
         return payload
 
     # -- export ------------------------------------------------------------
@@ -894,9 +836,8 @@ class Telemetry:
             self.exporter.finalize()
 
     def __repr__(self):
-        return "Telemetry(spans=%d, sources=%d, profile=%s)" % (
-            len(self.recorder), len(self._sources),
-            self.profiler is not None)
+        return "Telemetry(spans=%d, sources=%d)" % (
+            len(self.recorder), len(self._sources))
 
 
 def wire_channel_tracing(recorder, channel):

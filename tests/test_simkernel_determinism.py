@@ -6,13 +6,13 @@ event ordering or the resource ledgers.  Two safety nets live here:
 
 * the event queue is checked, operation by operation, against a naive
   reference model (a sorted list) over random push / fast-push / cancel /
-  pop interleavings;
+  pop / bounded-pop interleavings;
 * random full-simulator scenarios -- sleeps, event waits, resource uses
   (mixed priorities), kills and interrupts -- are run twice and must
   produce identical event traces, ledgers and process outcomes.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simkernel.events import EventQueue
@@ -23,8 +23,8 @@ from repro.simkernel.simulator import Simulator
 
 QUEUE_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["push", "push_fifo", "cancel", "pop"]),
-        st.integers(0, 4),      # delay
+        st.sampled_from(["push", "push_fifo", "cancel", "pop", "pop_until"]),
+        st.integers(0, 4),      # delay; pop_until: limit offset from head
         st.integers(-2, 2),     # priority
         st.integers(0, 10_000),  # handle selector for cancel
     ),
@@ -34,6 +34,14 @@ QUEUE_OPS = st.lists(
 
 @settings(max_examples=120, deadline=None)
 @given(ops=QUEUE_OPS)
+# Same-instant heap/fast-lane ties under a bound: a negative-priority heap
+# head ahead of a fast-lane entry, popped with limits below and at it, and
+# a priority-0 heap entry on either side of a fast-lane entry by seq.
+@example(ops=[("push", 0, -1, 0), ("push_fifo", 0, 0, 0),
+              ("pop_until", 1, 0, 0), ("pop_until", 2, 0, 0),
+              ("pop_until", 0, 0, 0), ("pop_until", 2, 0, 0)])
+@example(ops=[("push_fifo", 0, 0, 0), ("push", 0, 0, 0), ("pop", 0, 0, 0),
+              ("push_fifo", 0, 0, 0), ("pop", 0, 0, 0), ("pop", 0, 0, 0)])
 def test_event_queue_matches_reference_model(ops):
     queue = EventQueue()
     now = 0.0
@@ -61,21 +69,27 @@ def test_event_queue_matches_reference_model(ops):
                 row[0].cancel()
                 if row[4] == LIVE:
                     row[4] = CANCELLED
-        else:  # pop
+        else:  # pop, pop_until
             expected = min(
                 live_rows(), key=lambda row: (row[1], row[2], row[3]),
                 default=None)
-            popped = queue.pop()
+            if op == "pop":
+                popped = queue.pop()
+            else:
+                # a limit below, at or above the head (or the clock when
+                # the model is empty): offsets -1, -0.5, 0, +0.5, +1
+                head_time = now if expected is None else expected[1]
+                limit = head_time + (delay - 2) * 0.5
+                popped = queue.pop(limit)
+                if expected is not None and expected[1] > limit:
+                    expected = None
             if expected is None:
                 assert popped is None
             else:
                 assert popped is expected[0]
                 expected[4] = FIRED
                 now = expected[1]
-        live = live_rows()
-        assert len(queue) == len(live)
-        expected_time = min((row[1] for row in live), default=None)
-        assert queue.peek_time() == expected_time
+        assert len(queue) == len(live_rows())
 
     # drain: the remaining pops must come out in exact sorted order
     expected_order = [row[0] for row in sorted(
@@ -156,122 +170,6 @@ def test_repeated_runs_are_identical(scripts, kills):
     first = _run_scenario(scripts, kills)
     second = _run_scenario(scripts, kills)
     assert first == second
-
-
-# -- timer wheel vs single heap ----------------------------------------------
-
-# Delays span several bucket widths and reach past the wheel span (with the
-# tiny span below) so pushes hit every lane: the activated bucket, pending
-# buckets, the far-future heap fallback, and the fast lane.
-WHEEL_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["push", "push", "push_fifo", "cancel", "pop"]),
-        st.floats(0.0, 12.0, allow_nan=False, allow_infinity=False),
-        st.integers(-2, 2),
-        st.integers(0, 10_000),
-    ),
-    max_size=150,
-)
-
-
-def _apply_ops(queue, ops):
-    """Run an op script against ``queue``; return the observable history.
-
-    Every push/pop/peek outcome is recorded as plain ``(time, priority,
-    seq)`` tuples so histories from two queue implementations compare
-    directly.
-    """
-    now = 0.0
-    handles = []
-    history = []
-    for op, delay, priority, pick in ops:
-        if op == "push":
-            event = queue.push(now + delay, lambda: None, (), priority)
-            handles.append(event)
-        elif op == "push_fifo":
-            handles.append(queue.push_fifo(now, lambda: None))
-        elif op == "cancel":
-            if handles:
-                handles[pick % len(handles)].cancel()
-        else:  # pop
-            event = queue.pop()
-            if event is not None:
-                now = event.time
-                history.append(("pop", event.time, event.priority, event.seq))
-            else:
-                history.append(("pop", None))
-        history.append(("len", len(queue)))
-        history.append(("peek", queue.peek_time()))
-    while (event := queue.pop()) is not None:
-        history.append(("drain", event.time, event.priority, event.seq))
-    return history
-
-
-@settings(max_examples=150, deadline=None)
-@given(ops=WHEEL_OPS)
-def test_timer_wheel_matches_single_heap(ops):
-    # Tiny width/span and min_pending=0 force the wheel through bucket
-    # activation, the in-activated-bucket insort path, and the far-future
-    # heap fallback on short scripts.  The heap queue is the reference.
-    wheel = EventQueue(wheel=True, wheel_width=0.5, wheel_span=8,
-                       wheel_min_pending=0)
-    heap = EventQueue(wheel=False)
-    assert _apply_ops(wheel, ops) == _apply_ops(heap, ops)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops=WHEEL_OPS)
-def test_timer_wheel_default_tuning_matches_heap(ops):
-    # The shipped defaults (min_pending gate active) must agree too: the
-    # heap<->wheel handover happens mid-script as the queue grows/shrinks.
-    wheel = EventQueue(wheel=True, wheel_width=0.5, wheel_span=8192,
-                       wheel_min_pending=4)
-    heap = EventQueue(wheel=False)
-    assert _apply_ops(wheel, ops) == _apply_ops(heap, ops)
-
-
-@settings(max_examples=30, deadline=None)
-@given(scripts=SCRIPTS, kills=KILLS)
-def test_full_simulator_identical_with_wheel_disabled(scripts, kills):
-    # Whole-kernel A/B: the same random scenario, once on the default
-    # wheel queue and once on the plain heap, must produce identical
-    # traces, ledgers and process outcomes.
-    import repro.simkernel.simulator as simulator_module
-
-    with_wheel = _run_scenario(scripts, kills)
-    original = simulator_module.EventQueue
-    simulator_module.EventQueue = lambda: EventQueue(wheel=False)
-    try:
-        without_wheel = _run_scenario(scripts, kills)
-    finally:
-        simulator_module.EventQueue = original
-    assert with_wheel == without_wheel
-
-
-def test_figure6_bytes_identical_with_wheel_disabled(monkeypatch):
-    """The paper reproduction must not notice the scheduler swap."""
-    import json
-
-    from repro.baselines.driver import run_figure6
-    from repro.evaluation import export
-
-    def render(results):
-        reports = "\n".join(
-            results[label].report.render()
-            for label in ("centralized", "multiagent", "grid"))
-        payload = json.dumps(
-            {label: export.run_result_to_dict(result)
-             for label, result in results.items()},
-            sort_keys=True)
-        return reports + "\n" + payload
-
-    with_wheel = render(run_figure6(polls_per_type=3, seed=42))
-    import repro.simkernel.simulator as simulator_module
-
-    monkeypatch.setattr(simulator_module, "EventQueue",
-                        lambda: EventQueue(wheel=False))
-    without_wheel = render(run_figure6(polls_per_type=3, seed=42))
-    assert with_wheel == without_wheel
 
 
 # -- slim join vs eager completion events -------------------------------------

@@ -55,16 +55,18 @@ class TestEventQueue:
         first.cancel()
         assert len(queue) == 1
 
-    def test_peek_time_skips_cancelled(self):
+    def test_bounded_pop_skips_cancelled(self):
         queue = EventQueue()
         first = queue.push(1.0, lambda: None)
-        queue.push(4.0, lambda: None)
+        second = queue.push(4.0, lambda: None)
         first.cancel()
-        assert queue.peek_time() == 4.0
+        assert queue.pop(until=2.0) is None
+        assert len(queue) == 1
+        assert queue.pop(until=4.0) is second
 
     def test_empty_pop_returns_none(self):
         assert EventQueue().pop() is None
-        assert EventQueue().peek_time() is None
+        assert EventQueue().pop(until=10.0) is None
 
     def test_len_is_live_count_across_lanes(self):
         queue = EventQueue()
@@ -106,20 +108,9 @@ class TestEventQueue:
         dropped = queue.push_fifo(0.0, fired.append, ("dropped",))
         queue.push_fifo(0.0, fired.append, ("kept",))
         dropped.cancel()
-        assert queue.peek_time() == 0.0
         while (event := queue.pop()) is not None:
             event.callback(*event.args)
         assert fired == ["kept"]
-
-    def test_clear_resets_both_lanes(self):
-        queue = EventQueue()
-        handle = queue.push(1.0, lambda: None)
-        queue.push_fifo(0.0, lambda: None)
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.pop() is None
-        handle.cancel()  # detached handle must not corrupt the count
-        assert len(queue) == 0
 
 
 class TestSimEvent:

@@ -45,13 +45,20 @@ class TestScheduling:
         sim.run()
         assert fired == []
 
-    def test_max_events_bounds_execution(self):
+    def test_run_until_in_the_past_rejected(self):
+        # Rewinding the clock would fire later events out of order.
         sim = Simulator()
         fired = []
-        for index in range(10):
-            sim.schedule(float(index), fired.append, (index,))
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
+        sim.schedule(10.0, lambda: fired.append(sim.now))
+        sim.schedule(20.0, lambda: fired.append(sim.now))
+        sim.run(until=15.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=5.0)
+        assert sim.now == 15.0
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10.0, 16.0, 20.0]
+        assert sim.run(until=20.0) == 20.0
 
     def test_repr_pending_counts_only_live_events(self):
         sim = Simulator()
@@ -83,6 +90,21 @@ class TestScheduling:
         sim.schedule(2.0, lambda: None)
         sim.run()
         assert seen == [1.0, 2.0]
+
+    @pytest.mark.parametrize("until", [None, 10.0])
+    def test_trace_hook_added_mid_run_sees_later_events(self, until):
+        sim = Simulator()
+        seen = []
+
+        def register():
+            sim.add_trace_hook(lambda now, event: seen.append(now))
+
+        sim.schedule(1.0, register)
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: sim.schedule(0.0, lambda: None))
+        sim.schedule(3.0, lambda: None)
+        sim.run(until=until)
+        assert seen == [1.0, 2.0, 2.0, 3.0]
 
 
 class TestProcesses:

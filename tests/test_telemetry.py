@@ -19,9 +19,7 @@ from repro.core.system import (
 )
 from repro.network.topology import LinkSpec
 from repro.simkernel.metrics import MetricRegistry, TimeSeries
-from repro.simkernel.simulator import Simulator
 from repro.simkernel.telemetry import (
-    KernelProfiler,
     SpanRecorder,
     StreamingTraceExporter,
     Telemetry,
@@ -296,38 +294,6 @@ class TestLabeledMetrics:
         assert first is not other
 
 
-class TestKernelProfiler:
-    def test_accounts_callbacks_by_qualname(self):
-        sim = Simulator(seed=1)
-        profiler = KernelProfiler()
-        sim.set_profiler(profiler)
-
-        def tick():
-            pass
-
-        for delay in (1.0, 2.0, 3.0):
-            sim.schedule(delay, tick)
-        sim.run()
-        qualnames = [name for name, _, _ in profiler.top()]
-        assert any("tick" in name for name in qualnames)
-        snap = profiler.snapshot()
-        tick_key = next(name for name in snap if "tick" in name)
-        assert snap[tick_key]["count"] == 3
-        assert snap[tick_key]["total_seconds"] >= 0.0
-
-    def test_profiler_off_by_default(self):
-        sim = Simulator(seed=1)
-        assert sim._profiler is None
-
-    def test_telemetry_profile_flag_installs(self):
-        sim = Simulator(seed=1)
-        telemetry = Telemetry(sim, profile=True)
-        assert sim._profiler is telemetry.profiler
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert "kernel_profile" in telemetry.metrics_snapshot()
-
-
 def _grid_spec(seed=7, telemetry=True, **overrides):
     parameters = dict(
         devices=[DeviceSpec("dev1", "server", "field"),
@@ -483,7 +449,7 @@ class TestGridTelemetry:
 
     def test_telemetry_dict_passes_options(self):
         system = GridManagementSystem(_grid_spec(
-            telemetry={"capacity": 5, "profile": False}))
+            telemetry={"capacity": 5}))
         assert system.telemetry.recorder.capacity == 5
         _run(system)
         assert len(system.telemetry.recorder) <= 5
