@@ -45,6 +45,8 @@ from repro.core.classifier import ClassifierAgent
 from repro.core.collector import CollectorAgent
 from repro.core.costs import DEFAULT_COST_MODEL
 from repro.core.interface import InterfaceAgent
+from repro.core.liveness import ALIVE, DOWN, HEALING, SUSPECT
+from repro.core.liveness import TIMEOUT_BEACONS, FailureDetector
 from repro.core.loadbalance import make_policy
 from repro.core.processor import AnalyzerAgent, ProcessorRootAgent
 from repro.core.reports import Finding, ManagementReport
@@ -61,11 +63,15 @@ INTEGRATED = "integrated"
 SILOED = "siloed"
 MESH = "mesh"
 
-#: Link states a gateway tracks per peer site.
+#: Link states a gateway reports per peer site, by detector status.
 LINK_UP = "up"
 LINK_SUSPECT = "suspect"
 LINK_PARTITIONED = "partitioned"
 LINK_HEALING = "healing"
+_LINK_STATES = {ALIVE: LINK_UP, SUSPECT: LINK_SUSPECT,
+                DOWN: LINK_PARTITIONED, HEALING: LINK_HEALING}
+#: Cap on the probe backoff toward a partitioned peer, in beacon intervals.
+PROBE_BACKOFF_BEACONS = 8
 
 
 class SiteSpec:
@@ -114,15 +120,12 @@ class FederatedTopologySpec:
             as in ``GridTopologySpec``; trace context then crosses the
             site boundary with forwarded jobs.
         heartbeat_interval: seconds between inter-site gateway beacons
-            (mesh mode; defaults to 1.0 when unset there).
-        heartbeat_timeout: beacon silence after which a peer is declared
-            partitioned (defaults to ``4 * heartbeat_interval``).
+            (mesh mode; defaults to 1.0 when unset there); the gateways'
+            liveness timing derives from it (see :class:`SiteGatewayAgent`).
         forwarding_budget: max in-flight forwarded jobs per peer site.
         forward_threshold: per-container outstanding-job count at which
             the local grid counts as saturated (see
             ``ProcessorRootAgent.forward_threshold``).
-        reconnect_max_backoff: cap on the probe backoff toward a
-            partitioned peer (defaults to ``8 * heartbeat_interval``).
     """
 
     def __init__(
@@ -140,10 +143,8 @@ class FederatedTopologySpec:
         federation_reliability=False,
         telemetry=False,
         heartbeat_interval=None,
-        heartbeat_timeout=None,
         forwarding_budget=4,
         forward_threshold=2,
-        reconnect_max_backoff=None,
     ):
         if len(sites) < 1:
             raise ValueError("at least one site is required")
@@ -171,24 +172,12 @@ class FederatedTopologySpec:
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         self.heartbeat_interval = heartbeat_interval
-        if heartbeat_timeout is None and heartbeat_interval is not None:
-            heartbeat_timeout = 4.0 * heartbeat_interval
-        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-            raise ValueError("heartbeat_timeout must be positive")
-        self.heartbeat_timeout = heartbeat_timeout
         if forwarding_budget < 1:
             raise ValueError("forwarding_budget must be >= 1")
         self.forwarding_budget = forwarding_budget
         if forward_threshold < 1:
             raise ValueError("forward_threshold must be >= 1")
         self.forward_threshold = forward_threshold
-        if reconnect_max_backoff is None and heartbeat_interval is not None:
-            reconnect_max_backoff = 8.0 * heartbeat_interval
-        if reconnect_max_backoff is not None and heartbeat_interval is not None \
-                and reconnect_max_backoff < heartbeat_interval:
-            raise ValueError(
-                "reconnect_max_backoff must be >= heartbeat_interval")
-        self.reconnect_max_backoff = reconnect_max_backoff
 
     def total_devices(self):
         return sum(len(site.devices) for site in self.sites)
@@ -217,14 +206,15 @@ class _SiteRuntime:
 class SiteGatewayAgent(Agent):
     """One site's endpoint in the partition-tolerant federation mesh.
 
-    Each gateway maintains a link-state machine per peer site, driven by
-    inter-site heartbeats::
+    Each gateway's :class:`~repro.core.liveness.FailureDetector`, fed by
+    inter-site heartbeats, walks each peer's :attr:`link_state` (the
+    timeout is ``TIMEOUT_BEACONS`` beacon intervals)::
 
         up --silence > timeout/2--> suspect --silence > timeout--> partitioned
         partitioned --beacon--> healing --beacon--> up
 
     While a peer is partitioned the gateway probes it at a doubling
-    backoff capped at ``reconnect_max_backoff`` and tells the local
+    backoff capped at :attr:`reconnect_max_backoff` and tells the local
     interface to mark the peer's devices offline (plus a major
     ``site-partition`` finding; an info ``site-partition-heal`` finding
     clears it).  Beacons piggyback a capacity advertisement so
@@ -236,8 +226,7 @@ class SiteGatewayAgent(Agent):
 
     def __init__(self, name, site, interface_name, root, peer_gateways,
                  devices_by_site, heartbeat_interval=1.0,
-                 heartbeat_timeout=None, forwarding_budget=4,
-                 reconnect_max_backoff=None, cost_model=None):
+                 forwarding_budget=4, cost_model=None):
         super().__init__(name)
         self.site = site
         self.interface_name = interface_name
@@ -247,18 +236,16 @@ class SiteGatewayAgent(Agent):
             peer: list(devices) for peer, devices in devices_by_site.items()
         }
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = (
-            heartbeat_timeout if heartbeat_timeout is not None
-            else 4.0 * heartbeat_interval
-        )
-        self.reconnect_max_backoff = (
-            reconnect_max_backoff if reconnect_max_backoff is not None
-            else 8.0 * heartbeat_interval
+        self.heartbeat_timeout = TIMEOUT_BEACONS * heartbeat_interval
+        self.reconnect_max_backoff = PROBE_BACKOFF_BEACONS * heartbeat_interval
+        self.detector = FailureDetector(
+            lambda: self.sim.now,
+            suspect_after=self.heartbeat_timeout / 2.0,
+            down_after=self.heartbeat_timeout,
+            revive=HEALING,
         )
         self.forwarding_budget = forwarding_budget
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        self.link_state = {peer: LINK_UP for peer in self.peer_gateways}
-        self._last_heard = {}      # peer -> sim time of last beacon
         self.peer_capacity = {}    # peer -> {"analyzers": n, "outstanding": n}
         #: Optional zero-arg callable returning this site's scorecard
         #: state ("green"/"degraded"/"red"); when set, beacons advertise
@@ -266,10 +253,8 @@ class SiteGatewayAgent(Agent):
         #: federation leg of the health layer's scorecard aggregation.
         self.health_supplier = None
         self.peer_health = {}      # peer -> last advertised health state
-        self._probe_interval = {}  # peer -> current backoff (partitioned only)
+        self._probe_interval = {}  # peer -> current backoff (read while partitioned)
         self._next_probe_at = {}   # peer -> next probe time
-        self.partitions = []       # (peer, declared_at)
-        self.heals = []            # (peer, healed_at)
         self._pending_forwards = {}  # job_id -> {"peer", "span", "sent_at"}
         self._remote_jobs = {}     # job_id -> origin bookkeeping
         self._analyzer_rr = 0
@@ -286,8 +271,8 @@ class SiteGatewayAgent(Agent):
 
     def setup(self):
         gateway = self
-        for peer in self.peer_gateways:
-            self._last_heard[peer] = self.sim.now
+        for peer in sorted(self.peer_gateways):
+            self.detector.heard(peer)
 
         class Beat(TickerBehaviour):
             def on_tick(self):
@@ -348,7 +333,21 @@ class SiteGatewayAgent(Agent):
         self.add_behaviour(AnalyzerResults("analyzer-results"))
         self.add_behaviour(ForwardedResults("forwarded-results"))
 
-    # -- heartbeats and the link-state machine ---------------------------
+    # -- heartbeats and link state -----------------------------------------
+
+    @property
+    def link_state(self):
+        """``{peer: "up" | "suspect" | "partitioned" | "healing"}``."""
+        return {peer: _LINK_STATES[self.detector.status(peer)]
+                for peer in self.peer_gateways}
+
+    @property
+    def partitions(self):
+        return self.detector.downs      # [(peer, declared_at)]
+
+    @property
+    def heals(self):
+        return self.detector.recoveries  # [(peer, healed_at)]
 
     def _send_beacon(self, peer, probe=False):
         content_kwargs = dict(
@@ -380,29 +379,22 @@ class SiteGatewayAgent(Agent):
         self._expire_forwards()
         now = self.sim.now
         for peer in sorted(self.peer_gateways):
-            if self.link_state[peer] != LINK_PARTITIONED:
+            if self.detector.status(peer) != DOWN:
                 self._send_beacon(peer)
-            elif now >= self._next_probe_at.get(peer, 0.0):
+            elif now >= self._next_probe_at[peer]:
                 self._send_beacon(peer, probe=True)
-                interval = min(
-                    self._probe_interval.get(
-                        peer, self.heartbeat_interval) * 2.0,
-                    self.reconnect_max_backoff,
-                )
+                interval = min(self._probe_interval[peer] * 2.0,
+                               self.reconnect_max_backoff)
                 self._probe_interval[peer] = interval
                 self._next_probe_at[peer] = now + interval
 
     def _check_peers(self):
-        now = self.sim.now
-        for peer in sorted(self.peer_gateways):
-            state = self.link_state[peer]
-            if state == LINK_PARTITIONED:
-                continue  # probed at backoff, not timed out again
-            silence = now - self._last_heard[peer]
-            if silence > self.heartbeat_timeout:
-                self._declare_partition(peer)
-            elif state == LINK_UP and silence > self.heartbeat_timeout / 2.0:
-                self.link_state[peer] = LINK_SUSPECT
+        # A partitioned peer is probed at backoff, not timed out again.
+        for peer, _, status in self.detector.sweep():
+            if status == DOWN:
+                self._probe_interval[peer] = self.heartbeat_interval
+                self._next_probe_at[peer] = self.sim.now
+                self._announce_link(peer, partitioned=True)
 
     def _on_beacon(self, message):
         content = SITE_HEARTBEAT.validate(message.content)
@@ -410,79 +402,48 @@ class SiteGatewayAgent(Agent):
         if peer not in self.peer_gateways:
             return
         self.beacons_received += 1
-        self._last_heard[peer] = self.sim.now
         self.peer_capacity[peer] = {
             "analyzers": content["analyzers"],
             "outstanding": content["outstanding"],
         }
         if "health" in content:
             self.peer_health[peer] = content["health"]
-        state = self.link_state[peer]
-        if state == LINK_PARTITIONED:
-            # First sign of life: not trusted yet -- one more beacon
-            # confirms the link before the peer's devices come back.
-            self.link_state[peer] = LINK_HEALING
-            self._probe_interval.pop(peer, None)
-            self._next_probe_at.pop(peer, None)
-        elif state == LINK_HEALING:
-            self._declare_heal(peer)
-        elif state == LINK_SUSPECT:
-            self.link_state[peer] = LINK_UP
+        # A partitioned peer's first sign of life is not trusted yet: it
+        # heals, and one more beacon confirms the link before the peer's
+        # devices come back.
+        if self.detector.heard(peer) == (peer, HEALING, ALIVE):
+            self._announce_link(peer, partitioned=False)
         if content.get("probe"):
             # Answer probes immediately so both sides reconverge within
             # a beacon round trip instead of a full heartbeat interval.
             self._send_beacon(peer)
 
-    def _declare_partition(self, peer):
-        self.link_state[peer] = LINK_PARTITIONED
-        self.partitions.append((peer, self.sim.now))
-        self._probe_interval[peer] = self.heartbeat_interval
-        self._next_probe_at[peer] = self.sim.now
+    def _announce_link(self, peer, partitioned):
+        """Tell the local interface that a peer's link went down (its
+        devices offline, a major finding) or healed (back online)."""
         devices = self.devices_by_site.get(peer, [])
-        self._notify_interface(peer, "partitioned", devices)
-        self._ship_link_report(peer, Finding(
-            kind="site-partition",
-            severity="major",
-            device="",
-            site=peer,
-            detail={
-                "devices": list(devices),
-                "status": "offline",
-                "detected_by": self.site,
-            },
-        ))
-
-    def _declare_heal(self, peer):
-        self.link_state[peer] = LINK_UP
-        self.heals.append((peer, self.sim.now))
-        devices = self.devices_by_site.get(peer, [])
-        self._notify_interface(peer, "online", devices)
-        self._ship_link_report(peer, Finding(
-            kind="site-partition-heal",
-            severity="info",
-            device="",
-            site=peer,
-            detail={
-                "devices": list(devices),
-                "status": "online",
-                "detected_by": self.site,
-            },
-        ))
-
-    def _notify_interface(self, peer, status, devices):
         self.send(ACLMessage(
             Performative.INFORM,
             sender=self.name,
             receiver=self.interface_name,
             content=SITE_STATUS.make(
-                site=peer, status=status, devices=list(devices),
-                at=self.sim.now,
+                site=peer, status="partitioned" if partitioned else "online",
+                devices=list(devices), at=self.sim.now,
             ),
             ontology=SITE_STATUS.name,
             size_units=0.2,
         ))
-
-    def _ship_link_report(self, peer, finding):
+        finding = Finding(
+            kind="site-partition" if partitioned else "site-partition-heal",
+            severity="major" if partitioned else "info",
+            device="",
+            site=peer,
+            detail={
+                "devices": list(devices),
+                "status": "offline" if partitioned else "online",
+                "detected_by": self.site,
+            },
+        )
         report = ManagementReport(
             dataset_id="link-%s-%s" % (self.site, peer),
             findings=[finding],
@@ -536,7 +497,7 @@ class SiteGatewayAgent(Agent):
         best = None
         best_idle = 0
         for peer in sorted(self.peer_gateways):
-            if self.link_state[peer] != LINK_UP:
+            if self.detector.status(peer) != ALIVE:
                 continue
             capacity = self.peer_capacity.get(peer)
             if capacity is None:
@@ -884,9 +845,7 @@ class FederatedManagementSystem:
                 peer_gateways=peers,
                 devices_by_site=devices_by_site,
                 heartbeat_interval=spec.heartbeat_interval,
-                heartbeat_timeout=spec.heartbeat_timeout,
                 forwarding_budget=spec.forwarding_budget,
-                reconnect_max_backoff=spec.reconnect_max_backoff,
                 cost_model=self.cost_model,
             )
             runtime.storage_container.deploy(gateway)
@@ -1041,13 +1000,12 @@ class FederatedManagementSystem:
             DEGRADED, GREEN, container_scorecard, worst_state)
 
         runtime = self.sites[site_name]
-        now = self.sim.now
         states = []
         for container in self.platform.containers.values():
             if container.host.site.name != site_name:
                 continue
             card = container_scorecard(
-                container, now, root=runtime.root,
+                container, root=runtime.root,
                 channel=self.reliable_channel)
             states.append(card["state"])
         state = worst_state(states) if states else GREEN

@@ -26,11 +26,12 @@ mesh still replays byte-identically and a disabled one builds nothing):
   root (riding the existing heartbeat cadence) and to the next peer in a
   deterministic round-robin rotation; digests and probes are answered
   with an ``ack`` carrying the responder's digest (anti-entropy).
-* silence beyond ``suspect_after`` raises a local *suspect*; suspicion
-  triggers a direct ``ping`` plus an indirect ``ping-req`` through the
-  next live peer; ``confirm_after`` of unanswered suspicion escalates to
-  *confirmed*.  A member that learns it is suspected bumps its
-  incarnation and re-advertises itself alive (refutation).
+* each view's failure detector raises a local *suspect* after
+  ``SUSPECT_ROUNDS`` intervals of silence; suspicion triggers a direct
+  ``ping`` plus an indirect ``ping-req`` through the next live peer;
+  ``CONFIRM_ROUNDS`` intervals of it unanswered escalate to *confirmed*.
+  A member that learns it is suspected bumps its incarnation and
+  re-advertises itself alive (refutation).
 * when an analyzer's view confirms the **root** dead, the
   lexicographically-smallest alive analyzer in that view becomes the
   *stand-in dispatcher*: analysis results that would be lost against the
@@ -44,10 +45,13 @@ mesh still replays byte-identically and a disabled one builds nothing):
 from repro.agents.acl import ACLMessage, MessageTemplate, Performative
 from repro.agents.behaviours import CyclicBehaviour, TickerBehaviour
 from repro.agents.ontology import ANALYSIS_RESULT, GOSSIP
+from repro.core.liveness import ALIVE, DOWN as CONFIRMED, SUSPECT
+from repro.core.liveness import FailureDetector
 
-ALIVE = "alive"
-SUSPECT = "suspect"
-CONFIRMED = "confirmed"
+#: Gossip intervals of silence before a member turns suspect, and of
+#: unrefuted suspicion before it is confirmed dead.
+SUSPECT_ROUNDS = 3
+CONFIRM_ROUNDS = 3
 
 #: Status precedence at equal incarnation: suspicion only escalates.
 _PRECEDENCE = {ALIVE: 0, SUSPECT: 1, CONFIRMED: 2}
@@ -86,56 +90,62 @@ def merge_digests(a, b):
 class PeerView:
     """One member's suspicion view over the gossip group.
 
+    Status and last-heard times live in a
+    :class:`~repro.core.liveness.FailureDetector` that hearing never
+    revives; the view adds SWIM dissemination on top: incarnations, the
+    digest and its merge.
+
     Args:
         self_name: the owning member (refutations bump *its* incarnation).
         members: every group member, including ``self_name`` and the root.
-        suspect_after: seconds of silence before a member turns suspect.
-        confirm_after: seconds of unrefuted suspicion before confirmed.
+        interval: the gossip tick period.
         clock: zero-arg callable returning the current simulated time.
     """
 
-    def __init__(self, self_name, members, suspect_after, confirm_after,
-                 clock):
-        if suspect_after <= 0 or confirm_after <= 0:
-            raise ValueError("suspect_after and confirm_after must be > 0")
-        self.self_name = self_name
-        self.suspect_after = suspect_after
-        self.confirm_after = confirm_after
-        self.clock = clock
-        now = clock()
-        self.table = {name: (ALIVE, 0, now) for name in members}
-        if self_name not in self.table:
+    def __init__(self, self_name, members, interval, clock):
+        if self_name not in members:
             raise ValueError("self %r must be a member" % self_name)
-        self.incarnation = 0
-        self._suspected_at = {}
-        #: member -> first time this view confirmed it dead.
-        self.confirm_times = {}
-        #: member -> last time this view saw it return from confirmed.
-        self.recover_times = {}
-        self.suspects_raised = 0
-        self.confirms = 0
-        self.recoveries = 0
+        self.self_name = self_name
+        self.clock = clock
+        self.detector = FailureDetector(
+            clock,
+            suspect_after=SUSPECT_ROUNDS * interval,
+            confirm_after=CONFIRM_ROUNDS * interval,
+            revive=None,
+        )
+        #: member -> incarnation, in membership order (self included).
+        self.incarnations = dict.fromkeys(members, 0)
+        for name in members:
+            if name != self_name:
+                self.detector.heard(name)
         self.refutations = 0
+
+    @property
+    def incarnation(self):
+        return self.incarnations[self.self_name]
 
     # -- queries -----------------------------------------------------------
 
-    def entry(self, member):
-        return self.table[member]
-
     def status(self, member):
-        return self.table[member][0]
+        return (ALIVE if member == self.self_name
+                else self.detector.status(member))
 
     def alive_members(self):
         """Members currently alive in this view, sorted by name."""
-        return sorted(
-            name for name, entry in self.table.items() if entry[0] == ALIVE
-        )
+        return sorted(name for name in self.incarnations
+                      if self.status(name) == ALIVE)
+
+    def _entry(self, member):
+        return (self.detector.status(member), self.incarnations[member],
+                self.detector.last_heard[member])
 
     def digest(self):
-        """The shippable view: own entry refreshed, entries as lists."""
-        now = self.clock()
-        self.table[self.self_name] = (ALIVE, self.incarnation, now)
-        return {name: list(entry) for name, entry in self.table.items()}
+        """The shippable view (own entry fresh), entries as lists."""
+        return {
+            name: ([ALIVE, self.incarnation, self.clock()]
+                   if name == self.self_name else list(self._entry(name)))
+            for name in self.incarnations
+        }
 
     # -- evidence ----------------------------------------------------------
 
@@ -144,12 +154,8 @@ class PeerView:
         recency only.  Status transitions go strictly through the merge --
         a confirmed member stays confirmed until its refutation arrives.
         """
-        entry = self.table.get(member)
-        if entry is None:
-            return
-        status, incarnation, last_heard = entry
-        self.table[member] = (status, incarnation,
-                              max(last_heard, self.clock()))
+        if self.detector.status(member) is not None:
+            self.detector.heard(member)
 
     def merge(self, digest):
         """Fold a received digest into the view; returns the transitions
@@ -160,61 +166,22 @@ class PeerView:
         *i + 1* -- the only legal confirmed -> alive edge.
         """
         transitions = []
-        now = self.clock()
         for member, raw in digest.items():
             entry = (raw[0], raw[1], raw[2])
             if entry[0] not in _PRECEDENCE:
                 raise ValueError("unknown gossip status %r" % (entry[0],))
-            mine = self.table.get(member)
             if member == self.self_name:
                 if entry[0] != ALIVE and entry[1] >= self.incarnation:
-                    self.incarnation = entry[1] + 1
+                    self.incarnations[member] = entry[1] + 1
                     self.refutations += 1
-                self.table[member] = (ALIVE, self.incarnation, now)
                 continue
-            merged = entry if mine is None else merge_entries(mine, entry)
-            old_status = mine[0] if mine is not None else None
-            self.table[member] = merged
-            if old_status == merged[0]:
-                continue
-            transitions.append((member, old_status, merged[0]))
-            if merged[0] == CONFIRMED:
-                self.confirms += 1
-                self.confirm_times.setdefault(member, now)
-            elif merged[0] == ALIVE:
-                self._suspected_at.pop(member, None)
-                if old_status == CONFIRMED:
-                    self.recoveries += 1
-                    self.recover_times[member] = now
+            if member in self.incarnations:
+                entry = merge_entries(self._entry(member), entry)
+            self.incarnations[member] = entry[1]
+            transition = self.detector.adopt(member, entry[0], entry[2])
+            if transition is not None:
+                transitions.append(transition)
         return transitions
-
-    def tick(self):
-        """Local escalation sweep; returns ``(new_suspects, new_confirms)``.
-
-        Both moves are monotone under the merge order (same incarnation,
-        higher precedence), so local escalation and remote merges can
-        interleave freely without regressing anybody.
-        """
-        now = self.clock()
-        new_suspects = []
-        new_confirms = []
-        for member, (status, incarnation, last_heard) in self.table.items():
-            if member == self.self_name:
-                continue
-            if status == ALIVE:
-                if now - last_heard > self.suspect_after:
-                    self.table[member] = (SUSPECT, incarnation, last_heard)
-                    self._suspected_at[member] = now
-                    self.suspects_raised += 1
-                    new_suspects.append(member)
-            elif status == SUSPECT:
-                suspected_at = self._suspected_at.get(member, last_heard)
-                if now - suspected_at > self.confirm_after:
-                    self.table[member] = (CONFIRMED, incarnation, last_heard)
-                    self.confirms += 1
-                    self.confirm_times.setdefault(member, now)
-                    new_confirms.append(member)
-        return new_suspects, new_confirms
 
 
 class _GossipParticipant:
@@ -294,20 +261,11 @@ class RootGossip(_GossipParticipant):
     it refute its own confirmed status with a bumped incarnation.
     """
 
-    def __init__(self, agent, members, suspect_after, confirm_after):
+    def __init__(self, agent, members, interval):
         super().__init__(agent)
         self.view = PeerView(
-            agent.name, members, suspect_after, confirm_after,
-            clock=lambda: agent.sim.now,
-        )
+            agent.name, members, interval, clock=lambda: agent.sim.now)
         self._install_inbox("gossip-inbox")
-
-    def stats(self):
-        return {
-            "digests_received": self.digests_received,
-            "acks_sent": self.acks_sent,
-            "refutations": self.view.refutations,
-        }
 
 
 class AnalyzerGossip(_GossipParticipant):
@@ -319,14 +277,11 @@ class AnalyzerGossip(_GossipParticipant):
     root are buffered at the elected stand-in instead of vanishing.
     """
 
-    def __init__(self, agent, root_name, members, interval, suspect_after,
-                 confirm_after, index=0):
+    def __init__(self, agent, root_name, members, interval, index=0):
         super().__init__(agent)
         self.root_name = root_name
         self.view = PeerView(
-            agent.name, members, suspect_after, confirm_after,
-            clock=lambda: agent.sim.now,
-        )
+            agent.name, members, interval, clock=lambda: agent.sim.now)
         #: Deterministic round-robin over everyone else (peers + root).
         self.rotation = sorted(set(members) - {agent.name})
         self._rotation_index = index % len(self.rotation) if self.rotation \
@@ -376,9 +331,10 @@ class AnalyzerGossip(_GossipParticipant):
 
     def _on_tick(self):
         self.rounds += 1
-        new_suspects, _ = self.view.tick()
-        for member in new_suspects:
-            self._probe(member)
+        transitions = self.view.detector.sweep()
+        for member, _, status in transitions:
+            if status == SUSPECT:
+                self._probe(member)
         # The root rides every round (the heartbeat cadence); peers take
         # turns.  Confirmed members stay in the rotation on purpose: those
         # pushes are the probes that reach a healed root first.
@@ -390,7 +346,7 @@ class AnalyzerGossip(_GossipParticipant):
             if peer != self.root_name:
                 self._send(peer, "digest")
                 self.digests_sent += 1
-        self._check_root()
+        self._check_root(transitions)
 
     def _probe(self, member):
         """Direct ping plus an indirect ping-req via the next live peer."""
@@ -418,7 +374,8 @@ class AnalyzerGossip(_GossipParticipant):
     def _after_merge(self, transitions):
         self._check_root(transitions)
 
-    def _check_root(self, transitions=()):
+    def _check_root(self, transitions):
+        """React to the root's transitions, from a merge or our sweep."""
         for member, old_status, new_status in transitions:
             if member != self.root_name:
                 continue
@@ -426,12 +383,6 @@ class AnalyzerGossip(_GossipParticipant):
                 self.elections.append((self.agent.sim.now, self.stand_in()))
             elif old_status == CONFIRMED and new_status == ALIVE:
                 self._flush_buffer()
-        # Local escalation can also confirm the root (tick path).
-        if self.root_unreachable() and (
-                not self.elections
-                or self.elections[-1][0] < self.view.confirm_times.get(
-                    self.root_name, 0.0)):
-            self.elections.append((self.agent.sim.now, self.stand_in()))
 
     def intercept_result(self, content, default_receiver):
         """Reroute one analysis result while the root is confirmed dead.
@@ -490,9 +441,9 @@ class AnalyzerGossip(_GossipParticipant):
             "acks_sent": self.acks_sent,
             "pings_sent": self.pings_sent,
             "ping_reqs_sent": self.ping_reqs_sent,
-            "suspects_raised": self.view.suspects_raised,
-            "confirms": self.view.confirms,
-            "recoveries": self.view.recoveries,
+            "suspects_raised": self.view.detector.suspects,
+            "confirms": len(self.view.detector.downs),
+            "recoveries": len(self.view.detector.recoveries),
             "refutations": self.view.refutations,
             "results_buffered": self.results_buffered,
             "results_redirected": self.results_redirected,
@@ -511,57 +462,38 @@ class GossipMesh:
     Args:
         root: the :class:`~repro.core.processor.ProcessorRootAgent`.
         analyzers: the grid's :class:`AnalyzerAgent` list.
-        interval: gossip tick period (default 1.0).
-        suspect_after: silence threshold (default ``3 * interval``).
-        confirm_after: unrefuted-suspicion threshold (default
-            ``3 * interval``); detection latency for a dead member is
-            about ``suspect_after + confirm_after`` as seen by each peer.
+        interval: gossip tick period (default 1.0).  A member turns
+            suspect after ``SUSPECT_ROUNDS`` intervals of silence and is
+            confirmed after ``CONFIRM_ROUNDS`` more, so detection latency
+            for a dead member is about six intervals as seen by each peer.
     """
 
-    def __init__(self, root, analyzers, interval=1.0, suspect_after=None,
-                 confirm_after=None):
-        if interval <= 0:
-            raise ValueError("gossip interval must be positive")
+    def __init__(self, root, analyzers, interval=1.0):
         if not analyzers:
             raise ValueError("gossip needs at least one analyzer")
-        if suspect_after is None:
-            suspect_after = 3.0 * interval
-        if confirm_after is None:
-            confirm_after = 3.0 * interval
         self.interval = interval
-        self.suspect_after = suspect_after
-        self.confirm_after = confirm_after
         members = [root.name] + sorted(a.name for a in analyzers)
         self.root_name = root.name
-        self.root_gossip = RootGossip(
-            root, members, suspect_after, confirm_after)
+        self.root_gossip = RootGossip(root, members, interval)
         self.members = {}
         for index, analyzer in enumerate(
                 sorted(analyzers, key=lambda a: a.name)):
             self.members[analyzer.name] = AnalyzerGossip(
-                analyzer, root.name, members, interval,
-                suspect_after, confirm_after, index=index,
-            )
-
-    def views(self):
-        return {name: member.view for name, member in self.members.items()}
+                analyzer, root.name, members, interval, index=index)
 
     def detection_times(self, member=None):
-        """When each analyzer's view confirmed ``member`` (default root)."""
+        """When each analyzer's view first confirmed ``member`` (or root)."""
         member = member if member is not None else self.root_name
-        return {
-            name: component.view.confirm_times[member]
-            for name, component in self.members.items()
-            if member in component.view.confirm_times
-        }
+        return {name: at for name, component in self.members.items()
+                for subject, at in reversed(component.view.detector.downs)
+                if subject == member}
 
     def recovery_times(self, member=None):
+        """When each analyzer's view last saw ``member`` (or root) recover."""
         member = member if member is not None else self.root_name
-        return {
-            name: component.view.recover_times[member]
-            for name, component in self.members.items()
-            if member in component.view.recover_times
-        }
+        return {name: at for name, component in self.members.items()
+                for subject, at in component.view.detector.recoveries
+                if subject == member}
 
     def stand_ins(self):
         """The latest election in each analyzer's view (None = no outage)."""

@@ -42,6 +42,7 @@ on for week-long runs.  The monitor only exists when
 zero health state and remain byte-identical to previous releases.
 """
 
+from repro.core.liveness import DOWN
 from repro.simkernel.histogram import LatencyHistogram
 from repro.simkernel.telemetry import PIPELINE_STAGES
 
@@ -250,7 +251,7 @@ class SLOTracker:
 # -- scorecards -----------------------------------------------------------
 
 
-def container_scorecard(container, now, root=None, channel=None,
+def container_scorecard(container, root=None, channel=None,
                         burning_services=frozenset()):
     """One container's health state with the reasons that produced it.
 
@@ -275,16 +276,15 @@ def container_scorecard(container, now, root=None, channel=None,
     if not container.host.up:
         mark(RED, "host down")
     if root is not None:
-        if container.name in root._evicted:
+        detector = root.detector
+        silence = detector.silence(container.name)
+        if detector.status(container.name) == DOWN:
             mark(RED, "evicted by heartbeat detector")
-        elif root.heartbeat_timeout is not None:
-            last = root._last_heartbeat.get(container.name)
-            if last is not None:
-                age = now - last
-                if age > root.heartbeat_timeout:
-                    mark(RED, "heartbeat stale (%.1fs)" % age)
-                elif age > root.heartbeat_timeout / 2.0:
-                    mark(DEGRADED, "heartbeat aging (%.1fs)" % age)
+        elif detector.down_after is not None and silence is not None:
+            if silence > detector.down_after:
+                mark(RED, "heartbeat stale (%.1fs)" % silence)
+            elif silence > detector.down_after / 2.0:
+                mark(DEGRADED, "heartbeat aging (%.1fs)" % silence)
     if container.host.cpu.queue_length >= QUEUE_DEPTH_DEGRADED:
         mark(DEGRADED,
              "cpu queue depth %d" % container.host.cpu.queue_length)
@@ -449,7 +449,6 @@ class HealthMonitor:
 
     def scorecards(self):
         """Per-container / per-site / overall health states, right now."""
-        now = self.sim.now
         system = self.system
         burning = self.burning_services()
         for container in system.platform.containers.values():
@@ -457,7 +456,7 @@ class HealthMonitor:
         cards = {}
         for container in self._known_containers.values():
             cards[container.name] = container_scorecard(
-                container, now, root=system.root,
+                container, root=system.root,
                 channel=system.reliable_channel,
                 burning_services=burning,
             )

@@ -28,6 +28,7 @@ from repro.agents.ontology import (
     HEARTBEAT,
 )
 from repro.core.costs import DEFAULT_COST_MODEL, GROUP_REQUEST_TYPES, TaskKind
+from repro.core.liveness import DOWN, TIMEOUT_BEACONS, FailureDetector
 from repro.core.loadbalance import KnowledgeFirstPolicy, PlacementJob
 from repro.core.negotiation import (
     CONTRACT_NET,
@@ -116,11 +117,11 @@ class ProcessorRootAgent(Agent):
         max_attempts: after this many dispatch attempts a cluster is
             abandoned (the dataset report proceeds without its findings,
             carrying an ``analysis-abandoned`` error finding instead).
-        heartbeat_timeout: seconds without a heartbeat after which an
-            analyzer container is declared dead and *evicted*: its
-            outstanding jobs are settled and re-dispatched immediately
-            instead of waiting out the Reaper's job timeout.  ``None``
-            (default) disables the detector; containers that resume
+        heartbeat_interval: the analyzers' beacon period.  A container
+            silent for ``TIMEOUT_BEACONS`` intervals is declared dead and
+            *evicted*: its outstanding jobs are settled and re-dispatched
+            immediately instead of waiting out the Reaper's job timeout.
+            ``None`` (default) disables eviction; containers that resume
             heartbeating after an eviction are re-registered.
         enable_cross: run the level-3 cross analysis per dataset.
         negotiation_deadline: proposal window for the negotiated policy.
@@ -153,7 +154,7 @@ class ProcessorRootAgent(Agent):
         negotiation_deadline=2.0,
         max_attempts=6,
         cross_window=0.0,
-        heartbeat_timeout=None,
+        heartbeat_interval=None,
         scatter_shards=1,
         scatter_window=10.0,
     ):
@@ -167,7 +168,11 @@ class ProcessorRootAgent(Agent):
         self.enable_cross = enable_cross
         self.negotiation_deadline = negotiation_deadline
         self.max_attempts = max_attempts
-        self.heartbeat_timeout = heartbeat_timeout
+        self.heartbeat_timeout = (None if heartbeat_interval is None
+                                  else TIMEOUT_BEACONS * heartbeat_interval)
+        #: Container liveness from heartbeats (also read by scorecards).
+        self.detector = FailureDetector(
+            lambda: self.sim.now, down_after=self.heartbeat_timeout)
         self.jobs_abandoned = 0
         #: Seconds to wait for a placeable container before abandoning a
         #: job outright (e.g. every analyzer in the grid is gone).
@@ -205,13 +210,7 @@ class ProcessorRootAgent(Agent):
         self.forward_threshold = 2
         self.jobs_forwarded = 0
         self.negotiator = None
-        # -- heartbeat failure detection ------------------------------------
-        self._last_heartbeat = {}   # container name -> last beacon time
-        self._evicted = {}          # container name -> eviction time
-        self.evictions = []         # [(container, evicted_at)]
         self.heartbeats_received = 0
-        self.containers_evicted = 0
-        self.containers_recovered = 0
         #: Results that arrived for an already-settled job id -- normally
         #: a re-dispatch race, but after a split-brain heal also the
         #: gossip stand-in's buffer flush colliding with the Reaper's
@@ -384,7 +383,8 @@ class ProcessorRootAgent(Agent):
         its first jobs off-site.
         """
         if not profiles:
-            return bool(self._analyzer_agent_by_container or self._evicted)
+            return bool(self._analyzer_agent_by_container
+                        or self.detector.downs)
         outstanding = self._outstanding_by_container
         return all(
             outstanding.get(profile.container_name, 0)
@@ -770,6 +770,18 @@ class ProcessorRootAgent(Agent):
 
     # -- fault tolerance ----------------------------------------------------------
 
+    @property
+    def evictions(self):
+        return self.detector.downs  # [(container, evicted_at)]
+
+    @property
+    def containers_evicted(self):
+        return len(self.detector.downs)
+
+    @property
+    def containers_recovered(self):
+        return len(self.detector.recoveries)
+
     def _on_heartbeat(self, message):
         """Record a liveness beacon; re-register a returned container."""
         content = HEARTBEAT.validate(message.content)
@@ -784,19 +796,14 @@ class ProcessorRootAgent(Agent):
             # container announced itself by heartbeat: (re-)register it.
             self._analyzer_agent_by_container[container_name] = content["agent"]
             self.directory.register_container_profile(container.profile())
-            if self._evicted.pop(container_name, None) is not None:
-                self.containers_recovered += 1
-        self._last_heartbeat[container_name] = self.sim.now
+        self.detector.heard(container_name)
 
     def _check_heartbeats(self):
-        """Evict registered containers whose beacons stopped."""
-        horizon = self.sim.now - self.heartbeat_timeout
-        stale = [
-            name for name, last in self._last_heartbeat.items()
-            if last < horizon and name in self._analyzer_agent_by_container
-        ]
-        for container_name in stale:
-            yield from self._evict_container(container_name)
+        """Evict the containers whose beacons stopped, unless a beacon
+        revived one while an earlier eviction was re-dispatching."""
+        for container_name, _, _ in self.detector.sweep():
+            if self.detector.status(container_name) == DOWN:
+                yield from self._evict_container(container_name)
 
     def _evict_container(self, container_name):
         """Confirmed-dead path: deregister and recover its jobs *now*.
@@ -807,9 +814,6 @@ class ProcessorRootAgent(Agent):
         heartbeat timeout, not the job timeout.
         """
         self._analyzer_agent_by_container.pop(container_name, None)
-        self._evicted[container_name] = self.sim.now
-        self.evictions.append((container_name, self.sim.now))
-        self.containers_evicted += 1
         for job in list(self.jobs.values()):
             if job.done or job.container != container_name:
                 continue
@@ -896,8 +900,8 @@ class AnalyzerAgent(Agent):
         cost_model: Table 1 cost model.
         register_on_start: send the container profile to the root at setup.
         heartbeat_interval: seconds between liveness beacons to the root
-            (``None``, the default, disables heartbeating; pair with the
-            root's ``heartbeat_timeout`` for failure detection).
+            (``None``, the default, disables heartbeating; give the root
+            the same interval for failure detection).
         fetch_timeout: base patience per storage-fetch *attempt* (each
             attempt additionally waits out a transfer allowance sized from
             the query + expected reply); the historical behaviour (one

@@ -88,9 +88,8 @@ class GridTopologySpec:
             a dict supplies channel keyword arguments (ack_timeout, backoff,
             max_attempts, ...).
         heartbeat_interval: analyzer liveness-beacon period (``None``
-            disables heartbeating).
-        heartbeat_timeout: root-side silence threshold before a container
-            is evicted; defaults to 4x the interval when heartbeating is on.
+            disables heartbeating).  The root evicts a container silent
+            for ``TIMEOUT_BEACONS`` (4) intervals.
         telemetry: ``False`` (default) runs with zero tracing state;
             ``True`` installs a
             :class:`~repro.simkernel.telemetry.Telemetry` flight recorder
@@ -105,8 +104,7 @@ class GridTopologySpec:
             failure detection survives the loss of the root host
             (split-brain), elect a stand-in dispatcher for results that
             would be lost against the dead root, and reconcile on heal.
-            A dict supplies mesh keyword arguments (``interval``,
-            ``suspect_after``, ``confirm_after``).
+            A dict supplies mesh keyword arguments (``interval``).
         slos: iterable of :class:`~repro.core.health.SLOSpec` latency
             objectives.  Declaring any builds a
             :class:`~repro.core.health.HealthMonitor` (and implies
@@ -156,7 +154,6 @@ class GridTopologySpec:
         wan=None,
         reliability=False,
         heartbeat_interval=None,
-        heartbeat_timeout=None,
         telemetry=False,
         gossip=False,
         slos=(),
@@ -216,9 +213,6 @@ class GridTopologySpec:
         self.wan = wan  # LinkSpec for cross-site traffic (None = default)
         self.reliability = reliability
         self.heartbeat_interval = heartbeat_interval
-        if heartbeat_timeout is None and heartbeat_interval is not None:
-            heartbeat_timeout = 4.0 * heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
         self.telemetry = telemetry
         self.gossip = gossip
         # SLOs need the span feed; declaring any implies telemetry.
@@ -475,7 +469,7 @@ class GridManagementSystem:
             cost_model=self.cost_model,
             job_timeout=self.spec.job_timeout,
             enable_cross=self.spec.enable_cross,
-            heartbeat_timeout=self.spec.heartbeat_timeout,
+            heartbeat_interval=self.spec.heartbeat_interval,
             scatter_shards=self.spec.shards,
             scatter_window=self.spec.scatter_window,
         )

@@ -251,8 +251,8 @@ def split_brain_plan(island_hosts, partition_at=15.0, heal_after=30.0):
     Both halves stay internally healthy -- every host is ``up`` -- so
     only detection layered above the transport (gossip suspicion,
     heartbeat eviction) can observe the cut.  The window should exceed
-    the gossip mesh's ``suspect_after + confirm_after`` so both halves
-    converge on their suspicion views before the heal.
+    the gossip mesh's ``SUSPECT_ROUNDS + CONFIRM_ROUNDS`` intervals so
+    both halves converge on their suspicion views before the heal.
     """
     return FaultPlan([
         FaultEvent(partition_at, FaultEvent.HOST_PARTITION,

@@ -39,6 +39,7 @@ from repro.core.system import (
     HostSpec,
 )
 from repro.network.topology import LinkSpec
+from repro.workloads.faults import FaultEvent, FaultPlan, apply_fault_plan
 
 # -- strategies ------------------------------------------------------------
 
@@ -119,49 +120,50 @@ class FakeClock:
         return self.now
 
 
-def _view(**kwargs):
+def _view():
+    """A view at gossip interval 1.0: suspect after 3s of silence,
+    confirmed after 3s of suspicion."""
     clock = FakeClock()
-    view = PeerView("a1", ["root", "a1", "a2"],
-                    kwargs.pop("suspect_after", 3.0),
-                    kwargs.pop("confirm_after", 3.0), clock)
+    view = PeerView("a1", ["root", "a1", "a2"], 1.0, clock)
     return view, clock
 
 
 class TestPeerView:
+    """Suspicion runs on the view's FailureDetector; these drive it the
+    way the gossip ticker does (``view.detector.sweep()``)."""
+
     def test_requires_positive_thresholds(self):
         clock = FakeClock()
         with pytest.raises(ValueError):
-            PeerView("a1", ["a1"], 0.0, 3.0, clock)
+            PeerView("a1", ["a1"], 0.0, clock)
         with pytest.raises(ValueError):
-            PeerView("a1", ["a1"], 3.0, -1.0, clock)
+            PeerView("a1", ["a1"], -1.0, clock)
 
     def test_self_must_be_member(self):
         with pytest.raises(ValueError):
-            PeerView("ghost", ["a1", "a2"], 3.0, 3.0, FakeClock())
+            PeerView("ghost", ["a1", "a2"], 1.0, FakeClock())
 
     def test_escalation_ladder(self):
         view, clock = _view()
         assert view.status("root") == ALIVE
-        clock.now = 3.5  # silence > suspect_after
-        suspects, confirms = view.tick()
-        assert suspects == ["root", "a2"]
-        assert confirms == []
+        clock.now = 3.5  # silence > 3 intervals
+        assert view.detector.sweep() == [
+            ("root", ALIVE, SUSPECT), ("a2", ALIVE, SUSPECT)]
         assert view.status("root") == SUSPECT
-        clock.now = 6.0  # suspicion < confirm_after: still suspect
-        assert view.tick() == ([], [])
-        clock.now = 7.0  # > suspect time (3.5) + confirm_after (3.0)
-        suspects, confirms = view.tick()
-        assert confirms == ["root", "a2"]
+        clock.now = 6.0  # suspected for < 3 intervals: still suspect
+        assert view.detector.sweep() == []
+        clock.now = 7.0  # > suspect time (3.5) + 3 intervals
+        assert view.detector.sweep() == [
+            ("root", SUSPECT, CONFIRMED), ("a2", SUSPECT, CONFIRMED)]
         assert view.status("root") == CONFIRMED
-        assert view.confirm_times["root"] == 7.0
+        assert view.detector.downs == [("root", 7.0), ("a2", 7.0)]
 
     def test_note_heard_defers_suspicion(self):
         view, clock = _view()
         clock.now = 2.5
         view.note_heard("root")
         clock.now = 4.0  # only 1.5s since root was heard
-        suspects, _ = view.tick()
-        assert suspects == ["a2"]
+        assert view.detector.sweep() == [("a2", ALIVE, SUSPECT)]
         assert view.status("root") == ALIVE
 
     def test_note_heard_does_not_revive_confirmed(self):
@@ -169,9 +171,9 @@ class TestPeerView:
         confirmed -> alive edge belongs exclusively to refutation."""
         view, clock = _view()
         clock.now = 10.0
-        view.tick()
+        view.detector.sweep()
         clock.now = 20.0
-        view.tick()
+        view.detector.sweep()
         assert view.status("root") == CONFIRMED
         view.note_heard("root")
         assert view.status("root") == CONFIRMED
@@ -195,15 +197,14 @@ class TestPeerView:
     def test_merge_records_recovery(self):
         view, clock = _view()
         clock.now = 10.0
-        view.tick()
+        view.detector.sweep()
         clock.now = 20.0
-        view.tick()
+        view.detector.sweep()
         assert view.status("root") == CONFIRMED
         clock.now = 25.0
         transitions = view.merge({"root": [ALIVE, 1, 24.0]})
         assert ("root", CONFIRMED, ALIVE) in transitions
-        assert view.recoveries == 1
-        assert view.recover_times["root"] == 25.0
+        assert view.detector.recoveries == [("root", 25.0)]
         assert "root" in view.alive_members()
 
     def test_merge_rejects_unknown_status(self):
@@ -261,9 +262,6 @@ class TestMeshConstruction:
         for analyzer in system.analyzers:
             assert analyzer.gossip is mesh.members[analyzer.name]
         assert mesh.root_gossip.agent is system.root
-        # Defaults: suspect/confirm at 3x the interval.
-        assert mesh.suspect_after == 3.0
-        assert mesh.confirm_after == 3.0
 
     def test_mesh_parameter_validation(self):
         system = _gossip_system(gossip=False)
@@ -366,6 +364,24 @@ class TestStandInDispatcher:
         assert component.elections
         assert component.elections[-1][1] == "analyzer-1"
         assert system.gossip.stand_ins()["analyzer-4"] == "analyzer-1"
+
+    def test_every_outage_confirmed_by_own_sweep_elects(self):
+        """Two separate root outages, both confirmed by analyzer-3's own
+        sweep (not by a merged digest): one election per confirmation,
+        so the second outage's stand-in is not a stale pick."""
+        system = _gossip_system()
+        apply_fault_plan(system, FaultPlan([
+            FaultEvent(at, FaultEvent.HOST_PARTITION, ["stor", "inf1"],
+                       clear_after=30.0)
+            for at in (15.0, 90.0)
+        ]))
+        system.sim.run(until=200.0)
+        component = system.gossip.members["analyzer-3"]
+        assert [(round(at, 2), stand_in)
+                for at, stand_in in component.elections] == [
+            (18.33, "analyzer-2"), (93.33, "analyzer-2")]
+        assert [round(at, 2) for member, at in component.view.detector.downs
+                if member == "pg-root"] == [18.33, 93.33]
 
 
 class TestGossipOffByteIdentity:

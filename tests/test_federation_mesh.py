@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 
 from repro.core.federation import (
     INTEGRATED,
+    LINK_HEALING,
     LINK_PARTITIONED,
+    LINK_SUSPECT,
     LINK_UP,
     MESH,
     SILOED,
@@ -93,9 +95,11 @@ class TestConstruction:
                 set(system.sites) - {runtime.name}
 
     def test_mesh_defaults_derive_from_heartbeat(self):
-        spec = mesh_spec(2, heartbeat_interval=0.5)
-        assert spec.heartbeat_timeout == 2.0
-        assert spec.reconnect_max_backoff == 4.0
+        system = FederatedManagementSystem(
+            mesh_spec(2, heartbeat_interval=0.5))
+        for gateway in system.gateways():
+            assert gateway.heartbeat_timeout == 2.0
+            assert gateway.reconnect_max_backoff == 4.0
 
     def test_mesh_requires_two_sites(self):
         with pytest.raises(ValueError):
@@ -104,10 +108,8 @@ class TestConstruction:
     def test_spec_knob_validation(self):
         for overrides in (
             dict(heartbeat_interval=0.0),
-            dict(heartbeat_timeout=-1.0),
             dict(forwarding_budget=0),
             dict(forward_threshold=0),
-            dict(reconnect_max_backoff=HEARTBEAT / 2.0),
         ):
             with pytest.raises(ValueError):
                 mesh_spec(2, **overrides)
@@ -155,7 +157,33 @@ class TestLinkStateMachine:
         gateway = system.sites["site1"].gateway
         assert gateway.probes_sent > 0
         assert gateway._probe_interval["site2"] <= \
-            system.spec.reconnect_max_backoff
+            gateway.reconnect_max_backoff == 8.0 * HEARTBEAT
+
+    def test_link_walks_through_suspect_and_healing(self):
+        """Sampled every 10 ms, site1's link to a severed site2 enters
+        each state once: suspect at the first detector sweep past half
+        the timeout of silence, partitioned past the full timeout,
+        healing on the first probe answer after the heal (t=30), and up
+        on the beacon after that."""
+        system = FederatedManagementSystem(mesh_spec(2))
+        apply_fault_plan(system, site_partition_plan(
+            "site2", partition_at=10.0, heal_after=20.0))
+        gateway = system.sites["site1"].gateway
+        entered = []
+        for step in range(1, 4001):
+            system.sim.run(until=step / 100.0)
+            state = gateway.link_state["site2"]
+            if not entered or entered[-1][1] != state:
+                entered.append((step / 100.0, state))
+        assert entered == [
+            (0.01, LINK_UP),
+            (11.5, LINK_SUSPECT),
+            (13.5, LINK_PARTITIONED),
+            (36.08, LINK_HEALING),
+            (36.15, LINK_UP),
+        ]
+        assert gateway.partitions == [("site2", 13.5)]
+        assert gateway.heals == [("site2", 36.1404)]
 
     def test_heal_reconverges_both_sides(self):
         system = partitioned_mesh(site_count=2, partition_at=10.0,

@@ -558,6 +558,36 @@ class TestScorecardFlip:
         assert len(matches) == 1
         return matches[0]
 
+    def test_partitioned_analyzer_walks_liveness_reasons(self):
+        """Cut inf1 off the network while its host stays up: only the
+        root's failure detector can see it, so the card walks through
+        the liveness reasons alone.  inf1's last beacon lands at ~48.05;
+        the detector sweeps every 2 s and evicts at 58."""
+        from repro.core.health import DEGRADED, GREEN, RED, SLOSpec
+
+        slo = SLOSpec("ship", p=90.0, target=40.0, window=120.0,
+                      fast_window=30.0)
+        system = _build(True, telemetry=True, slos=[slo],
+                        heartbeat_interval=2.0)
+        system.collectors[0].poll_retries = 8
+        apply_fault_plan(system, FaultPlan([
+            FaultEvent(self.KILL_AT, FaultEvent.HOST_PARTITION, ["inf1"],
+                       clear_after=self.KILL_LEN),
+        ]))
+        system.assign_goals(system.make_paper_goals(polls_per_type=4))
+        for until, state, reasons in (
+            (51.0, GREEN, []),
+            (53.25, DEGRADED, ["heartbeat aging (5.2s)"]),
+            (57.25, RED, ["heartbeat stale (9.2s)"]),
+            (58.0, RED, ["evicted by heartbeat detector"]),
+            (self.KILL_AT + self.KILL_LEN + 5.0, GREEN, []),
+        ):
+            system.sim.run(until=until)
+            card = self._card_for_host(system, "inf1")
+            assert (card["state"], card["reasons"]) == (state, reasons), until
+        assert system.root.evictions == [("analysis-1", 58.0)]
+        assert system.root.containers_recovered == 1
+
     def test_analysis_kill_flips_red_then_heal_flips_green(self):
         from repro.core.health import GREEN, RED, SLOSpec
 
