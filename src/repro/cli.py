@@ -693,17 +693,22 @@ def _cmd_federation(args):
     from repro.core.federation import (
         MESH, FederatedManagementSystem, FederatedTopologySpec, SiteSpec)
 
-    spec = FederatedTopologySpec(
-        sites=[
-            SiteSpec.simple("site%d" % (index + 1), device_count=args.devices)
-            for index in range(args.sites)
-        ],
-        mode=args.mode,
-        seed=args.seed,
-        dataset_threshold=args.devices * 3,
-        federation_reliability=args.reliable or args.mode == MESH,
-        heartbeat_interval=args.heartbeat,
-    )
+    try:
+        spec = FederatedTopologySpec(
+            sites=[
+                SiteSpec.simple("site%d" % (index + 1),
+                                device_count=args.devices)
+                for index in range(args.sites)
+            ],
+            mode=args.mode,
+            seed=args.seed,
+            dataset_threshold=args.devices * 3,
+            federation_reliability=args.reliable or args.mode == MESH,
+            heartbeat_interval=args.heartbeat,
+        )
+    except ValueError as error:
+        print("federation: %s" % error)
+        return 2
     system = FederatedManagementSystem(spec)
     first_devices = sorted(system.devices)[: args.sites]
     for device_name in first_devices:

@@ -4,29 +4,21 @@ Figure 2 of the paper spans two sites, each with its own collector and
 classifier grids, feeding a shared processing grid whose knowledge base is
 fed back from both; Figure 5's baseline is the same hardware *without*
 integration ("there's no relation among different sites [...] no high
-level analysis can be carried out [...] The only possible evolution of
-this system would be the integration of knowledge bases").
+level analysis can be carried out").
 
-Three federation modes realize the comparison:
+A site is a grid: every mode builds one
+:class:`~repro.core.system.GridManagementSystem` per site on one shared
+:class:`~repro.core.system.Fabric`, so any difference in findings or
+utilization is due to the architecture alone:
 
-* ``"integrated"`` -- one grid root brokering analyzers across all sites,
-  one interface grid, and a cross-analysis window so problems from
-  different sites' datasets correlate (the agent-grid architecture);
-* ``"siloed"`` -- an independent root + interface per site; analyzers only
-  register locally; no cross-site data ever meets (the Figure 5 baseline);
-* ``"mesh"`` -- the siloed per-site structure plus a
-  :class:`SiteGatewayAgent` per site forming a partition-tolerant mesh:
-  persistent inter-site streams over the reliable channel, a heartbeat
-  driven link-state machine (up -> suspect -> partitioned -> healing),
-  explicit degradation (a partitioned peer's devices are reported
-  offline, never silently stale) and cross-site job forwarding when the
+* ``"integrated"`` -- site 1's grid owns the one root and interface; the
+  other sites' grids report to them, and the root's cross-analysis
+  window correlates problems across sites' datasets;
+* ``"siloed"`` -- independent per-site grids (the Figure 5 baseline);
+* ``"mesh"`` -- the siloed grids plus a :class:`SiteGatewayAgent` per
+  site: heartbeat-driven link state, explicit degradation of a
+  partitioned peer's devices, and cross-site job forwarding when the
   local processor grid saturates.
-
-All modes share the simulator, WAN topology, devices and workload, so any
-difference in findings or utilization is due to the architecture alone.
-Reliability, telemetry and the mesh machinery are opt-in; with every knob
-at its default the build is byte-identical with the historical
-integrated/siloed reproduction.
 """
 
 from repro.agents.acl import ACLMessage, MessageTemplate, Performative
@@ -40,24 +32,17 @@ from repro.agents.ontology import (
     SITE_HEARTBEAT,
     SITE_STATUS,
 )
-from repro.agents.platform import AgentPlatform
-from repro.core.classifier import ClassifierAgent
-from repro.core.collector import CollectorAgent
 from repro.core.costs import DEFAULT_COST_MODEL
-from repro.core.interface import InterfaceAgent
 from repro.core.liveness import ALIVE, DOWN, HEALING, SUSPECT
 from repro.core.liveness import TIMEOUT_BEACONS, FailureDetector
-from repro.core.loadbalance import make_policy
-from repro.core.processor import AnalyzerAgent, ProcessorRootAgent
 from repro.core.reports import Finding, ManagementReport
-from repro.core.storage import ManagementDataStore, StorageAgent
-from repro.core.system import DeviceSpec, HostSpec
-from repro.network.topology import Network
-from repro.network.transport import Transport
-from repro.rules.stdlib import standard_knowledge_base
-from repro.simkernel.simulator import Simulator
-from repro.snmp.device import ManagedDevice
-from repro.snmp.engine import SnmpEngine
+from repro.core.system import (
+    DeviceSpec,
+    Fabric,
+    GridManagementSystem,
+    GridTopologySpec,
+    HostSpec,
+)
 
 INTEGRATED = "integrated"
 SILOED = "siloed"
@@ -73,28 +58,62 @@ _LINK_STATES = {ALIVE: LINK_UP, SUSPECT: LINK_SUSPECT,
 #: Cap on the probe backoff toward a partitioned peer, in beacon intervals.
 PROBE_BACKOFF_BEACONS = 8
 
+#: ``GridTopologySpec`` options the federation derives for every site.
+_FEDERATION_OPTIONS = frozenset((
+    "devices", "collector_hosts", "analysis_hosts", "storage_host",
+    "interface_host", "policy", "dataset_threshold", "cost_model", "seed",
+    "knowledge_base_factory", "job_timeout", "wan", "reliability",
+    "telemetry",
+))
+#: Site grid options that build machinery around a root of the site's
+#: own, which an integrated site (other than the first) does not have.
+_PER_ROOT_OPTIONS = ("shards", "gossip")
+
 
 class SiteSpec:
-    """One site's slice of the federation."""
+    """One site: its devices, its grid's size, and further
+    ``GridTopologySpec`` options (e.g. ``shards=2``) for its grid.
 
-    def __init__(self, name, devices, collector_count=1, analyzer_count=1):
+    Options the federation sets itself, and per-site ``slos`` (a health
+    monitor would walk every site on the shared fabric), raise
+    ``ValueError``.  Devices are placed at this site.
+    """
+
+    def __init__(self, name, devices, collector_count=1, analyzer_count=1,
+                 **grid_options):
         if not devices:
             raise ValueError("site %r needs at least one device" % name)
+        if collector_count < 1:
+            raise ValueError("site %r needs at least one collector" % name)
+        if analyzer_count < 1:
+            raise ValueError("site %r needs at least one analyzer" % name)
+        for key in sorted(grid_options):
+            if key in _FEDERATION_OPTIONS:
+                raise ValueError(
+                    "site %r: %s is set by the federation" % (name, key))
+            if key == "slos":
+                raise ValueError(
+                    "site %r: per-site slos are not supported (a health "
+                    "monitor would mix every site on the shared fabric)"
+                    % name)
         self.name = name
-        self.devices = list(devices)
+        self.devices = [DeviceSpec(device.name, device.profile, name)
+                        for device in devices]
         self.collector_count = collector_count
         self.analyzer_count = analyzer_count
+        self.grid_options = grid_options
 
     @classmethod
     def simple(cls, name, device_count=2, collector_count=1,
-               analyzer_count=1):
+               analyzer_count=1, **grid_options):
         profiles = ("server", "router")
         devices = [
             DeviceSpec("%s-dev%d" % (name, index + 1),
                        profiles[index % len(profiles)], name)
             for index in range(device_count)
         ]
-        return cls(name, devices, collector_count, analyzer_count)
+        return cls(name, devices, collector_count, analyzer_count,
+                   **grid_options)
 
     def __repr__(self):
         return "SiteSpec(%r, devices=%d)" % (self.name, len(self.devices))
@@ -104,24 +123,25 @@ class FederatedTopologySpec:
     """A multi-site deployment description.
 
     Args:
-        sites: list of :class:`SiteSpec`.
+        sites: list of :class:`SiteSpec`, each built as one grid.
         mode: :data:`INTEGRATED`, :data:`SILOED` or :data:`MESH`.
-        policy: placement-policy name (integrated root only).
+        policy: placement-policy name, for every site's root.
         dataset_threshold: per-classifier dataset size.
         cross_window: how long cross jobs remember other datasets' problems
             (integrated mode; enables multi-site correlation).
-        seed / cost_model / wan / job_timeout: as in GridTopologySpec.
+        seed / cost_model / wan / job_timeout / knowledge_base_factory: as
+            in ``GridTopologySpec``, shared by every site.
         federation_reliability: install a
-            :class:`~repro.network.reliable.ReliableChannel` under the
-            platform -- ``True`` for defaults, a dict for channel kwargs,
-            ``False`` (default) for the historical fire-and-forget build
-            (byte-identical inert path).
+            :class:`~repro.network.reliable.ReliableChannel` on the shared
+            fabric -- ``True`` for defaults, a dict for channel kwargs,
+            ``False`` (default) for fire-and-forget delivery.
         telemetry: attach the flight recorder -- ``True``/dict/``False``
             as in ``GridTopologySpec``; trace context then crosses the
             site boundary with forwarded jobs.
         heartbeat_interval: seconds between inter-site gateway beacons
-            (mesh mode; defaults to 1.0 when unset there); the gateways'
-            liveness timing derives from it (see :class:`SiteGatewayAgent`).
+            (mesh mode only, where it defaults to 1.0; any other mode
+            raises ``ValueError``); the gateways' liveness timing derives
+            from it (see :class:`SiteGatewayAgent`).
         forwarding_budget: max in-flight forwarded jobs per peer site.
         forward_threshold: per-container outstanding-job count at which
             the local grid counts as saturated (see
@@ -152,6 +172,14 @@ class FederatedTopologySpec:
             raise ValueError("unknown federation mode %r" % mode)
         if mode == MESH and len(sites) < 2:
             raise ValueError("mesh mode needs at least two sites")
+        if mode == INTEGRATED:
+            for site in sites:
+                for key in _PER_ROOT_OPTIONS:
+                    if key in site.grid_options:
+                        raise ValueError(
+                            "site %r: %s needs a per-site root; integrated "
+                            "mode shares one (use siloed or mesh)"
+                            % (site.name, key))
         self.sites = list(sites)
         self.mode = mode
         self.policy = policy
@@ -161,12 +189,13 @@ class FederatedTopologySpec:
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.wan = wan
         self.job_timeout = job_timeout
-        self.knowledge_base_factory = (
-            knowledge_base_factory if knowledge_base_factory is not None
-            else standard_knowledge_base
-        )
+        self.knowledge_base_factory = knowledge_base_factory
         self.federation_reliability = federation_reliability
         self.telemetry = telemetry
+        if heartbeat_interval is not None and mode != MESH:
+            raise ValueError(
+                "heartbeat_interval sets the mesh gateways' beacons; "
+                "%s mode has no gateways" % mode)
         if heartbeat_interval is None and mode == MESH:
             heartbeat_interval = 1.0
         if heartbeat_interval is not None and heartbeat_interval <= 0:
@@ -179,28 +208,8 @@ class FederatedTopologySpec:
             raise ValueError("forward_threshold must be >= 1")
         self.forward_threshold = forward_threshold
 
-    def total_devices(self):
-        return sum(len(site.devices) for site in self.sites)
-
     def __repr__(self):
         return "FederatedTopologySpec(%s, sites=%d)" % (self.mode, len(self.sites))
-
-
-class _SiteRuntime:
-    """Everything built for one site."""
-
-    def __init__(self, name):
-        self.name = name
-        self.devices = {}
-        self.collectors = []
-        self.analyzers = []
-        self.store = None
-        self.storage_agent = None
-        self.classifier = None
-        self.root = None               # siloed / mesh modes only
-        self.interface = None          # siloed / mesh modes only
-        self.storage_container = None  # mesh gateways co-locate here
-        self.gateway = None            # mesh mode only
 
 
 class SiteGatewayAgent(Agent):
@@ -640,187 +649,75 @@ class SiteGatewayAgent(Agent):
 
 
 class FederatedManagementSystem:
-    """A built multi-site deployment (integrated, siloed or mesh)."""
+    """A built multi-site deployment (integrated, siloed or mesh).
+
+    ``sites[name]`` is that site's
+    :class:`~repro.core.system.GridManagementSystem`; in mesh mode its
+    ``gateway`` is the site's :class:`SiteGatewayAgent` (``None``
+    otherwise).
+    """
 
     def __init__(self, spec):
         self.spec = spec
         self.cost_model = spec.cost_model
-        self.sim = Simulator(seed=spec.seed)
-        self.network = Network(self.sim, wan=spec.wan)
-        self.transport = Transport(self.network)
-        self.telemetry = None
-        if spec.telemetry:
-            from repro.simkernel.telemetry import Telemetry
-
-            telemetry_kwargs = (
-                dict(spec.telemetry) if isinstance(spec.telemetry, dict)
-                else {}
-            )
-            self.telemetry = Telemetry(self.sim, **telemetry_kwargs)
-        self.reliable_channel = None
-        if spec.federation_reliability:
-            from repro.network.reliable import ReliableChannel
-
-            channel_kwargs = (
-                dict(spec.federation_reliability)
-                if isinstance(spec.federation_reliability, dict)
-                else {}
-            )
-            if self.telemetry is not None:
-                channel_kwargs.setdefault("metrics", self.telemetry.registry)
-                channel_kwargs.setdefault(
-                    "metric_labels", {"grid": "federation"})
-            self.reliable_channel = ReliableChannel(
-                self.transport, **channel_kwargs)
-        self.platform = AgentPlatform(
-            self.sim, self.network, self.transport,
-            reliable_channel=self.reliable_channel,
-            telemetry=self.telemetry,
-        )
+        self.fabric = Fabric(spec.seed, spec.wan, spec.federation_reliability,
+                             spec.telemetry)
+        self.sim = self.fabric.sim
+        self.network = self.fabric.network
+        self.transport = self.fabric.transport
+        self.telemetry = self.fabric.telemetry
+        self.reliable_channel = self.fabric.reliable_channel
+        self.platform = self.fabric.platform
         self.sites = {}
         self.devices = {}
-        self.global_root = None
-        self.global_interface = None
-        if spec.mode == INTEGRATED:
-            self._build_integrated()
-        else:
-            # mesh is the siloed per-site structure plus gateways
-            self._build_siloed()
+        self.global_root = self.global_interface = None
+        processor = None
+        for site in spec.sites:
+            grid = GridManagementSystem(
+                self._grid_spec(site), fabric=self.fabric, processor=processor)
+            grid.gateway = None
+            if spec.mode == INTEGRATED and processor is None:
+                # Site 1's grid is the processing grid every site feeds.
+                processor = grid
+                grid.root.cross_window = spec.cross_window
+                self.global_root = grid.root
+                self.global_interface = grid.interface
+            self.sites[site.name] = grid
+            self.devices.update(grid.devices)
         if spec.mode == MESH:
             self._build_gateways()
-        if self.telemetry is not None:
-            self._wire_federation_telemetry()
 
     # -- construction -----------------------------------------------------
 
-    def _build_devices(self, site_spec, runtime):
-        for device_spec in site_spec.devices:
-            host = self.network.add_host(
-                device_spec.name, site_spec.name, role="device")
-            device = ManagedDevice(self.sim, host, profile=device_spec.profile)
-            SnmpEngine(device, self.transport)
-            runtime.devices[device_spec.name] = device
-            self.devices[device_spec.name] = device
-
-    def _build_site_storage(self, site_spec, runtime, root_name):
-        host = self.network.add_host(
-            "%s-storage" % site_spec.name, site_spec.name, role="storage")
-        container = self.platform.create_container(
-            "%s-storage-container" % site_spec.name, host,
-            services=("storage", "classification"))
-        runtime.store = ManagementDataStore(host, self.cost_model)
-        runtime.storage_agent = StorageAgent(
-            "storage@" + host.name, runtime.store)
-        container.deploy(runtime.storage_agent)
-        runtime.classifier = ClassifierAgent(
-            "classifier@" + site_spec.name,
-            store=runtime.store,
-            processor_name=root_name,
-            cost_model=self.cost_model,
-            dataset_threshold=self.spec.dataset_threshold,
+    def _grid_spec(self, site):
+        """The :class:`GridTopologySpec` one site's grid is built from."""
+        spec = self.spec
+        name = site.name
+        interface = (
+            "noc-interface" if spec.mode == INTEGRATED else name + "-interface")
+        return GridTopologySpec(
+            devices=site.devices,
+            collector_hosts=[
+                HostSpec("%s-collector%d" % (name, index + 1), name)
+                for index in range(site.collector_count)
+            ],
+            analysis_hosts=[
+                HostSpec("%s-analysis%d" % (name, index + 1), name)
+                for index in range(site.analyzer_count)
+            ],
+            storage_host=HostSpec(name + "-storage", name),
+            interface_host=HostSpec(interface, name),
+            policy=spec.policy,
+            dataset_threshold=spec.dataset_threshold,
+            cost_model=spec.cost_model,
+            seed=spec.seed,
+            knowledge_base_factory=spec.knowledge_base_factory,
+            job_timeout=spec.job_timeout,
+            wan=spec.wan,
+            reliability=spec.federation_reliability,
+            telemetry=spec.telemetry,
+            **site.grid_options
         )
-        container.deploy(runtime.classifier)
-        return container
-
-    def _build_site_collectors(self, site_spec, runtime):
-        device_specs = {
-            name: (device.profile.interface_count,
-                   device.profile.process_slots)
-            for name, device in runtime.devices.items()
-        }
-        for index in range(site_spec.collector_count):
-            host = self.network.add_host(
-                "%s-collector%d" % (site_spec.name, index + 1),
-                site_spec.name, role="collector")
-            container = self.platform.create_container(
-                "%s-collector-%d" % (site_spec.name, index + 1), host,
-                services=("collection",))
-            collector = CollectorAgent(
-                "collector%d@%s" % (index + 1, site_spec.name),
-                goals=[],
-                classifier_name=runtime.classifier.name,
-                cost_model=self.cost_model,
-                device_specs=device_specs,
-            )
-            container.deploy(collector)
-            runtime.collectors.append(collector)
-
-    def _build_site_analyzers(self, site_spec, runtime, root_name):
-        for index in range(site_spec.analyzer_count):
-            host = self.network.add_host(
-                "%s-analysis%d" % (site_spec.name, index + 1),
-                site_spec.name, role="analysis")
-            container = self.platform.create_container(
-                "%s-analysis-%d" % (site_spec.name, index + 1), host,
-                services=("analysis",))
-            analyzer = AnalyzerAgent(
-                "analyzer%d@%s" % (index + 1, site_spec.name),
-                root_name=root_name,
-                knowledge_base=self.spec.knowledge_base_factory(),
-                cost_model=self.cost_model,
-            )
-            container.deploy(analyzer)
-            runtime.analyzers.append(analyzer)
-
-    def _build_integrated(self):
-        first_site = self.spec.sites[0]
-        interface_host = self.network.add_host(
-            "noc-interface", first_site.name, role="interface")
-        interface_container = self.platform.create_container(
-            "noc-interface-container", interface_host, services=("interface",))
-        self.global_interface = InterfaceAgent("interface@noc")
-        interface_container.deploy(self.global_interface)
-
-        root_name = "pg-root@noc"
-        for site_spec in self.spec.sites:
-            runtime = _SiteRuntime(site_spec.name)
-            self.sites[site_spec.name] = runtime
-            self._build_devices(site_spec, runtime)
-            storage_container = self._build_site_storage(
-                site_spec, runtime, root_name)
-            if site_spec is first_site:
-                # the single root is co-located with the first site's storage
-                self.global_root = ProcessorRootAgent(
-                    root_name,
-                    storage_agent_name=runtime.storage_agent.name,
-                    interface_name=self.global_interface.name,
-                    policy=make_policy(self.spec.policy),
-                    cost_model=self.cost_model,
-                    job_timeout=self.spec.job_timeout,
-                    cross_window=self.spec.cross_window,
-                )
-                storage_container.deploy(self.global_root)
-            self._build_site_collectors(site_spec, runtime)
-            self._build_site_analyzers(site_spec, runtime, root_name)
-
-    def _build_siloed(self):
-        for site_spec in self.spec.sites:
-            runtime = _SiteRuntime(site_spec.name)
-            self.sites[site_spec.name] = runtime
-            self._build_devices(site_spec, runtime)
-            root_name = "pg-root@" + site_spec.name
-            storage_container = self._build_site_storage(
-                site_spec, runtime, root_name)
-            runtime.storage_container = storage_container
-            interface_host = self.network.add_host(
-                "%s-interface" % site_spec.name, site_spec.name,
-                role="interface")
-            interface_container = self.platform.create_container(
-                "%s-interface-container" % site_spec.name, interface_host,
-                services=("interface",))
-            runtime.interface = InterfaceAgent("interface@" + site_spec.name)
-            interface_container.deploy(runtime.interface)
-            runtime.root = ProcessorRootAgent(
-                root_name,
-                storage_agent_name=runtime.storage_agent.name,
-                interface_name=runtime.interface.name,
-                policy=make_policy(self.spec.policy),
-                cost_model=self.cost_model,
-                job_timeout=self.spec.job_timeout,
-            )
-            storage_container.deploy(runtime.root)
-            self._build_site_collectors(site_spec, runtime)
-            self._build_site_analyzers(site_spec, runtime, root_name)
 
     def _build_gateways(self):
         """Mesh mode: one gateway per site, wired into the local root."""
@@ -829,10 +726,10 @@ class FederatedManagementSystem:
             site_name: "gateway@" + site_name for site_name in self.sites
         }
         devices_by_site = {
-            site_name: sorted(runtime.devices)
-            for site_name, runtime in self.sites.items()
+            site_name: sorted(grid.devices)
+            for site_name, grid in self.sites.items()
         }
-        for site_name, runtime in self.sites.items():
+        for site_name, grid in self.sites.items():
             peers = {
                 peer: name for peer, name in gateway_names.items()
                 if peer != site_name
@@ -840,150 +737,58 @@ class FederatedManagementSystem:
             gateway = SiteGatewayAgent(
                 gateway_names[site_name],
                 site=site_name,
-                interface_name=runtime.interface.name,
-                root=runtime.root,
+                interface_name=grid.interface.name,
+                root=grid.root,
                 peer_gateways=peers,
                 devices_by_site=devices_by_site,
                 heartbeat_interval=spec.heartbeat_interval,
                 forwarding_budget=spec.forwarding_budget,
                 cost_model=self.cost_model,
             )
-            runtime.storage_container.deploy(gateway)
-            runtime.gateway = gateway
+            grid.storage_container.deploy(gateway)
+            grid.gateway = gateway
             # Saturation overflow drains through the gateway.
-            runtime.root.forwarder = gateway.try_forward
-            runtime.root.forward_threshold = spec.forward_threshold
-
-    def _wire_federation_telemetry(self):
-        """Register every component as a labelled metric source.
-
-        Same contract as ``GridManagementSystem._wire_telemetry``: the
-        reliable channel's span hooks terminate in-flight traces on
-        dead-letter, and snapshots unify the per-site grids.
-        """
-        from repro.simkernel.telemetry import wire_channel_tracing
-
-        if self.reliable_channel is not None:
-            wire_channel_tracing(self.telemetry.recorder,
-                                 self.reliable_channel)
-        telemetry = self.telemetry
-        for runtime in self.sites.values():
-            for collector in runtime.collectors:
-                telemetry.register_source(
-                    lambda c=collector: {
-                        "polls_completed": c.polls_completed,
-                        "polls_failed": c.polls_failed,
-                        "records_shipped": c.records_shipped,
-                    },
-                    grid="collector", host=collector.host.name,
-                    agent=collector.name,
+            grid.root.forwarder = gateway.try_forward
+            grid.root.forward_threshold = spec.forward_threshold
+            if self.telemetry is not None:
+                self.telemetry.register_source(
+                    gateway.stats, grid="federation", host=gateway.host.name,
+                    agent=gateway.name,
                 )
-            classifier = runtime.classifier
-            telemetry.register_source(
-                lambda c=classifier: {
-                    "records_classified": c.records_classified,
-                    "datasets_published": c.datasets_published,
-                },
-                grid="classifier", host=classifier.host.name,
-                agent=classifier.name,
-            )
-            for analyzer in runtime.analyzers:
-                telemetry.register_source(
-                    lambda a=analyzer: {
-                        "jobs_completed": a.jobs_completed,
-                        "records_analyzed": a.records_analyzed,
-                        "rules_fired": a.rules_fired,
-                    },
-                    grid="processor", host=analyzer.host.name,
-                    agent=analyzer.name,
-                )
-        for root in self.roots():
-            telemetry.register_source(
-                lambda r=root: {
-                    "jobs_dispatched": r.jobs_dispatched,
-                    "jobs_redispatched": r.jobs_redispatched,
-                    "jobs_abandoned": r.jobs_abandoned,
-                    "jobs_forwarded": r.jobs_forwarded,
-                    "reports_issued": r.reports_issued,
-                },
-                grid="processor", host=root.host.name, agent=root.name,
-            )
-        for interface in self.interfaces():
-            telemetry.register_source(
-                lambda i=interface: {
-                    "reports": len(i.reports),
-                    "alerts": len(i.alerts),
-                },
-                grid="interface", host=interface.host.name,
-                agent=interface.name,
-            )
-        for gateway in self.gateways():
-            telemetry.register_source(
-                gateway.stats, grid="federation", host=gateway.host.name,
-                agent=gateway.name,
-            )
-        telemetry.register_source(self.platform.stats, grid="platform")
-        telemetry.register_source(self.transport.stats, grid="network")
-        if self.reliable_channel is not None:
-            telemetry.register_source(
-                self.reliable_channel.stats, grid="network",
-                agent="reliable-channel",
-            )
 
     # -- workload -----------------------------------------------------------
 
     def assign_site_goals(self, goals_by_site):
         """Distribute per-site goal lists over each site's collectors."""
         for site_name, goals in goals_by_site.items():
-            runtime = self.sites[site_name]
-            for index, goal in enumerate(goals):
-                runtime.collectors[
-                    index % len(runtime.collectors)].add_goal(goal)
+            self.sites[site_name].assign_goals(goals)
 
     def make_site_goals(self, polls_per_type=4, interval=1.0, stagger=0.1):
         """Paper-style goals for every site (each polls its own devices)."""
-        from repro.core.records import CollectionGoal
-
-        goals_by_site = {}
-        for site_name, runtime in self.sites.items():
-            device_names = sorted(runtime.devices)
-            goals = []
-            for type_index, request_type in enumerate(("A", "B", "C")):
-                for poll_index in range(polls_per_type):
-                    goals.append(CollectionGoal(
-                        device_names[poll_index % len(device_names)],
-                        request_type,
-                        count=1,
-                        interval=interval,
-                        start_after=stagger * (poll_index * 3 + type_index),
-                    ))
-            goals_by_site[site_name] = goals
-        return goals_by_site
+        return {
+            site_name: grid.make_paper_goals(polls_per_type, interval, stagger)
+            for site_name, grid in self.sites.items()
+        }
 
     # -- running / reporting --------------------------------------------------
 
     def interfaces(self):
-        if self.spec.mode == INTEGRATED:
-            return [self.global_interface]
-        return [runtime.interface for runtime in self.sites.values()]
-
-    def roots(self):
-        if self.spec.mode == INTEGRATED:
-            return [self.global_root]
-        return [runtime.root for runtime in self.sites.values()]
+        """Every distinct interface (integrated sites share site 1's)."""
+        return list(dict.fromkeys(
+            grid.interface for grid in self.sites.values()))
 
     def gateways(self):
         return [
-            runtime.gateway for runtime in self.sites.values()
-            if runtime.gateway is not None
+            grid.gateway for grid in self.sites.values()
+            if grid.gateway is not None
         ]
 
     def link_state_report(self):
         """Per-site view of the mesh: ``{site: {peer: link_state}}``."""
         return {
-            site_name: dict(runtime.gateway.link_state)
-            for site_name, runtime in self.sites.items()
-            if runtime.gateway is not None
+            site_name: dict(grid.gateway.link_state)
+            for site_name, grid in self.sites.items()
+            if grid.gateway is not None
         }
 
     # -- health scorecards (mesh mode) ------------------------------------
@@ -999,17 +804,17 @@ class FederatedManagementSystem:
         from repro.core.health import (
             DEGRADED, GREEN, container_scorecard, worst_state)
 
-        runtime = self.sites[site_name]
+        grid = self.sites[site_name]
         states = []
         for container in self.platform.containers.values():
             if container.host.site.name != site_name:
                 continue
             card = container_scorecard(
-                container, root=runtime.root,
+                container, root=grid.root,
                 channel=self.reliable_channel)
             states.append(card["state"])
         state = worst_state(states) if states else GREEN
-        gateway = runtime.gateway
+        gateway = grid.gateway
         if gateway is not None and state == GREEN and any(
                 link in (LINK_PARTITIONED, LINK_HEALING)
                 for link in gateway.link_state.values()):
@@ -1024,10 +829,10 @@ class FederatedManagementSystem:
         default) because the extra beacon field is visible to ontology
         validation and message accounting.
         """
-        for site_name, runtime in self.sites.items():
-            if runtime.gateway is None:
+        for site_name, grid in self.sites.items():
+            if grid.gateway is None:
                 continue
-            runtime.gateway.health_supplier = (
+            grid.gateway.health_supplier = (
                 lambda site=site_name: self.site_scorecard(site))
 
     def mesh_health_report(self):
@@ -1041,10 +846,10 @@ class FederatedManagementSystem:
         report = {}
         for site_name in self.sites:
             observed = {}
-            for observer, runtime in self.sites.items():
-                if observer == site_name or runtime.gateway is None:
+            for observer, grid in self.sites.items():
+                if observer == site_name or grid.gateway is None:
                     continue
-                state = runtime.gateway.peer_health.get(site_name)
+                state = grid.gateway.peer_health.get(site_name)
                 if state is not None:
                     observed[observer] = state
             report[site_name] = {
@@ -1064,14 +869,15 @@ class FederatedManagementSystem:
     def records_shipped(self):
         return sum(
             collector.records_shipped
-            for runtime in self.sites.values()
-            for collector in runtime.collectors
+            for grid in self.sites.values()
+            for collector in grid.collectors
         )
 
     def records_classified(self):
         return sum(
-            runtime.classifier.records_classified
-            for runtime in self.sites.values()
+            classifier.records_classified
+            for grid in self.sites.values()
+            for classifier in grid.classifiers
         )
 
     def all_findings(self):
@@ -1088,26 +894,15 @@ class FederatedManagementSystem:
         )
 
     def run_until_records(self, total, timeout=2000.0, settle=1.0):
-        deadline = self.sim.now + timeout
-        while self.records_analyzed() < total and self.sim.now < deadline:
-            self.sim.run(until=min(deadline, self.sim.now + 5.0))
-        if self.records_analyzed() >= total and settle > 0:
-            self.sim.run(until=self.sim.now + settle)
-        return self.records_analyzed() >= total
-
-    def management_hosts(self):
-        return [
-            host for host in self.network.hosts.values()
-            if host.role != "device"
-        ]
+        return self.fabric.run_until(
+            lambda: self.records_analyzed() >= total, timeout, settle)
 
     def utilization_report(self, label=None):
-        from repro.evaluation.accounting import UtilizationReport
-
-        return UtilizationReport.from_hosts(
-            label if label is not None else self.spec.mode,
-            self.management_hosts(), horizon=self.sim.now,
-        )
+        """Every site's management hosts: the site grids share one
+        network, so any one of them walks it all."""
+        grid = next(iter(self.sites.values()))
+        return grid.utilization_report(
+            label if label is not None else self.spec.mode)
 
     def share_knowledge(self, rule):
         """Teach a rule to analyzers (the paper's "shared knowledge").
@@ -1118,12 +913,11 @@ class FederatedManagementSystem:
         mirroring the baseline's isolation.
         """
         if self.spec.mode == INTEGRATED:
-            names = [a.name for r in self.sites.values() for a in r.analyzers]
+            names = [a.name for g in self.sites.values() for a in g.analyzers]
             return self.global_interface.submit_rule(rule, names)
-        first = next(iter(sorted(self.sites)))
-        runtime = self.sites[first]
-        return runtime.interface.submit_rule(
-            rule, [analyzer.name for analyzer in runtime.analyzers])
+        grid = self.sites[min(self.sites)]
+        return grid.interface.submit_rule(
+            rule, [analyzer.name for analyzer in grid.analyzers])
 
     def __repr__(self):
         return "FederatedManagementSystem(%s, sites=%d)" % (

@@ -40,6 +40,11 @@ from repro.rules.facts import Fact, WorkingMemory
 
 #: Cluster name used for level-3 cross-inference jobs.
 CROSS_CLUSTER = "correlation"
+#: Seconds a scatter round waits for every shard's dataset before its
+#: cross job dispatches over the members it has.
+SCATTER_WINDOW = 10.0
+#: Concurrent shard-summary fetches per wave of a scatter-gather cross job.
+SCATTER_FANOUT = 4
 
 
 class _JobState:
@@ -82,7 +87,7 @@ class _ScatterRound:
     Datasets whose level-2 clusters all settled enroll here; the round
     closes (and dispatches ONE cross job over all members) when every
     shard's storage host is represented -- the fan-out barrier -- or when
-    ``scatter_window`` elapses first, whichever comes sooner.  The first
+    ``SCATTER_WINDOW`` elapses first, whichever comes sooner.  The first
     member is the *primary*: the cross job is dispatched against it, its
     dataset collects the level-3 findings, and every other member
     finalizes alongside it.
@@ -133,10 +138,10 @@ class ProcessorRootAgent(Agent):
             root.  At 1 (default) level-3 correlation runs per dataset on
             the historical path; above 1 the root gathers one finished
             dataset per shard into a :class:`_ScatterRound` and dispatches
-            a single scatter-gather cross job over all of them.
-        scatter_window: barrier timeout -- a round whose shards have not
-            all reported within this many seconds dispatches over the
-            members it has (a quiet shard must not stall correlation).
+            a single scatter-gather cross job over all of them; a round
+            whose shards have not all reported within ``SCATTER_WINDOW``
+            seconds dispatches over the members it has (a quiet shard
+            must not stall correlation).
     """
 
     _job_ids = itertools.count(1)
@@ -156,7 +161,6 @@ class ProcessorRootAgent(Agent):
         cross_window=0.0,
         heartbeat_interval=None,
         scatter_shards=1,
-        scatter_window=10.0,
     ):
         super().__init__(name)
         self.storage_agent_name = storage_agent_name
@@ -180,10 +184,7 @@ class ProcessorRootAgent(Agent):
         self.cross_window = cross_window
         if scatter_shards < 1:
             raise ValueError("scatter_shards must be >= 1")
-        if scatter_window <= 0:
-            raise ValueError("scatter_window must be positive")
         self.scatter_shards = scatter_shards
-        self.scatter_window = scatter_window
         self._scatter_round = None       # the currently-open round
         self._scatter_by_dataset = {}    # primary dataset id -> round
         self._scatter_round_ids = itertools.count(1)
@@ -597,7 +598,7 @@ class ProcessorRootAgent(Agent):
             )
             self._scatter_round = round_
             self.sim.schedule(
-                self.scatter_window, self._scatter_window_expired, (round_,),
+                SCATTER_WINDOW, self._scatter_window_expired, (round_,),
             )
         round_.members.append(state.dataset_id)
         round_.shards.append((state.storage_host, state.dataset_id))
@@ -909,21 +910,16 @@ class AnalyzerAgent(Agent):
         fetch_retries: extra QUERY_REF attempts after a timed-out fetch
             before the job proceeds with whatever it has (0 = old
             single-shot behaviour).
-        scatter_fanout: max concurrent shard fetches while gathering a
-            scatter-gather cross job's summaries (the bounded fan-out:
-            shards are fetched in waves of this size).
     """
 
     def __init__(self, name, root_name, knowledge_base, cost_model=None,
                  register_on_start=True, heartbeat_interval=None,
-                 fetch_timeout=60.0, fetch_retries=0, scatter_fanout=4):
+                 fetch_timeout=60.0, fetch_retries=0):
         super().__init__(name)
         if fetch_timeout <= 0:
             raise ValueError("fetch_timeout must be positive")
         if fetch_retries < 0:
             raise ValueError("fetch_retries must be >= 0")
-        if scatter_fanout < 1:
-            raise ValueError("scatter_fanout must be >= 1")
         self.root_name = root_name
         self.knowledge_base = knowledge_base
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
@@ -931,7 +927,6 @@ class AnalyzerAgent(Agent):
         self.heartbeat_interval = heartbeat_interval
         self.fetch_timeout = fetch_timeout
         self.fetch_retries = int(fetch_retries)
-        self.scatter_fanout = int(scatter_fanout)
         self.responder = None
         self.jobs_completed = 0
         self.records_analyzed = 0
@@ -1192,7 +1187,7 @@ class AnalyzerAgent(Agent):
     def _scatter_summaries(self, content, shards):
         """Gather every shard's dataset summary, bounded-fan-out.
 
-        Shards are fetched in waves of ``scatter_fanout`` concurrent
+        Shards are fetched in waves of ``SCATTER_FANOUT`` concurrent
         fetches (each a spawned process with its own conversation id, so
         replies cannot cross wires); a wave must settle before the next
         starts, bounding both the NIC burst and the storage-grid load.
@@ -1200,9 +1195,8 @@ class AnalyzerAgent(Agent):
         stop, container kill) kills the wave it is waiting on, so no fetch
         outlives its agent and retries on an undeployed one.
         """
-        fanout = self.scatter_fanout
-        for start in range(0, len(shards), fanout):
-            wave = shards[start:start + fanout]
+        for start in range(0, len(shards), SCATTER_FANOUT):
+            wave = shards[start:start + SCATTER_FANOUT]
             processes = []
             for offset, (storage_host, dataset_id) in enumerate(wave):
                 processes.append(self.sim.spawn(

@@ -2,10 +2,12 @@
 
 :class:`GridTopologySpec` describes a deployment (devices, collector /
 analysis / storage / interface hosts, policy, clustering);
-:class:`GridManagementSystem` instantiates everything -- simulator,
-network, SNMP devices, agent platform, the four grids -- wires Figure 2's
-data flow, and exposes run/report helpers used by examples, benches and
-the Figure 6 driver.
+:class:`Fabric` is the substrate grids run on (simulator, network,
+transport, optional telemetry and reliable channel, agent platform);
+:class:`GridManagementSystem` builds SNMP devices and the four grids on a
+fabric, wires Figure 2's data flow, and exposes run/report helpers used
+by examples, benches, the Figure 6 driver and -- one grid per site --
+the multi-site federation (:mod:`repro.core.federation`).
 """
 
 from repro.agents.platform import AgentPlatform
@@ -22,7 +24,7 @@ from repro.network.topology import Network
 from repro.network.transport import Transport
 from repro.rules.stdlib import standard_knowledge_base
 from repro.simkernel.simulator import Simulator
-from repro.snmp.device import ManagedDevice, PROFILES
+from repro.snmp.device import ManagedDevice
 from repro.snmp.engine import SnmpEngine
 
 
@@ -81,7 +83,6 @@ class GridTopologySpec:
         fetch_retries: extra fetch attempts per query after a timeout
             (default 2).
         enable_cross: run level-3 cross analysis per dataset.
-        device_tick: device metric-dynamics period.
         reliability: ``False`` (default) keeps the plain transport;
             ``True`` installs a :class:`~repro.network.reliable.ReliableChannel`
             (ack + retransmit + dedup) under the platform's critical sends;
@@ -124,11 +125,6 @@ class GridTopologySpec:
             lane, collectors route each record to its owner shard,
             level-2 analysis is shard-local and level-3 correlation
             scatter-gathers across shards.
-        shard_vnodes: virtual nodes per shard on the hash ring.
-        scatter_window: barrier timeout for gathering one finished
-            dataset per shard before the cross job dispatches anyway.
-        scatter_fanout: max concurrent per-shard summary fetches inside
-            one scatter-gather cross job.
     """
 
     def __init__(
@@ -148,7 +144,6 @@ class GridTopologySpec:
         fetch_timeout=None,
         fetch_retries=2,
         enable_cross=True,
-        device_tick=1.0,
         collector_parse_locally=True,
         shipping_protocol=None,
         wan=None,
@@ -158,9 +153,6 @@ class GridTopologySpec:
         gossip=False,
         slos=(),
         shards=1,
-        shard_vnodes=64,
-        scatter_window=10.0,
-        scatter_fanout=4,
     ):
         if not devices:
             raise ValueError("at least one device is required")
@@ -198,7 +190,6 @@ class GridTopologySpec:
                     fetch_timeout, self.fetch_retries + 1, job_timeout))
         self.fetch_timeout = fetch_timeout
         self.enable_cross = enable_cross
-        self.device_tick = device_tick
         self.collector_parse_locally = collector_parse_locally
         # Collector->classifier batch protocol ("http"/"smtp" or a
         # ProtocolSpec); the paper ships "through any existing protocol
@@ -221,16 +212,7 @@ class GridTopologySpec:
             self.telemetry = True
         if int(shards) != shards or shards < 1:
             raise ValueError("shards must be a positive integer")
-        if shard_vnodes < 1:
-            raise ValueError("shard_vnodes must be >= 1")
-        if scatter_window <= 0:
-            raise ValueError("scatter_window must be positive")
-        if scatter_fanout < 1:
-            raise ValueError("scatter_fanout must be >= 1")
         self.shards = int(shards)
-        self.shard_vnodes = int(shard_vnodes)
-        self.scatter_window = scatter_window
-        self.scatter_fanout = int(scatter_fanout)
 
     @classmethod
     def paper_figure6c(cls, seed=0, **overrides):
@@ -264,32 +246,36 @@ class GridTopologySpec:
         )
 
 
-class GridManagementSystem:
-    """A fully wired agent-grid management deployment."""
+def _options(value):
+    """Keyword arguments from a ``True``/dict feature switch."""
+    return dict(value) if isinstance(value, dict) else {}
 
-    def __init__(self, spec):
-        self.spec = spec
-        self.cost_model = spec.cost_model
-        self.sim = Simulator(seed=spec.seed)
-        self.network = Network(self.sim, wan=spec.wan)
+
+class Fabric:
+    """The substrate grids run on: simulator, network, transport, the
+    optional flight recorder and reliable channel, and the agent platform.
+
+    A standalone :class:`GridManagementSystem` builds its own; a
+    federation builds one and hands it to every site's grid.  The fabric
+    registers its own telemetry sources (platform, transport, channel)
+    and hooks the channel into the span recorder once, however many
+    grids share it.  The channel's metrics carry ``grid="network"``.
+    """
+
+    def __init__(self, seed=0, wan=None, reliability=False, telemetry=False):
+        self.sim = Simulator(seed=seed)
+        self.network = Network(self.sim, wan=wan)
         self.transport = Transport(self.network)
         self.telemetry = None
-        if spec.telemetry:
+        if telemetry:
             from repro.simkernel.telemetry import Telemetry
 
-            telemetry_kwargs = (
-                dict(spec.telemetry) if isinstance(spec.telemetry, dict)
-                else {}
-            )
-            self.telemetry = Telemetry(self.sim, **telemetry_kwargs)
+            self.telemetry = Telemetry(self.sim, **_options(telemetry))
         self.reliable_channel = None
-        if spec.reliability:
+        if reliability:
             from repro.network.reliable import ReliableChannel
 
-            channel_kwargs = (
-                dict(spec.reliability) if isinstance(spec.reliability, dict)
-                else {}
-            )
+            channel_kwargs = _options(reliability)
             if self.telemetry is not None:
                 channel_kwargs.setdefault("metrics", self.telemetry.registry)
                 channel_kwargs.setdefault("metric_labels", {"grid": "network"})
@@ -300,6 +286,78 @@ class GridManagementSystem:
             reliable_channel=self.reliable_channel,
             telemetry=self.telemetry,
         )
+        if self.telemetry is not None:
+            self._wire_telemetry()
+
+    def _wire_telemetry(self):
+        """Terminate in-flight spans when the reliable channel gives up on
+        an envelope (so no batch vanishes from the trace tree without an
+        explicit ``dead-letter`` status), and register the fabric's own
+        counters as metric sources."""
+        from repro.simkernel.telemetry import wire_channel_tracing
+
+        telemetry = self.telemetry
+        telemetry.register_source(self.platform.stats, grid="platform")
+        telemetry.register_source(self.transport.stats, grid="network")
+        if self.reliable_channel is not None:
+            wire_channel_tracing(telemetry.recorder, self.reliable_channel)
+            telemetry.register_source(
+                self.reliable_channel.stats, grid="network",
+                agent="reliable-channel",
+            )
+
+    def run_until(self, done, timeout, settle):
+        """Run in 5 s slices until ``done()`` or ``timeout`` sim-seconds
+        pass; after success simulate ``settle`` more seconds so in-flight
+        accounting completes.  Returns ``done()``."""
+        sim = self.sim
+        deadline = sim.now + timeout
+        while not done() and sim.now < deadline:
+            sim.run(until=min(deadline, sim.now + 5.0))
+        if done() and settle > 0:
+            sim.run(until=sim.now + settle)
+        return done()
+
+
+class GridManagementSystem:
+    """A fully wired agent-grid management deployment.
+
+    Args:
+        spec: the :class:`GridTopologySpec`.
+        fabric: the :class:`Fabric` to build on; ``None`` builds a private
+            one from the spec's seed, WAN, reliability and telemetry.  A
+            grid on a fabric that was passed in is one site of a larger
+            deployment: its agent and container names end in
+            ``@<site>`` (the storage host's site), so several grids never
+            collide on one platform.
+        processor: another grid on the same fabric whose root and
+            interface this grid reports to.  Such a grid builds no root
+            and no interface of its own (the integrated federation: one
+            processing grid fed by every site's collectors and
+            classifiers).
+    """
+
+    def __init__(self, spec, fabric=None, processor=None):
+        self.spec = spec
+        self.cost_model = spec.cost_model
+        self.site = spec.storage_host.site
+        self._suffix = ""
+        if fabric is None:
+            fabric = Fabric(spec.seed, spec.wan, spec.reliability,
+                            spec.telemetry)
+        else:
+            self._suffix = "@" + self.site
+        if processor is not None and processor.fabric is not fabric:
+            raise ValueError("a processor grid must share this grid's fabric")
+        self.fabric = fabric
+        self.sim = fabric.sim
+        self.network = fabric.network
+        self.transport = fabric.transport
+        self.telemetry = fabric.telemetry
+        self.reliable_channel = fabric.reliable_channel
+        self.platform = fabric.platform
+        self._root_name = (processor.root.name if processor is not None
+                           else self._named("pg-root"))
         self.devices = {}
         self.device_engines = {}
         self.collectors = []
@@ -308,8 +366,13 @@ class GridManagementSystem:
         self.records_rebalanced = 0
         self._build_devices()
         self._build_storage_and_classifier()
-        self._build_interface()
-        self._build_processor_grid()
+        if processor is None:
+            self._build_interface()
+            self._build_root()
+        else:
+            self.interface = processor.interface
+            self.root = processor.root
+        self._build_analyzers()
         self._build_collector_grid()
         # The gossip mesh is strictly opt-in: when the spec leaves it off,
         # no behaviours, events or messages exist (byte-identity contract,
@@ -318,13 +381,10 @@ class GridManagementSystem:
         if spec.gossip:
             from repro.core.gossip import GossipMesh
 
-            gossip_kwargs = (
-                dict(spec.gossip) if isinstance(spec.gossip, dict) else {}
-            )
             self.gossip = GossipMesh(
-                self.root, self.analyzers, **gossip_kwargs)
+                self.root, self.analyzers, **_options(spec.gossip))
         if self.telemetry is not None:
-            self._wire_telemetry()
+            self._wire_telemetry(owns_processor=processor is None)
         # The health layer only exists when SLOs are declared: its checker
         # process schedules real events (and its findings travel the real
         # network), so an always-on monitor would break the telemetry
@@ -337,15 +397,16 @@ class GridManagementSystem:
 
     # -- construction ----------------------------------------------------
 
+    def _named(self, name):
+        """An agent or container name, site-qualified on a shared fabric."""
+        return name + self._suffix
+
     def _build_devices(self):
         for device_spec in self.spec.devices:
             host = self.network.add_host(
                 device_spec.name, device_spec.site, role="device",
             )
-            device = ManagedDevice(
-                self.sim, host, profile=device_spec.profile,
-                tick=self.spec.device_tick,
-            )
+            device = ManagedDevice(self.sim, host, profile=device_spec.profile)
             self.devices[device_spec.name] = device
             self.device_engines[device_spec.name] = SnmpEngine(
                 device, self.transport,
@@ -385,19 +446,18 @@ class GridManagementSystem:
     def _build_shard(self, index, host_spec):
         """Build one classifier/storage lane (container + store + agents)."""
         host = self._add_management_host(host_spec, "storage")
-        container_name = (
-            "storage-container" if index == 0 else "storage-container-s%d" % index
-        )
+        lane = "" if index == 0 else "-s%d" % index
         container = self.platform.create_container(
-            container_name, host, services=("storage", "classification"),
+            self._named("storage-container" + lane), host,
+            services=("storage", "classification"),
         )
         store = ManagementDataStore(host, self.cost_model)
         storage_agent = StorageAgent("storage@" + host.name, store)
         container.deploy(storage_agent)
         classifier = ClassifierAgent(
-            "classifier" if index == 0 else "classifier-s%d" % index,
+            self._named("classifier" + lane),
             store=store,
-            processor_name="pg-root",
+            processor_name=self._root_name,
             cost_model=self.cost_model,
             cluster_strategy=self.spec.cluster_strategy,
             dataset_threshold=self.spec.dataset_threshold,
@@ -437,10 +497,7 @@ class GridManagementSystem:
             from repro.agents.behaviours import MultiplexedTickerBehaviour
             from repro.core.sharding import HashRing
 
-            self.ring = HashRing(
-                (host.name for host in self.shard_hosts),
-                vnodes=self.spec.shard_vnodes,
-            )
+            self.ring = HashRing(host.name for host in self.shard_hosts)
             # One coalesced watchdog flushes every shard classifier's
             # stale dataset: N shards cost one timer event per period
             # instead of N mailbox-timeout wakeups.
@@ -453,16 +510,16 @@ class GridManagementSystem:
 
     def _build_interface(self):
         host = self._add_management_host(self.spec.interface_host, "interface")
-        self.interface_container = self.platform.create_container(
-            "interface-container", host, services=("interface",),
+        container = self.platform.create_container(
+            self._named("interface-container"), host, services=("interface",),
         )
-        self.interface = InterfaceAgent("interface")
-        self.interface_container.deploy(self.interface)
+        self.interface = InterfaceAgent(self._named("interface"))
+        container.deploy(self.interface)
 
-    def _build_processor_grid(self):
+    def _build_root(self):
         # The root is co-located with storage (it is a broker, not a worker).
         self.root = ProcessorRootAgent(
-            "pg-root",
+            self._root_name,
             storage_agent_name=self.storage_agent.name,
             interface_name=self.interface.name,
             policy=make_policy(self.spec.policy),
@@ -471,26 +528,26 @@ class GridManagementSystem:
             enable_cross=self.spec.enable_cross,
             heartbeat_interval=self.spec.heartbeat_interval,
             scatter_shards=self.spec.shards,
-            scatter_window=self.spec.scatter_window,
         )
         self.storage_container.deploy(self.root)
+
+    def _build_analyzers(self):
         self.analysis_containers = []
         for index, host_spec in enumerate(self.spec.analysis_hosts):
             host = self._add_management_host(host_spec, "analysis")
             container = self.platform.create_container(
-                "analysis-%d" % (index + 1), host,
+                self._named("analysis-%d" % (index + 1)), host,
                 services=("analysis",), knowledge=host_spec.knowledge,
             )
             self.analysis_containers.append(container)
             analyzer = AnalyzerAgent(
-                "analyzer-%d" % (index + 1),
-                root_name=self.root.name,
+                self._named("analyzer-%d" % (index + 1)),
+                root_name=self._root_name,
                 knowledge_base=self.spec.knowledge_base_factory(),
                 cost_model=self.cost_model,
                 heartbeat_interval=self.spec.heartbeat_interval,
                 fetch_timeout=self.spec.fetch_timeout,
                 fetch_retries=self.spec.fetch_retries,
-                scatter_fanout=self.spec.scatter_fanout,
             )
             container.deploy(analyzer)
             self.analyzers.append(analyzer)
@@ -520,12 +577,13 @@ class GridManagementSystem:
         self.collector_containers = []
         for index, host_spec in enumerate(self.spec.collector_hosts):
             host = self._add_management_host(host_spec, "collector")
+            name = self._named("collector-%d" % (index + 1))
             container = self.platform.create_container(
-                "collector-%d" % (index + 1), host, services=("collection",),
+                name, host, services=("collection",),
             )
             self.collector_containers.append(container)
             collector = CollectorAgent(
-                "collector-%d" % (index + 1),
+                name,
                 goals=[],
                 classifier_name=self.classifier.name,
                 cost_model=self.cost_model,
@@ -539,20 +597,12 @@ class GridManagementSystem:
 
     # -- telemetry ---------------------------------------------------------
 
-    def _wire_telemetry(self):
-        """Hook the flight recorder into the deployment.
+    def _wire_telemetry(self, owns_processor):
+        """Register this grid's components as labelled metric sources.
 
-        Two jobs: terminate in-flight spans when the reliable channel
-        gives up on an envelope (so no batch ever vanishes from the trace
-        tree without an explicit ``dead-letter`` status), and register
-        every component's counters as labelled metric sources for unified
-        snapshots.
+        The fabric registers its own (platform, transport, channel); the
+        root and interface belong to the grid that built them.
         """
-        from repro.simkernel.telemetry import wire_channel_tracing
-
-        if self.reliable_channel is not None:
-            wire_channel_tracing(self.telemetry.recorder,
-                                 self.reliable_channel)
         telemetry = self.telemetry
         for collector in self.collectors:
             telemetry.register_source(
@@ -579,19 +629,21 @@ class GridManagementSystem:
                 agent=classifier.name,
             )
         root = self.root
-        telemetry.register_source(
-            lambda: {
-                "jobs_dispatched": root.jobs_dispatched,
-                "jobs_redispatched": root.jobs_redispatched,
-                "jobs_abandoned": root.jobs_abandoned,
-                "reports_issued": root.reports_issued,
-                "heartbeats_received": root.heartbeats_received,
-                "containers_evicted": root.containers_evicted,
-                "containers_recovered": root.containers_recovered,
-                "duplicate_results": root.duplicate_results,
-            },
-            grid="processor", host=root.host.name, agent=root.name,
-        )
+        if owns_processor:
+            telemetry.register_source(
+                lambda: {
+                    "jobs_dispatched": root.jobs_dispatched,
+                    "jobs_redispatched": root.jobs_redispatched,
+                    "jobs_abandoned": root.jobs_abandoned,
+                    "jobs_forwarded": root.jobs_forwarded,
+                    "reports_issued": root.reports_issued,
+                    "heartbeats_received": root.heartbeats_received,
+                    "containers_evicted": root.containers_evicted,
+                    "containers_recovered": root.containers_recovered,
+                    "duplicate_results": root.duplicate_results,
+                },
+                grid="processor", host=root.host.name, agent=root.name,
+            )
         if self.gossip is not None:
             telemetry.register_source(
                 self.gossip.stats, grid="processor", agent="gossip-mesh",
@@ -611,14 +663,15 @@ class GridManagementSystem:
                 agent=analyzer.name,
             )
         interface = self.interface
-        telemetry.register_source(
-            lambda: {
-                "reports": len(interface.reports),
-                "alerts": len(interface.alerts),
-            },
-            grid="interface", host=interface.host.name,
-            agent=interface.name,
-        )
+        if owns_processor:
+            telemetry.register_source(
+                lambda: {
+                    "reports": len(interface.reports),
+                    "alerts": len(interface.alerts),
+                },
+                grid="interface", host=interface.host.name,
+                agent=interface.name,
+            )
         if self.ring is not None:
             registry = telemetry.registry
             system = self
@@ -642,13 +695,6 @@ class GridManagementSystem:
                 }
 
             telemetry.register_source(_shard_metrics, grid="storage")
-        telemetry.register_source(self.platform.stats, grid="platform")
-        telemetry.register_source(self.transport.stats, grid="network")
-        if self.reliable_channel is not None:
-            telemetry.register_source(
-                self.reliable_channel.stats, grid="network",
-                agent="reliable-channel",
-            )
 
     # -- shard membership (sharded deployments only) -----------------------
 
@@ -777,13 +823,7 @@ class GridManagementSystem:
         simulated afterwards so in-flight accounting completes.
         """
         event = self.interface.reports_event(count)
-        deadline = self.sim.now + timeout
-        while not event.triggered and self.sim.now < deadline:
-            step_until = min(deadline, self.sim.now + 5.0)
-            self.sim.run(until=step_until)
-        if event.triggered and settle > 0:
-            self.sim.run(until=self.sim.now + settle)
-        return event.triggered
+        return self.fabric.run_until(lambda: event.triggered, timeout, settle)
 
     def run_until_records(self, total, timeout=600.0, settle=1.0):
         """Run until ``total`` records have been analyzed and reported.
@@ -793,15 +833,11 @@ class GridManagementSystem:
         Returns True when every record made it through analysis.
         """
 
-        def analyzed():
-            return sum(r.records_analyzed for r in self.interface.reports)
+        def done():
+            reports = self.interface.reports
+            return sum(r.records_analyzed for r in reports) >= total
 
-        deadline = self.sim.now + timeout
-        while analyzed() < total and self.sim.now < deadline:
-            self.sim.run(until=min(deadline, self.sim.now + 5.0))
-        if analyzed() >= total and settle > 0:
-            self.sim.run(until=self.sim.now + settle)
-        return analyzed() >= total
+        return self.fabric.run_until(done, timeout, settle)
 
     # -- reporting ------------------------------------------------------------------
 

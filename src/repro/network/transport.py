@@ -179,7 +179,6 @@ class Transport:
         self._pending = {}  # flow key -> _WireBatch filling this instant
         self._pool = []  # recycled _WireBatch objects
         self._loss_random = None  # cached "transport-loss" stream .random
-        self._delivered_hook = None  # set by simkernel.trace.trace_transport
 
     # -- submission ----------------------------------------------------------
 
@@ -430,8 +429,6 @@ class Transport:
             self._drop(batch.messages[index], batch.sinks[index], reason)
         else:
             self._resolve(batch.sinks[index], delivered)
-            if self._delivered_hook is not None:
-                self._delivered_hook(delivered)
         batch.unresolved -= 1
         if batch.unresolved == 0:
             self._recycle(batch)

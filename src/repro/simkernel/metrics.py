@@ -7,7 +7,6 @@ through a :class:`MetricRegistry`.
 """
 
 import bisect
-import math
 
 
 def _labeled_name(name, labels):
@@ -92,39 +91,6 @@ class TimeSeries:
         if not self.points:
             return 0.0
         return max(value for _, value in self.points)
-
-    def percentile(self, q):
-        """Linear-interpolated percentile of the recorded values; q in [0,100].
-
-        **Cost: O(n log n) per query** -- every call sorts the full point
-        list -- and the list itself is unbounded, so this is an *offline*
-        analysis helper, not a monitoring primitive.  Hot paths that need
-        repeated quantile reads over a live stream (the health layer, the
-        ``stage_latency`` pipeline audit) use
-        :class:`repro.simkernel.histogram.LatencyHistogram` instead:
-        O(1) record, bounded memory, <=1% relative quantile error.
-        """
-        if not 0 <= q <= 100:
-            raise ValueError("q must be within [0, 100]")
-        if not self.points:
-            return 0.0
-        ordered = sorted(value for _, value in self.points)
-        # Exact edges: q=0 is the minimum and q=100 the maximum by
-        # definition; short-circuiting also keeps float noise in
-        # (q/100)*(n-1) from pushing the bracket off either end.
-        if q == 0 or len(ordered) == 1:
-            return ordered[0]
-        if q == 100:
-            return ordered[-1]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = math.floor(rank)
-        high = min(math.ceil(rank), len(ordered) - 1)
-        if low == high or ordered[low] == ordered[high]:
-            return ordered[low]
-        frac = rank - low
-        interpolated = ordered[low] * (1 - frac) + ordered[high] * frac
-        # clamp: float rounding (e.g. subnormals) must not escape the bracket
-        return min(max(interpolated, ordered[low]), ordered[high])
 
     def snapshot(self, window=None, max_points=None):
         """A bounded copy of the points: the long-run-safe view.

@@ -1,9 +1,8 @@
 """Causal tracing + unified telemetry: the pipeline flight recorder.
 
-:mod:`repro.simkernel.trace` answers "what happened, in order?" with a flat
-event log.  This module answers the harder operational question -- "where
-did batch 17 spend its time, and why did it never reach a report?" -- by
-recording **spans**: named intervals with a causal parent, grouped into
+This module answers the operational question "where did batch 17
+spend its time, and why did it never reach a report?" by recording
+**spans**: named intervals with a causal parent, grouped into
 traces that follow one collector batch through the Figure-2 pipeline
 (collect -> ship -> classify -> notify -> dispatch -> analyze -> report).
 
@@ -115,8 +114,7 @@ class Span:
 class SpanRecorder:
     """A bounded, deterministic span store.
 
-    Unlike the ring-buffer :class:`~repro.simkernel.trace.SimulationTracer`,
-    a full recorder *rejects new spans* instead of evicting old ones:
+    A full recorder *rejects new spans* instead of evicting old ones:
     evicting a parent would orphan its whole subtree, while rejecting the
     tail keeps every stored span's causal chain intact.  Rejections are
     counted in :attr:`dropped`.

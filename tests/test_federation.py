@@ -41,7 +41,10 @@ class TestConstruction:
         assert system.global_root is not None
         assert system.global_interface is not None
         assert len(system.interfaces()) == 1
-        assert all(runtime.root is None for runtime in system.sites.values())
+        # every site's grid reports to the one root and interface
+        assert all(grid.root is system.global_root
+                   and grid.interface is system.global_interface
+                   for grid in system.sites.values())
 
     def test_siloed_has_per_site_roots(self):
         system = FederatedManagementSystem(two_site_spec(SILOED))

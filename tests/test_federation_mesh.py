@@ -92,7 +92,7 @@ class TestConstruction:
             assert runtime.root.forward_threshold == \
                 system.spec.forward_threshold
             assert set(gateway.peer_gateways) == \
-                set(system.sites) - {runtime.name}
+                set(system.sites) - {runtime.site}
 
     def test_mesh_defaults_derive_from_heartbeat(self):
         system = FederatedManagementSystem(
@@ -410,3 +410,115 @@ class TestByteIdentity:
                     system.forwarding_report())
 
         assert digest() == digest()
+
+
+class TestShardedSiteGrids:
+    """A site is a grid, so grid options such as ``shards`` reach it."""
+
+    def test_two_site_mesh_with_two_shards_per_site_drains(self):
+        system = FederatedManagementSystem(mesh_spec(
+            2, telemetry=True, forward_threshold=1, sites=[
+                SiteSpec.simple("site%d" % (index + 1), device_count=4,
+                                shards=2)
+                for index in range(2)
+            ]))
+        for grid in system.sites.values():
+            assert len(grid.stores) == 2
+            assert grid.ring is not None
+        goals = system.make_site_goals(polls_per_type=4)
+        goals["site1"] = goals["site1"] * 3  # saturate site1 -> forwarding
+        system.assign_site_goals(goals)
+        channel = system.reliable_channel
+
+        def drained():
+            return (
+                channel.pending_count() == 0
+                and channel.parked_count() == 0
+                and all(classifier._open_dataset is None
+                        for grid in system.sites.values()
+                        for classifier in grid.classifiers)
+                and all(grid.root.datasets for grid in system.sites.values())
+                and all(state.finished
+                        for grid in system.sites.values()
+                        for state in grid.root.datasets.values())
+            )
+
+        while system.sim.now < 3000.0 and not drained():
+            system.sim.run(until=system.sim.now + 5.0)
+        assert drained()
+        dead_records = {}
+        for dead in channel.dead_letters:
+            acl = dead.message.payload
+            if getattr(acl, "ontology", None) == "collected-batch":
+                site = acl.sender.split("@", 1)[1]
+                dead_records[site] = (dead_records.get(site, 0)
+                                      + len(acl.content["records"]))
+        for site, grid in system.sites.items():
+            shipped = sum(c.records_shipped for c in grid.collectors)
+            classified = sum(c.records_classified for c in grid.classifiers)
+            assert shipped > 0
+            assert shipped == classified + dead_records.get(site, 0)
+            # both shards of the site took records
+            assert all(store.records_stored for store in grid.stores)
+        report = system.forwarding_report()
+        assert report["jobs_forwarded"] > 0
+        assert report["jobs_forwarded"] == \
+            report["results_delivered"] + report["forwards_expired"]
+        recorder = system.telemetry.recorder
+        assert recorder.orphan_spans() == []
+        assert system.telemetry.pipeline_report()["orphans"] == []
+
+
+class TestSiteGrids:
+    @pytest.mark.parametrize("mode", [INTEGRATED, SILOED, MESH])
+    def test_every_site_is_a_grid_on_one_fabric(self, mode):
+        from repro.core.system import GridManagementSystem
+
+        overrides = {} if mode == MESH else {"heartbeat_interval": None}
+        system = FederatedManagementSystem(
+            mesh_spec(2, mode=mode, **overrides))
+        for site, grid in system.sites.items():
+            assert isinstance(grid, GridManagementSystem)
+            assert grid.fabric is system.fabric
+            assert grid.sim is system.sim
+            assert grid.platform is system.platform
+            assert grid.classifier.name == "classifier@" + site
+            assert grid.collectors[0].name == "collector-1@" + site
+            assert grid.analyzers[0].name == "analyzer-1@" + site
+        root_names = {grid.root.name for grid in system.sites.values()}
+        if mode == INTEGRATED:
+            assert root_names == {"pg-root@site1"}
+        else:
+            assert root_names == {"pg-root@site1", "pg-root@site2"}
+
+    def test_site_options_the_federation_sets_are_rejected(self):
+        for options in ({"seed": 3}, {"storage_host": None},
+                        {"telemetry": True}, {"slos": ()}):
+            with pytest.raises(ValueError, match="site1"):
+                SiteSpec.simple("site1", **options)
+
+    def test_integrated_sites_cannot_shard(self):
+        with pytest.raises(ValueError, match="site2"):
+            FederatedTopologySpec(
+                sites=[SiteSpec.simple("site1"),
+                       SiteSpec.simple("site2", shards=2)],
+                mode=INTEGRATED)
+
+    @pytest.mark.parametrize("sizes", [
+        {"collector_count": 0}, {"analyzer_count": 0},
+    ])
+    def test_sites_need_a_collector_and_an_analyzer(self, sizes):
+        with pytest.raises(ValueError, match="site2"):
+            SiteSpec.simple("site2", **sizes)
+
+    @pytest.mark.parametrize("mode", [INTEGRATED, SILOED])
+    def test_gateway_heartbeat_outside_mesh_is_rejected(self, mode):
+        with pytest.raises(ValueError, match="heartbeat_interval"):
+            mesh_spec(2, mode=mode, heartbeat_interval=0.5)
+
+    def test_cli_rejects_heartbeat_outside_mesh(self, capsys):
+        from repro import cli
+
+        assert cli.main(["federation", "--mode", "integrated",
+                         "--heartbeat", "0.5"]) != 0
+        assert "heartbeat_interval" in capsys.readouterr().out

@@ -7,7 +7,6 @@ from repro.core.costs import CostModel
 from repro.evaluation.tables import format_table
 from repro.rules.facts import Fact, WorkingMemory
 from repro.simkernel.events import EventQueue
-from repro.simkernel.metrics import TimeSeries
 from repro.simkernel.resources import Resource, ResourceKind
 from repro.simkernel.rng import derive_seed
 from repro.simkernel.simulator import Simulator
@@ -151,19 +150,6 @@ def pytest_approx(value):
     import pytest
 
     return pytest.approx(value)
-
-
-class TestTimeSeriesProperties:
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                              allow_nan=False), min_size=1, max_size=50))
-    def test_percentile_bounds(self, values):
-        series = TimeSeries("s")
-        for index, value in enumerate(values):
-            series.record(float(index), value)
-        assert series.percentile(0) == min(values)
-        assert series.percentile(100) == max(values)
-        median = series.percentile(50)
-        assert min(values) <= median <= max(values)
 
 
 class TestRngProperties:

@@ -77,19 +77,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             series.record(4, 1.0)
 
-    def test_percentile_interpolates(self):
-        series = TimeSeries("s")
-        for index, value in enumerate([10.0, 20.0, 30.0, 40.0]):
-            series.record(index, value)
-        assert series.percentile(0) == 10.0
-        assert series.percentile(100) == 40.0
-        assert series.percentile(50) == 25.0
-
-    def test_percentile_bounds_checked(self):
-        series = TimeSeries("s")
-        with pytest.raises(ValueError):
-            series.percentile(101)
-
     def test_time_weighted_mean_of_step_function(self):
         series = TimeSeries("s")
         series.record(0.0, 0.0)
@@ -101,7 +88,6 @@ class TestMetrics:
         series = TimeSeries("s")
         assert series.mean() == 0.0
         assert series.maximum() == 0.0
-        assert series.percentile(50) == 0.0
         assert series.last() is None
 
     def test_registry_reuses_instances(self):
