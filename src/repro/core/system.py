@@ -342,11 +342,13 @@ class GridManagementSystem:
         self.cost_model = spec.cost_model
         self.site = spec.storage_host.site
         self._suffix = ""
+        self._site_labels = {}
         if fabric is None:
             fabric = Fabric(spec.seed, spec.wan, spec.reliability,
                             spec.telemetry)
         else:
             self._suffix = "@" + self.site
+            self._site_labels = {"site": self.site}
         if processor is not None and processor.fabric is not fabric:
             raise ValueError("a processor grid must share this grid's fabric")
         self.fabric = fabric
@@ -675,6 +677,7 @@ class GridManagementSystem:
         if self.ring is not None:
             registry = telemetry.registry
             system = self
+            site_labels = self._site_labels
 
             def _shard_metrics():
                 # Supplier with a side effect: refresh the per-shard
@@ -682,9 +685,9 @@ class GridManagementSystem:
                 # scalar shard health counters as its own source dict.
                 for index, store in enumerate(system.stores):
                     registry.gauge(
-                        "shard.records", {"shard": str(index)},
+                        "shard.records", dict(site_labels, shard=str(index)),
                     ).set(store.records_stored)
-                registry.gauge("shard.scatter_fanout").set(
+                registry.gauge("shard.scatter_fanout", site_labels).set(
                     system.root.last_scatter_fanout)
                 return {
                     "shards": len(system.ring),
@@ -778,7 +781,8 @@ class GridManagementSystem:
         self.rebalances += 1
         self.records_rebalanced += total
         if self.telemetry is not None:
-            self.telemetry.registry.counter("shard.rebalanced").inc(
+            self.telemetry.registry.counter(
+                "shard.rebalanced", self._site_labels).inc(
                 max(0, total))
 
     # -- goal assignment -------------------------------------------------------

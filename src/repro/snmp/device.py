@@ -8,7 +8,19 @@ Fault injection (used by the fault-management example and benches) switches
 the dynamics into degraded regimes that the stock analysis rules detect.
 """
 
+from math import cos, log, pi, sin, sqrt
+
 from repro.snmp.mib import MibObject, MibTree, std
+
+_TWO_PI = 2.0 * pi
+
+
+def _normal_pair(random):
+    """Two standard normals from two uniforms, as ``random.Random.gauss``
+    draws them (Box-Muller): it returns the first and caches the second."""
+    x2pi = random() * _TWO_PI
+    g2rad = sqrt(-2.0 * log(1.0 - random()))
+    return cos(x2pi) * g2rad, sin(x2pi) * g2rad
 
 
 class DeviceProfile:
@@ -134,7 +146,17 @@ class ManagedDevice:
     @profile.setter
     def profile(self, profile):
         # A swap (e.g. rerouted traffic multiplying the rate) applies from
-        # now on: the ticks before it replay under the old profile.
+        # now on: the ticks before it replay under the old profile.  The
+        # counters and the MIB keep the shape they were built with.
+        current = self._profile
+        if (profile.interface_count != current.interface_count
+                or profile.process_slots != current.process_slots):
+            raise ValueError(
+                "profile %r has %d interfaces and %d process slots; %s "
+                "needs %d and %d" % (
+                    profile.name, profile.interface_count,
+                    profile.process_slots, self.name,
+                    current.interface_count, current.process_slots))
         self.catch_up()
         self._profile = profile
 
@@ -152,7 +174,7 @@ class ManagedDevice:
         mib = self._mib
         mib.register_scalar(
             std.SYS_DESCR, "sysDescr",
-            "repro %s device" % self.profile.name,
+            lambda: "repro %s device" % self._profile.name,
         )
         mib.register_scalar(
             std.SYS_UPTIME, "sysUpTime",
@@ -173,7 +195,8 @@ class ManagedDevice:
             std.DISK_FREE, "dskAvail", lambda: self.disk_free_kb, units="kB",
         )
         mib.register_scalar(
-            std.DISK_TOTAL, "dskTotal", self.profile.disk_total_kb, units="kB",
+            std.DISK_TOTAL, "dskTotal", lambda: self._profile.disk_total_kb,
+            units="kB",
         )
         mib.register_scalar(
             std.PROC_COUNT, "hrSystemProcesses", lambda: self.proc_count,
@@ -183,20 +206,20 @@ class ManagedDevice:
         )
         for index in range(1, self.profile.interface_count + 1):
             mib.register(MibObject(
-                std.IF_IN_OCTETS.child(index), "ifInOctets.%d" % index,
+                std.IF_IN_OCTETS_AT[index], "ifInOctets.%d" % index,
                 self._octet_reader(self.if_in_octets, index - 1), units="octets",
             ))
             mib.register(MibObject(
-                std.IF_OUT_OCTETS.child(index), "ifOutOctets.%d" % index,
+                std.IF_OUT_OCTETS_AT[index], "ifOutOctets.%d" % index,
                 self._octet_reader(self.if_out_octets, index - 1), units="octets",
             ))
             mib.register(MibObject(
-                std.IF_OPER_STATUS.child(index), "ifOperStatus.%d" % index,
+                std.IF_OPER_STATUS_AT[index], "ifOperStatus.%d" % index,
                 self._status_reader(index),
             ))
         for slot, name in enumerate(self.process_names, start=1):
             mib.register_scalar(
-                std.PROC_TABLE.child(slot), "hrSWRunName.%d" % slot, name,
+                std.PROC_TABLE_AT[slot], "hrSWRunName.%d" % slot, name,
             )
 
     def _octet_reader(self, counters, index):
@@ -216,6 +239,13 @@ class ManagedDevice:
         The fault flags and the profile are read once per call: both only
         change through :meth:`inject_fault`, :meth:`clear_fault` and the
         ``profile`` setter, which catch up first.
+
+        The draws are ``random.Random``'s ``gauss``, ``uniform`` and
+        ``randint`` written out over the generator's C methods ``random``
+        and ``getrandbits``, with the same formulas and the same
+        ``gauss_next`` cache, so stream and values match the method calls
+        bit for bit while skipping their Python frames.  The clamps are
+        the comparisons ``min(high, max(low, x))`` makes.
         """
         target = int((self.sim.now - self.started_at) / self.tick)
         missed = target - self._ticks_done
@@ -224,12 +254,10 @@ class ManagedDevice:
         self._ticks_done = target
         profile = self._profile
         faults = self.faults
-        # Draw from the stream's generator directly: the RngStream
-        # wrappers would add a call per draw to the hottest loop.
         draws = self.rng._random
-        gauss = draws.gauss
-        randint = draws.randint
-        uniform = draws.uniform
+        random = draws.random
+        getrandbits = draws.getrandbits
+        pending = draws.gauss_next  # gauss's cached second normal
 
         if faults.cpu_runaway:
             cpu_mu, cpu_sigma, cpu_low, cpu_high = 97.0, 2.0, 90.0, 100.0
@@ -256,20 +284,60 @@ class ManagedDevice:
         procs = self.proc_count
 
         for _ in range(missed):
-            cpu = min(cpu_high, max(cpu_low, gauss(cpu_mu, cpu_sigma)))
-            load = max(0.0, cpu / 25.0 + gauss(0, 0.1))
+            if pending is None:
+                z, pending = _normal_pair(random)
+            else:
+                z, pending = pending, None
+            cpu = cpu_mu + z * cpu_sigma
+            if cpu <= cpu_low:
+                cpu = cpu_low
+            if cpu >= cpu_high:
+                cpu = cpu_high
+            if pending is None:
+                z, pending = _normal_pair(random)
+            else:
+                z, pending = pending, None
+            # gauss(0, 0.1) is 0 + z * 0.1; the 0 + only turns -0.0 into
+            # 0.0, which cannot change the sum since cpu is never -0.0.
+            load = cpu / 25.0 + z * 0.1
+            if load <= 0.0:
+                load = 0.0
             if leaking:
                 mem = max(0, int(mem - leak))
             else:
-                mem = int(min(mem_high, max(mem_low, gauss(mem_mu, mem_sigma))))
+                if pending is None:
+                    z, pending = _normal_pair(random)
+                else:
+                    z, pending = pending, None
+                level = mem_mu + z * mem_sigma
+                if level <= mem_low:
+                    level = mem_low
+                if level >= mem_high:
+                    level = mem_high
+                mem = int(level)
             if filling:
                 disk = max(0, int(disk - fill))
-            procs = max(1, procs + randint(-3, 3))
+            step = getrandbits(3)  # randint(-3, 3) is -3 + randbelow(7)
+            while step >= 7:
+                step = getrandbits(3)
+            procs = max(1, procs - 3 + step)
             for index in live:
-                delta = min(rate_high, max(0.0, gauss(rate, rate_sigma)))
+                if pending is None:
+                    x2pi = random() * _TWO_PI
+                    g2rad = sqrt(-2.0 * log(1.0 - random()))
+                    z = cos(x2pi) * g2rad
+                    pending = sin(x2pi) * g2rad
+                else:
+                    z, pending = pending, None
+                delta = rate + z * rate_sigma
+                if delta <= 0.0:
+                    delta = 0.0
+                if delta >= rate_high:
+                    delta = rate_high
                 in_octets[index] += int(delta)
-                out_octets[index] += int(delta * uniform(0.5, 1.0))
+                out_octets[index] += int(delta * (0.5 + 0.5 * random()))
 
+        draws.gauss_next = pending
         self.cpu_load = cpu
         self.load_avg = load
         self.mem_available_kb = mem
@@ -292,10 +360,7 @@ class ManagedDevice:
         elif kind == "disk_filling":
             self.faults.disk_filling = True
         elif kind == "interface_down":
-            if interface is None:
-                raise ValueError("interface_down needs an interface index")
-            if not 0 <= interface < self.profile.interface_count:
-                raise ValueError("interface %r out of range" % interface)
+            self.check_interface(interface)
             self.faults.down_interfaces.add(interface)
         else:
             raise ValueError("unknown fault kind %r" % kind)
@@ -312,9 +377,19 @@ class ManagedDevice:
             self.faults.disk_filling = False
             self.disk_free_kb = int(self.profile.disk_total_kb * 0.5)
         elif kind == "interface_down":
+            self.check_interface(interface)
             self.faults.down_interfaces.discard(interface)
         else:
             raise ValueError("unknown fault kind %r" % kind)
+
+    def check_interface(self, interface):
+        """Raise ValueError unless ``interface`` is a valid 0-based index."""
+        if interface is None:
+            raise ValueError("interface_down needs an interface index")
+        count = self._profile.interface_count
+        if not 0 <= interface < count:
+            raise ValueError("interface %r out of range for %s (%d interfaces)"
+                             % (interface, self.name, count))
 
     @property
     def name(self):

@@ -102,6 +102,22 @@ class MibTree:
         return list(self._order)
 
 
+class _Instances(dict):
+    """The instance OIDs ``column.child(index)`` of one table column.
+
+    Each index's OID is built on first use and shared from then on by
+    every MIB and request (an :class:`OID` is immutable).
+    """
+
+    def __init__(self, column):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, index):
+        oid = self[index] = self.column.child(index)
+        return oid
+
+
 class StandardMib:
     """Well-known OIDs used by the reproduction's workloads.
 
@@ -134,6 +150,13 @@ class StandardMib:
     # Process table (hrSWRunName-ish; index appended per slot)
     PROC_TABLE = OID("1.3.6.1.2.1.25.4.2.1.2")       # .index
 
+    #: Instance OIDs by index: ``IF_IN_OCTETS_AT[i]`` is
+    #: ``IF_IN_OCTETS.child(i)``, built once.
+    IF_IN_OCTETS_AT = _Instances(IF_IN_OCTETS)
+    IF_OUT_OCTETS_AT = _Instances(IF_OUT_OCTETS)
+    IF_OPER_STATUS_AT = _Instances(IF_OPER_STATUS)
+    PROC_TABLE_AT = _Instances(PROC_TABLE)
+
     #: OID groups by request type (paper section 4.1's example workload):
     #: A = station performance, B = storage & processes, C = traffic.
     GROUP_PERFORMANCE = "performance"
@@ -147,14 +170,14 @@ class StandardMib:
             return [cls.CPU_LOAD, cls.MEM_AVAIL, cls.LOAD_AVG_1MIN]
         if group == cls.GROUP_STORAGE:
             oids = [cls.DISK_FREE, cls.DISK_TOTAL, cls.PROC_COUNT]
-            oids.extend(cls.PROC_TABLE.child(i + 1) for i in range(process_slots))
+            oids.extend(cls.PROC_TABLE_AT[i + 1] for i in range(process_slots))
             return oids
         if group == cls.GROUP_TRAFFIC:
             oids = [cls.IF_COUNT]
             for index in range(1, interface_count + 1):
-                oids.append(cls.IF_IN_OCTETS.child(index))
-                oids.append(cls.IF_OUT_OCTETS.child(index))
-                oids.append(cls.IF_OPER_STATUS.child(index))
+                oids.append(cls.IF_IN_OCTETS_AT[index])
+                oids.append(cls.IF_OUT_OCTETS_AT[index])
+                oids.append(cls.IF_OPER_STATUS_AT[index])
             return oids
         raise ValueError("unknown OID group %r" % group)
 

@@ -42,7 +42,8 @@ class FaultEvent:
             "site_partition"/"site_partition_heal", a list/tuple of host
             names (the island) for "host_partition", or -- for
             "link_loss_burst" -- "wan" or a site name.
-        interface: interface index ("interface_down" only).
+        interface: 0-based interface index; required by "interface_down"
+            and rejected by every other kind.
         clear_after: optional duration after which the fault self-clears
             (device faults, "host_down" recovery, burst end, partition
             auto-heal).  Rejected for "container_down"/"agent_down":
@@ -73,7 +74,10 @@ class FaultEvent:
             raise ValueError("unknown fault kind %r" % kind)
         if at < 0:
             raise ValueError("fault time must be >= 0")
-        if interface is not None and kind != "interface_down":
+        if kind == "interface_down":
+            if interface is None:
+                raise ValueError("interface_down requires interface=")
+        elif interface is not None:
             raise ValueError(
                 "interface= only applies to interface_down, not %r" % kind)
         if clear_after is not None:
@@ -314,8 +318,8 @@ def apply_fault_plan(system, plan):
     against ``system.platform.containers``; agent faults against the
     platform's agent registry; host faults against ``system.network``;
     loss bursts against the WAN or a site LAN; partitions against a site.
-    Unknown targets raise immediately (misconfigured experiments should
-    fail loudly).
+    Unknown targets and out-of-range interface indices raise immediately
+    (misconfigured experiments should fail loudly).
     """
     for event in plan:
         if event.kind == FaultEvent.CONTAINER_DOWN:
@@ -374,6 +378,8 @@ def apply_fault_plan(system, plan):
             device = system.devices.get(event.target)
             if device is None:
                 raise KeyError("unknown device %r" % event.target)
+            if event.kind == "interface_down":
+                device.check_interface(event.interface)  # fail loudly now
             system.sim.schedule(
                 event.at, device.inject_fault, (event.kind, event.interface),
             )

@@ -469,6 +469,41 @@ class TestShardedSiteGrids:
         assert system.telemetry.pipeline_report()["orphans"] == []
 
 
+    def test_shard_gauges_carry_the_site(self):
+        system = FederatedManagementSystem(mesh_spec(
+            2, telemetry=True, sites=[
+                SiteSpec.simple("site%d" % (index + 1), device_count=4,
+                                shards=2)
+                for index in range(2)
+            ]))
+        system.assign_site_goals(system.make_site_goals(polls_per_type=2))
+        system.sim.run(until=60.0)
+        system.sites["site1"].add_storage_shard()
+        system.sim.run(until=200.0)
+        registry = system.telemetry.metrics_snapshot()["registry"]
+        gauges = registry["gauges"]
+        shard_gauges = sorted(
+            name for name in gauges if name.startswith("shard."))
+        assert shard_gauges == [
+            "shard.records{shard=0,site=site1}",
+            "shard.records{shard=0,site=site2}",
+            "shard.records{shard=1,site=site1}",
+            "shard.records{shard=1,site=site2}",
+            "shard.records{shard=2,site=site1}",
+            "shard.scatter_fanout{site=site1}",
+            "shard.scatter_fanout{site=site2}",
+        ]
+        for site, grid in system.sites.items():
+            for index, store in enumerate(grid.stores):
+                assert gauges["shard.records{shard=%d,site=%s}" % (
+                    index, site)] == store.records_stored
+        assert sum(gauges[name] for name in shard_gauges
+                   if name.startswith("shard.records")) > 0
+        counters = registry["counters"]
+        assert counters["shard.rebalanced{site=site1}"] > 0
+        assert "shard.rebalanced" not in counters
+
+
 class TestSiteGrids:
     @pytest.mark.parametrize("mode", [INTEGRATED, SILOED, MESH])
     def test_every_site_is_a_grid_on_one_fabric(self, mode):

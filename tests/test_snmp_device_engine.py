@@ -99,6 +99,7 @@ _STEPS = st.lists(st.tuples(
     st.floats(min_value=0.0, max_value=4.0),
     st.one_of(
         st.just(("read",)),
+        st.just(("draw",)),
         st.tuples(st.sampled_from(("inject", "clear")),
                   st.sampled_from(_FAULT_KINDS), st.integers(0, 23)),
         st.tuples(st.just("swap"), st.sampled_from(sorted(PROFILES)),
@@ -203,6 +204,12 @@ class TestDevice:
             for each in (device, oracle):
                 if action[0] == "read":
                     each.catch_up()
+                elif action[0] == "draw":
+                    # A foreign draw on a caught-up stream leaves gauss's
+                    # cached second normal pending for the next replay.
+                    each.catch_up()
+                    each.rng.gauss(0, 1)
+                    each.rng.random()
                 elif action[0] == "swap":
                     each.profile = _hot(
                         each.profile, PROFILES[action[1]], action[2])
@@ -223,6 +230,38 @@ class TestDevice:
             device.inject_fault("interface_down")  # missing index
         with pytest.raises(ValueError):
             device.inject_fault("interface_down", interface=99)
+
+    def test_clear_fault_checks_the_interface_index(self, stack):
+        _, _, _, device, _, _ = stack
+        device.inject_fault("interface_down", interface=1)
+        with pytest.raises(ValueError):
+            device.clear_fault("interface_down")  # missing index
+        with pytest.raises(ValueError):
+            device.clear_fault("interface_down", interface=99)
+        assert device.faults.down_interfaces == {1}
+
+    @pytest.mark.parametrize("read_first", [True, False])
+    def test_profile_swap_must_keep_the_mib_shape(self, read_first):
+        sim, device = _device(profile="server", tick=0.5)
+        sim.run(until=3.0)
+        if read_first:
+            device.catch_up()
+        with pytest.raises(ValueError):
+            device.profile = PROFILES["router"]
+        assert device.profile is PROFILES["server"]
+        sim.run(until=6.0)
+        device.catch_up()
+        assert len(device.if_in_octets) == len(device.mib.walk(
+            std.IF_IN_OCTETS)) == PROFILES["server"].interface_count
+
+    def test_profile_scalars_follow_the_current_profile(self):
+        _, device = _device(profile="router", tick=0.5)
+        assert device.mib.get(std.SYS_DESCR).read() == "repro router device"
+        device.profile = _hot(device.profile, PROFILES["switch"], 2.0)
+        assert device.mib.get(std.SYS_DESCR).read() == \
+            "repro switch-x2 device"
+        assert device.mib.get(std.DISK_TOTAL).read() == \
+            PROFILES["switch"].disk_total_kb * 2
 
 
 class TestEngineAndClient:

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.network.topology import Network
+from repro.simkernel.simulator import Simulator
+from repro.snmp.device import ManagedDevice, PROFILES
 from repro.snmp.mib import MibObject, MibTree, StandardMib, std
 from repro.snmp.oids import OID
 
@@ -131,3 +134,54 @@ class TestStandardMib:
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError):
             StandardMib.group_oids("telepathy")
+
+
+def _fresh(column, index):
+    """``column.child(index)`` from a newly parsed column OID."""
+    return OID(str(column)).child(index)
+
+
+class TestSharedInstanceOids:
+    def test_group_oids_equal_fresh_construction(self):
+        for count in range(1, 49):
+            traffic = [std.IF_COUNT]
+            for index in range(1, count + 1):
+                traffic += [_fresh(std.IF_IN_OCTETS, index),
+                            _fresh(std.IF_OUT_OCTETS, index),
+                            _fresh(std.IF_OPER_STATUS, index)]
+            storage = [std.DISK_FREE, std.DISK_TOTAL, std.PROC_COUNT] + [
+                _fresh(std.PROC_TABLE, slot) for slot in range(1, count + 1)]
+            assert std.group_oids(
+                std.GROUP_TRAFFIC, interface_count=count) == traffic
+            assert std.group_oids(
+                std.GROUP_STORAGE, process_slots=count) == storage
+        # a fresh list each call: callers may extend it
+        assert std.group_oids(std.GROUP_TRAFFIC) is not \
+            std.group_oids(std.GROUP_TRAFFIC)
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_device_mib_equals_fresh_construction(self, name):
+        profile = PROFILES[name]
+        expected = [
+            std.SYS_DESCR, std.SYS_UPTIME, std.SYS_NAME, std.CPU_LOAD,
+            std.MEM_AVAIL, std.LOAD_AVG_1MIN, std.DISK_FREE, std.DISK_TOTAL,
+            std.PROC_COUNT, std.IF_COUNT,
+        ]
+        for index in range(1, profile.interface_count + 1):
+            expected += [_fresh(std.IF_IN_OCTETS, index),
+                         _fresh(std.IF_OUT_OCTETS, index),
+                         _fresh(std.IF_OPER_STATUS, index)]
+        expected += [_fresh(std.PROC_TABLE, slot)
+                     for slot in range(1, profile.process_slots + 1)]
+        sim = Simulator(seed=3)
+        network = Network(sim)
+        first, second = (
+            ManagedDevice(sim, network.add_host(host, "site1", role="device"),
+                          profile=name)
+            for host in ("dev1", "dev2"))
+        assert first.mib.oids() == sorted(expected)
+        # every device's MIB holds the same OID objects
+        assert all(mine is theirs for mine, theirs in zip(
+            first.mib.oids(), second.mib.oids()))
+        assert all(entry.oid is std.IF_IN_OCTETS_AT[index] for index, entry
+                   in enumerate(first.mib.walk(std.IF_IN_OCTETS), start=1))

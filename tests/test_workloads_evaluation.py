@@ -146,6 +146,10 @@ class TestFaultEvents:
         assert FaultEvent(at=0, kind="interface_down", target="d",
                           interface=1).interface == 1
 
+    def test_interface_down_requires_an_index(self):
+        with pytest.raises(ValueError):
+            FaultEvent(at=5.0, kind="interface_down", target="dev1")
+
     def test_site_partition_kind_validation(self):
         # a heal is instantaneous -- it cannot itself clear
         with pytest.raises(ValueError):
@@ -332,6 +336,26 @@ class TestChaosFaultApplication:
                 FaultEvent(at=1.0, kind="link_loss_burst", target="ghost",
                            loss_rate=0.1),
             ]))
+
+    def test_interface_index_checked_at_plan_time(self):
+        from repro.workloads.faults import FaultPlan, apply_fault_plan
+
+        system = self._system()  # dev1 is a 2-interface server
+        for index in (2, -1):
+            with pytest.raises(ValueError):
+                apply_fault_plan(system, FaultPlan([
+                    FaultEvent(at=1.0, kind="interface_down", target="dev1",
+                               interface=index),
+                ]))
+        apply_fault_plan(system, FaultPlan([
+            FaultEvent(at=1.0, kind="interface_down", target="dev1",
+                       interface=1, clear_after=3.0),
+        ]))
+        device = system.devices["dev1"]
+        system.run(until=2)
+        assert device.faults.down_interfaces == {1}
+        system.run(until=10)
+        assert device.faults.down_interfaces == set()
 
 
 class TestKillWindowCoherence:
