@@ -2,25 +2,15 @@
 
 A :class:`ManagedDevice` wraps a simulated :class:`~repro.network.topology.Host`
 (role ``"device"``) and populates a MIB with callables that read its
-state.  The state evolves in fixed ticks that are replayed on demand, when
+state.  The state evolves in fixed ticks that are sampled on demand, when
 the device is read, so devices nobody polls cost no simulation work.
 Fault injection (used by the fault-management example and benches) switches
 the dynamics into degraded regimes that the stock analysis rules detect.
 """
 
-from math import cos, log, pi, sin, sqrt
+from math import ceil, sqrt
 
 from repro.snmp.mib import MibObject, MibTree, std
-
-_TWO_PI = 2.0 * pi
-
-
-def _normal_pair(random):
-    """Two standard normals from two uniforms, as ``random.Random.gauss``
-    draws them (Box-Muller): it returns the first and caches the second."""
-    x2pi = random() * _TWO_PI
-    g2rad = sqrt(-2.0 * log(1.0 - random()))
-    return cos(x2pi) * g2rad, sin(x2pi) * g2rad
 
 
 class DeviceProfile:
@@ -84,14 +74,6 @@ class _Faults:
         self.disk_filling = False
         self.down_interfaces = set()
 
-    def any_active(self):
-        return (
-            self.cpu_runaway
-            or self.memory_leak
-            or self.disk_filling
-            or bool(self.down_interfaces)
-        )
-
 
 class ManagedDevice:
     """A device whose MIB reflects stochastically evolving metrics.
@@ -99,10 +81,11 @@ class ManagedDevice:
     Dynamics advance in ticks of ``tick`` seconds, but nothing runs in the
     background: the device spawns no process and schedules no kernel
     events.  The state attributes (``cpu_load``, ``if_in_octets``, ...)
-    hold the values as of the last :meth:`catch_up`, which replays every
-    tick missed since then.  Every SNMP read, fault change and profile
-    swap catches up first, so an observer sees the values of a device
-    that had ticked all along, while an idle device costs nothing.
+    hold the values as of the last :meth:`catch_up`, which samples them
+    from the distribution after the ticks missed since then.  Every SNMP
+    read, fault change and profile swap catches up first, so an observer
+    sees the values of a device that had ticked all along, while an idle
+    device costs nothing and a read costs the same after any gap.
 
     Args:
         sim: the simulator.
@@ -146,7 +129,7 @@ class ManagedDevice:
     @profile.setter
     def profile(self, profile):
         # A swap (e.g. rerouted traffic multiplying the rate) applies from
-        # now on: the ticks before it replay under the old profile.  The
+        # now on: the ticks before it are sampled under the old profile.  The
         # counters and the MIB keep the shape they were built with.
         current = self._profile
         if (profile.interface_count != current.interface_count
@@ -232,20 +215,25 @@ class ManagedDevice:
     # -- dynamics -----------------------------------------------------------
 
     def catch_up(self):
-        """Replay every tick missed up to ``sim.now``, in one loop.
+        """Bring the state up to ``sim.now`` with a fixed number of draws.
 
-        Each tick draws from the device's private RNG stream in a fixed
-        order, so the values are those of a device updated every tick.
-        The fault flags and the profile are read once per call: both only
-        change through :meth:`inject_fault`, :meth:`clear_fault` and the
-        ``profile`` setter, which catch up first.
+        Nothing observes a device between two reads, so a read samples
+        each field from the tick model's distribution after the ticks
+        missed since the last read instead of replaying them:
 
-        The draws are ``random.Random``'s ``gauss``, ``uniform`` and
-        ``randint`` written out over the generator's C methods ``random``
-        and ``getrandbits``, with the same formulas and the same
-        ``gauss_next`` cache, so stream and values match the method calls
-        bit for bit while skipping their Python frames.  The clamps are
-        the comparisons ``min(high, max(low, x))`` makes.
+        * ``cpu``, ``load`` and a non-leaking ``mem`` are redrawn every
+          tick, so only the last tick's draw survives; one draw has
+          exactly its distribution;
+        * a leak or a fill takes ``ceil(step)`` per tick until the floor
+          at 0 (``int(m - step)`` of an integer ``m``), a closed form;
+        * the octet counters and the ``procs`` walk add an aggregate
+          normal with the summed ticks' means, variances and in/out
+          covariance, clipped so counters never decrease.
+
+        The fault flags and the profile are constant over the missed
+        span: both only change through :meth:`inject_fault`,
+        :meth:`clear_fault` and the ``profile`` setter, which catch up
+        first.  All draws come from the device's own stream.
         """
         target = int((self.sim.now - self.started_at) / self.tick)
         missed = target - self._ticks_done
@@ -254,95 +242,48 @@ class ManagedDevice:
         self._ticks_done = target
         profile = self._profile
         faults = self.faults
-        draws = self.rng._random
-        random = draws.random
-        getrandbits = draws.getrandbits
-        pending = draws.gauss_next  # gauss's cached second normal
+        rng = self.rng
 
         if faults.cpu_runaway:
-            cpu_mu, cpu_sigma, cpu_low, cpu_high = 97.0, 2.0, 90.0, 100.0
+            self.cpu_load = rng.bounded_gauss(97.0, 2.0, 90.0, 100.0)
         else:
-            cpu_mu, cpu_sigma = profile.cpu_mean, profile.cpu_sigma
-            cpu_low, cpu_high = 0.0, 100.0
-        leaking = faults.memory_leak
+            self.cpu_load = rng.bounded_gauss(
+                profile.cpu_mean, profile.cpu_sigma, 0.0, 100.0)
+        self.load_avg = max(0.0, self.cpu_load / 25.0 + rng.gauss(0, 0.1))
         mem_total = profile.mem_total_kb
-        leak = mem_total * 0.02
-        mem_mu, mem_sigma = mem_total * 0.6, mem_total * 0.1
-        mem_low, mem_high = mem_total * 0.2, mem_total * 0.95
-        filling = faults.disk_filling
-        fill = profile.disk_total_kb * 0.03
+        if faults.memory_leak:
+            self.mem_available_kb = max(
+                0, self.mem_available_kb - missed * ceil(mem_total * 0.02))
+        else:
+            self.mem_available_kb = int(rng.bounded_gauss(
+                mem_total * 0.6, mem_total * 0.1,
+                mem_total * 0.2, mem_total * 0.95))
+        if faults.disk_filling:
+            self.disk_free_kb = max(0, self.disk_free_kb - missed * ceil(
+                profile.disk_total_kb * 0.03))
+        # randint(-3, 3) has variance 4 per tick; the walk is matched while
+        # it stays clear of its floor at 1.
+        self.proc_count = max(
+            1, self.proc_count + round(rng.gauss(0, 2.0 * sqrt(missed))))
+        # One tick adds d = clamp(N(r, 0.3r), 0, 3r) in and d * U(0.5, 1)
+        # out: Var d = 0.09 r^2, E[du] = 0.75 r, Var du = 0.0733 r^2 and
+        # Cov(d, du) = 0.0675 r^2.  Two normals give n ticks' sums those
+        # variances and that covariance: 0.225 = 0.0675 / 0.3 and
+        # 0.1507 = sqrt(0.0733 - 0.225^2).
         rate = profile.traffic_rate * self.tick
-        rate_sigma, rate_high = rate * 0.3, rate * 3.0
-        live = [
-            index for index in range(profile.interface_count)
-            if index not in faults.down_interfaces
-        ]
+        mean = missed * rate
+        spread = sqrt(missed) * rate
+        down = faults.down_interfaces
         in_octets = self.if_in_octets
         out_octets = self.if_out_octets
-        mem = self.mem_available_kb
-        disk = self.disk_free_kb
-        procs = self.proc_count
-
-        for _ in range(missed):
-            if pending is None:
-                z, pending = _normal_pair(random)
-            else:
-                z, pending = pending, None
-            cpu = cpu_mu + z * cpu_sigma
-            if cpu <= cpu_low:
-                cpu = cpu_low
-            if cpu >= cpu_high:
-                cpu = cpu_high
-            if pending is None:
-                z, pending = _normal_pair(random)
-            else:
-                z, pending = pending, None
-            # gauss(0, 0.1) is 0 + z * 0.1; the 0 + only turns -0.0 into
-            # 0.0, which cannot change the sum since cpu is never -0.0.
-            load = cpu / 25.0 + z * 0.1
-            if load <= 0.0:
-                load = 0.0
-            if leaking:
-                mem = max(0, int(mem - leak))
-            else:
-                if pending is None:
-                    z, pending = _normal_pair(random)
-                else:
-                    z, pending = pending, None
-                level = mem_mu + z * mem_sigma
-                if level <= mem_low:
-                    level = mem_low
-                if level >= mem_high:
-                    level = mem_high
-                mem = int(level)
-            if filling:
-                disk = max(0, int(disk - fill))
-            step = getrandbits(3)  # randint(-3, 3) is -3 + randbelow(7)
-            while step >= 7:
-                step = getrandbits(3)
-            procs = max(1, procs - 3 + step)
-            for index in live:
-                if pending is None:
-                    x2pi = random() * _TWO_PI
-                    g2rad = sqrt(-2.0 * log(1.0 - random()))
-                    z = cos(x2pi) * g2rad
-                    pending = sin(x2pi) * g2rad
-                else:
-                    z, pending = pending, None
-                delta = rate + z * rate_sigma
-                if delta <= 0.0:
-                    delta = 0.0
-                if delta >= rate_high:
-                    delta = rate_high
-                in_octets[index] += int(delta)
-                out_octets[index] += int(delta * (0.5 + 0.5 * random()))
-
-        draws.gauss_next = pending
-        self.cpu_load = cpu
-        self.load_avg = load
-        self.mem_available_kb = mem
-        self.disk_free_kb = disk
-        self.proc_count = procs
+        for index in range(profile.interface_count):
+            if index in down:
+                continue
+            z1 = rng.gauss(0.0, 1.0)
+            z2 = rng.gauss(0.0, 1.0)
+            in_octets[index] += max(0, int(mean + spread * 0.3 * z1))
+            out_octets[index] += max(0, int(
+                0.75 * mean + spread * (0.225 * z1 + 0.1507 * z2)))
 
     # -- fault injection -------------------------------------------------
 

@@ -50,7 +50,12 @@ class MibObject:
 
 
 class MibTree:
-    """An OID-ordered collection of :class:`MibObject`."""
+    """An OID-ordered collection of :class:`MibObject`.
+
+    Registration only fills the dict; the OID order is sorted on the
+    first GETNEXT, walk or listing after it, so a tree that is only read
+    with GET (every poll) is never sorted.
+    """
 
     def __init__(self):
         self._objects = {}
@@ -62,7 +67,7 @@ class MibTree:
         if oid in self._objects:
             raise ValueError("OID %s already registered" % oid)
         self._objects[oid] = mib_object
-        bisect.insort(self._order, oid)
+        self._order = None
         return mib_object
 
     def register_scalar(self, oid, name, value, writable=False, units=""):
@@ -74,24 +79,32 @@ class MibTree:
     def __len__(self):
         return len(self._objects)
 
+    def _ordered(self):
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self._objects)
+        return order
+
     def get(self, oid):
         """The object at exactly ``oid``, or None."""
         return self._objects.get(as_oid(oid))
 
     def get_next(self, oid):
         """The first object with OID strictly greater than ``oid``, or None."""
-        index = bisect.bisect_right(self._order, as_oid(oid))
-        if index >= len(self._order):
+        order = self._ordered()
+        index = bisect.bisect_right(order, as_oid(oid))
+        if index >= len(order):
             return None
-        return self._objects[self._order[index]]
+        return self._objects[order[index]]
 
     def walk(self, prefix):
         """All objects within the subtree rooted at ``prefix``, in order."""
         prefix = as_oid(prefix)
-        index = bisect.bisect_left(self._order, prefix)
+        order = self._ordered()
+        index = bisect.bisect_left(order, prefix)
         results = []
-        while index < len(self._order):
-            oid = self._order[index]
+        while index < len(order):
+            oid = order[index]
             if not prefix.is_prefix_of(oid):
                 break
             results.append(self._objects[oid])
@@ -99,7 +112,7 @@ class MibTree:
         return results
 
     def oids(self):
-        return list(self._order)
+        return list(self._ordered())
 
 
 class _Instances(dict):

@@ -1,5 +1,8 @@
 """Unit tests for managed devices, the SNMP engine and the client."""
 
+from math import sqrt
+from statistics import fmean, pvariance
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -56,7 +59,8 @@ def advance(device):
 
 
 class PerTickDevice(ManagedDevice):
-    """Replays missed ticks one :func:`advance` at a time (the oracle)."""
+    """Replays missed ticks one :func:`advance` at a time: the reference
+    distribution that a read samples from."""
 
     def catch_up(self):
         target = int((self.sim.now - self.started_at) / self.tick)
@@ -65,8 +69,8 @@ class PerTickDevice(ManagedDevice):
             advance(self)
 
 
-def _device(device_class=ManagedDevice, profile="server", tick=1.0):
-    sim = Simulator(seed=11)
+def _device(device_class=ManagedDevice, profile="server", tick=1.0, seed=11):
+    sim = Simulator(seed=seed)
     host = Network(sim).add_host("dev1", "site1", role="device")
     return sim, device_class(sim, host, profile=profile, tick=tick)
 
@@ -106,6 +110,86 @@ _STEPS = st.lists(st.tuples(
                   st.sampled_from((0.5, 1.0, 6.0))),
     ),
 ), max_size=12)
+
+
+#: Gaps, in ticks, between two reads in the distributional test.
+GAPS = (1, 3, 50, 1500)
+#: Fields drawn fresh each tick (cpu, load, mem), the closed forms (disk)
+#: and the procs walk are compared up to this gap; beyond it only the
+#: octet counters, which pool a sample per live interface.  The walk is
+#: matched in moments only while it stays clear of its floor at 1.
+SCALAR_GAP_LIMIT = 50
+SCALARS = ("cpu", "load", "mem", "disk", "procs")
+COUNTERS = ("in", "out")
+#: Oracle ticks per gap for the scalar gaps (the oracle replays each
+#: one); the fewest samples behind any statistic; reads of the model.
+ORACLE_TICKS = 1200
+MIN_SAMPLES = 30
+MODEL_READS = 400
+#: A statistic of the read-time model may differ from the oracle's by at
+#: most this many standard errors of the difference.
+TOLERANCE = 5.0
+
+
+def _regime(device, faulty):
+    """Put ``device`` in the fault regime: every kind, interface 0 down."""
+    if faulty:
+        for kind in ("cpu_runaway", "memory_leak", "disk_filling"):
+            device.inject_fault(kind)
+        device.inject_fault("interface_down", interface=0)
+
+
+def _reads(device_class, profile, faulty, gap, reads, seed):
+    """Samples of ``reads`` reads ``gap`` ticks apart, by field.
+
+    Each read starts from the same procs, mem and disk, so the walk,
+    the leak and the fill are sampled over exactly ``gap`` ticks; the
+    counters give one (in, out) delta per live interface.
+    """
+    sim, device = _device(device_class, profile=profile, seed=seed)
+    _regime(device, faulty)
+    start = device.proc_count, device.mem_available_kb, device.disk_free_kb
+    live = [index for index in range(device.profile.interface_count)
+            if index not in device.faults.down_interfaces]
+    samples = {field: [] for field in SCALARS + COUNTERS}
+    for _ in range(reads):
+        device.proc_count, device.mem_available_kb, device.disk_free_kb = \
+            start
+        before = list(device.if_in_octets), list(device.if_out_octets)
+        sim.run(until=sim.now + gap * device.tick)
+        device.catch_up()
+        samples["cpu"].append(device.cpu_load)
+        samples["load"].append(device.load_avg)
+        samples["mem"].append(device.mem_available_kb)
+        samples["disk"].append(device.disk_free_kb)
+        samples["procs"].append(device.proc_count - start[0])
+        for index in live:
+            samples["in"].append(device.if_in_octets[index] - before[0][index])
+            samples["out"].append(
+                device.if_out_octets[index] - before[1][index])
+    return samples
+
+
+def _cross_products(oracle, model):
+    """Per-sample (in - mean)(out - mean) of both sides, pooled means."""
+    mean_in = fmean(oracle["in"] + model["in"])
+    mean_out = fmean(oracle["out"] + model["out"])
+    return tuple(
+        [(a - mean_in) * (b - mean_out) for a, b in zip(side["in"], side["out"])]
+        for side in (oracle, model))
+
+
+def _assert_matches(label, oracle, model):
+    """The two sample means agree within ``TOLERANCE`` standard errors
+    (exactly, when neither side varies)."""
+    error = sqrt(pvariance(oracle) / len(oracle)
+                 + pvariance(model) / len(model))
+    gap = abs(fmean(oracle) - fmean(model))
+    assert gap <= TOLERANCE * error, (
+        "%s: oracle %.6g (%d samples), read-time %.6g (%d samples), "
+        "%.1f standard errors apart" % (
+            label, fmean(oracle), len(oracle), fmean(model), len(model),
+            gap / error if error else float("inf")))
 
 
 @pytest.fixture
@@ -183,44 +267,113 @@ class TestDevice:
         reference.catch_up()
         assert _state(swapped) == _state(reference)
 
+    @pytest.mark.parametrize("faulty", [False, True],
+                             ids=["healthy", "faulty"])
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_read_time_marginals_match_the_per_tick_oracle(
+            self, profile, faulty):
+        for n in GAPS:
+            live = PROFILES[profile].interface_count - faulty
+            if n <= SCALAR_GAP_LIMIT:
+                fields = SCALARS + COUNTERS
+                reads = max(MIN_SAMPLES, ORACLE_TICKS // n)
+            else:
+                fields = COUNTERS
+                reads = -(-MIN_SAMPLES // live)
+            oracle = _reads(PerTickDevice, profile, faulty, n, reads,
+                            seed=1000 + n)
+            model = _reads(ManagedDevice, profile, faulty, n,
+                           max(reads, MODEL_READS), seed=2000 + n)
+            label = "%s %s n=%d " % (
+                profile, "faulty" if faulty else "healthy", n)
+            for field in fields:
+                _assert_matches(label + field + " mean",
+                                oracle[field], model[field])
+                center = fmean(oracle[field] + model[field])
+                _assert_matches(label + field + " variance",
+                                [(x - center) ** 2 for x in oracle[field]],
+                                [(x - center) ** 2 for x in model[field]])
+            _assert_matches(label + "in/out covariance",
+                            *_cross_products(oracle, model))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 6.0, 0.011])
+    def test_leak_and_fill_are_the_n_fold_per_tick_update(self, scale):
+        sim, device = _device(profile="server")
+        _, oracle = _device(PerTickDevice, profile="server")
+        for each in (device, oracle):
+            each.profile = _hot(each.profile, PROFILES["server"], scale)
+            each.inject_fault("memory_leak")
+            each.inject_fault("disk_filling")
+        start = device.mem_available_kb + 7, device.disk_free_kb + 3
+        oracle.mem_available_kb, oracle.disk_free_kb = start
+        expected = [start]
+        for _ in range(2000):
+            advance(oracle)
+            expected.append((oracle.mem_available_kb, oracle.disk_free_kb))
+        for n, after in enumerate(expected):
+            device.mem_available_kb, device.disk_free_kb = start
+            sim.run(until=sim.now + n)
+            device.catch_up()
+            assert (device.mem_available_kb, device.disk_free_kb) == after
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_a_read_costs_the_same_draws_after_any_gap(self, faulty):
+        states = []
+        for ticks in (5, 500000):
+            sim, device = _device(profile="router")
+            _regime(device, faulty)
+            sim.run(until=float(ticks))
+            device.catch_up()
+            assert device._ticks_done == ticks
+            states.append(device.rng._random.getstate())
+        assert states[0] == states[1]
+
     @settings(max_examples=300, deadline=None)
     @given(profile=st.sampled_from(sorted(PROFILES)),
            tick=st.sampled_from((0.1, 0.25, 0.5, 1.0, 2.5)),
            steps=_STEPS)
-    # The octet counters sum every tick, so one read after thousands of
-    # ticks also checks the rarely taken clamp branches.
+    # One read after thousands of ticks: the aggregate draws are widest.
     @example(profile="server", tick=0.5, steps=[(1500.0, ("read",))])
     @example(profile="router", tick=0.5, steps=[(1500.0, ("read",))])
     @example(profile="switch", tick=0.5, steps=[(1500.0, ("read",))])
-    def test_replay_equals_per_tick_dynamics(self, profile, tick, steps):
+    def test_reads_keep_the_state_invariants(self, profile, tick, steps):
         sim, device = _device(profile=profile, tick=tick)
-        oracle_sim, oracle = _device(PerTickDevice, profile=profile, tick=tick)
         for delay, action in steps:
-            for each_sim in (sim, oracle_sim):
-                each_sim.run(until=each_sim.now + delay)
-            # The oracle catches up before every action on its own, so a
-            # change the device forgets to catch up for shows as a diff.
-            oracle.catch_up()
-            for each in (device, oracle):
-                if action[0] == "read":
-                    each.catch_up()
-                elif action[0] == "draw":
-                    # A foreign draw on a caught-up stream leaves gauss's
-                    # cached second normal pending for the next replay.
-                    each.catch_up()
-                    each.rng.gauss(0, 1)
-                    each.rng.random()
-                elif action[0] == "swap":
-                    each.profile = _hot(
-                        each.profile, PROFILES[action[1]], action[2])
+            sim.run(until=sim.now + delay)
+            ticks = device._ticks_done
+            runaway = device.faults.cpu_runaway
+            counters = list(device.if_in_octets), list(device.if_out_octets)
+            # Every action catches up first, under the flags it found.
+            if action[0] == "read":
+                device.catch_up()
+            elif action[0] == "draw":
+                device.catch_up()
+                device.rng.gauss(0, 1)
+                device.rng.random()
+            elif action[0] == "swap":
+                device.profile = _hot(
+                    device.profile, PROFILES[action[1]], action[2])
+            else:
+                kind, interface = action[1], action[2]
+                interface %= device.profile.interface_count
+                if action[0] == "inject":
+                    device.inject_fault(kind, interface=interface)
                 else:
-                    kind, interface = action[1], action[2]
-                    interface %= each.profile.interface_count
-                    if action[0] == "inject":
-                        each.inject_fault(kind, interface=interface)
-                    else:
-                        each.clear_fault(kind, interface=interface)
-            assert _state(device) == _state(oracle)
+                    device.clear_fault(kind, interface=interface)
+            for now, before in zip(
+                    (device.if_in_octets, device.if_out_octets), counters):
+                assert all(a >= b for a, b in zip(now, before))
+            low, high = (90.0, 100.0) if runaway else (0.0, 100.0)
+            if device._ticks_done == ticks:
+                low = 0.0
+            assert low <= device.cpu_load <= high
+            assert device.load_avg >= 0.0
+            assert device.mem_available_kb >= 0
+            assert device.disk_free_kb >= 0
+            assert device.proc_count >= 1
+            state = _state(device)
+            device.catch_up()
+            assert _state(device) == state
 
     def test_invalid_fault_kinds_rejected(self, stack):
         _, _, _, device, _, _ = stack

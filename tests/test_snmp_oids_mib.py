@@ -111,6 +111,17 @@ class TestMibTree:
         assert "9.9" not in tree
         assert len(tree) == 5
 
+    def test_registering_after_a_read_keeps_the_oid_order(self, tree):
+        assert [obj.name for obj in tree.walk("1.3")] == ["c1", "c2"]
+        tree.register_scalar("1.3.0", "c0", 0)
+        tree.register_scalar("1.10", "j", 0)
+        tree.register_scalar("1.2.1", "b1", 0)
+        assert tree.get_next("1.2").name == "b1"
+        assert tree.get_next("1.3").name == "c0"
+        assert [obj.name for obj in tree.walk("1.3")] == ["c0", "c1", "c2"]
+        assert tree.oids() == [OID(text) for text in (
+            "1.1", "1.2", "1.2.1", "1.3.0", "1.3.1", "1.3.2", "1.10", "2.1")]
+
 
 class TestStandardMib:
     def test_group_oids_performance(self):

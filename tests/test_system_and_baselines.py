@@ -10,9 +10,15 @@ from repro.baselines.driver import (
     run_figure6,
 )
 from repro.baselines.multiagent import multiagent_spec
-from repro.core.system import GridManagementSystem, GridTopologySpec, HostSpec
+from repro.core.system import (
+    DeviceSpec,
+    GridManagementSystem,
+    GridTopologySpec,
+    HostSpec,
+)
 from repro.evaluation.accounting import compare_reports
 from repro.simkernel.resources import ResourceKind
+from repro.snmp.device import PROFILES
 
 
 class TestSpecValidation:
@@ -29,6 +35,13 @@ class TestSpecValidation:
                 analysis_hosts=[HostSpec("a")],
                 storage_host=HostSpec("s"), interface_host=HostSpec("i"),
             )
+
+    def test_unknown_device_profile_rejected_by_name(self):
+        with pytest.raises(ValueError, match="'d1'.*'rooter'.*router"):
+            DeviceSpec("d1", "rooter")
+        profile = PROFILES["router"]
+        assert DeviceSpec("d2", profile).profile is profile
+        assert DeviceSpec("d3", "switch").profile == "switch"
 
     def test_fetch_timeout_derived_from_job_timeout(self):
         # Default: the whole retry ladder fits in half the job timeout,
