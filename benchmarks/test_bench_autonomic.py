@@ -11,7 +11,7 @@ Both close the paper's future-work items with measurements:
 """
 
 from repro.core.autonomic import MobilityBalancer
-from repro.core.replication import ReplicationService, attach_failover
+from repro.core.replication import ReplicationService
 from repro.core.system import GridManagementSystem, GridTopologySpec, HostSpec
 from repro.baselines.centralized import default_devices
 from repro.evaluation.tables import format_table
@@ -90,14 +90,13 @@ def test_replication_and_failover(once):
             interface_host=HostSpec("iface"),
             seed=29,
             dataset_threshold=6,
+            fetch_timeout=10.0,
+            fetch_retries=1,
         )
         system = GridManagementSystem(spec)
         replica_host = system.network.add_host(
             "stor-replica", "site1", role="storage")
-        service = ReplicationService(system, replica_host, lag=0.2)
-        for analyzer in system.analyzers:
-            attach_failover(analyzer, service.failover_storage_host(),
-                            fetch_timeout=10.0)
+        service = ReplicationService(system, [replica_host], lag=0.2)
         system.sim.schedule(
             20.0,
             lambda: system.storage_container.remove(system.storage_agent))
@@ -109,7 +108,7 @@ def test_replication_and_failover(once):
                            for r in system.interface.reports),
             "replicated": service.records_replicated,
             "failovers": sum(a.fetch_failovers for a in system.analyzers),
-            "replica_fetches": service.replica_store.fetches_served,
+            "replica_fetches": service.replica_stores[0].fetches_served,
             "replica_disk": replica_host.disk.total_units,
             "replica_nic": replica_host.nic.total_units,
         }

@@ -312,11 +312,9 @@ def run_storage_blip(seed=5, timeout=2000.0):
                 "stor", blip_at=0.05, blip_duration=12.0))
 
     def triggering_fetch(original):
-        def fetch(storage_query, size_units, conversation_tag,
-                  reply_units=0.0):
+        def fetch(*args, **kwargs):
             arm_blip()
-            result = yield from original(
-                storage_query, size_units, conversation_tag, reply_units)
+            result = yield from original(*args, **kwargs)
             return result
         return fetch
 

@@ -42,7 +42,7 @@ from repro.core.federation import (
     SiteSpec,
 )
 from repro.core.reactive import ReactiveCollectionService
-from repro.core.replication import ReplicationService, attach_failover
+from repro.core.replication import ReplicationService
 from repro.core.autonomic import MobilityBalancer
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "ReactiveCollectionService",
     "ReplicationService",
     "SiteSpec",
-    "attach_failover",
     "CostModel",
     "Finding",
     "GridManagementSystem",

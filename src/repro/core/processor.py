@@ -935,6 +935,10 @@ class AnalyzerAgent(Agent):
         self.fetch_attempts = 0
         self.fetch_retries_used = 0
         self.fetch_failures = 0
+        self.fetch_failovers = 0
+        #: Primary storage agent name -> its replica's (filled by
+        #: :class:`~repro.core.replication.ReplicationService`).
+        self.replicas = {}
         #: Optional :class:`repro.core.gossip.AnalyzerGossip` component;
         #: installed by the mesh when the spec enables ``gossip=``.  None
         #: in every default build -- the single branch below is the whole
@@ -1065,58 +1069,71 @@ class AnalyzerAgent(Agent):
                 span, findings=len(findings), records=analyzed,
             )
 
-    def _fetch(self, storage_query, size_units, conversation_tag,
-               reply_units=0.0, storage_agent=None):
-        """QUERY_REF to the storage agent; returns the INFORM content.
+    def _fetch(self, storage_agent, storage_query, size_units,
+               conversation_tag, reply_units=0.0):
+        """QUERY_REF to ``storage_agent``; returns the INFORM content.
 
-        Bounded retry loop: each attempt rides the reliable channel (plain
-        send when none is installed) and waits ``fetch_timeout`` plus a
+        The analyzer's one fetch ladder.  ``1 + fetch_retries`` attempts
+        go to the primary; each rides the reliable channel (plain send
+        when none is installed) and waits ``fetch_timeout`` plus a
         transfer allowance sized from the query and the expected reply --
         a big cluster fetch is given the wire time it actually needs
         instead of tripping a spurious retry.  Every attempt reuses the
         same conversation id, so a late reply to an *earlier* attempt
         still completes the fetch; a false retry degrades to extra
-        traffic, never to data loss.
+        traffic, never to data loss.  Any reply ends the attempts at the
+        primary.
 
-        ``storage_agent`` overrides the job's storage agent; concurrent
-        scatter fetches pass it explicitly (each with its own
-        conversation tag) instead of sharing the per-job instance state.
+        When ``replicas`` names a replica for ``storage_agent``, a primary
+        that never answered, or answered with anything but INFORM (the
+        platform's FAILURE bounce for a removed agent), gets one more
+        attempt at the replica under its own conversation
+        ``<tag>-failover-<name>`` with the same patience.
         """
         conversation = "%s-%s" % (conversation_tag, self.name)
         template = MessageTemplate(conversation_id=conversation)
         patience = self.fetch_timeout + 2.0 * (
             size_units + reply_units) / self.host.nic.capacity
-        if storage_agent is None:
-            storage_agent = self._storage_agent_name()
         reply = None
         for attempt in range(1 + self.fetch_retries):
             if attempt:
                 self.fetch_retries_used += 1
-            self.fetch_attempts += 1
-            self.send_reliable(ACLMessage(
-                Performative.QUERY_REF,
-                sender=self.name,
-                receiver=storage_agent,
-                content=storage_query,
-                conversation_id=conversation,
-                size_units=size_units,
-            ))
-            reply = yield from self.receive(template, timeout=patience)
+            reply = yield from self._query(
+                storage_agent, storage_query, size_units, template, patience)
             if reply is not None:
                 break
+        replica = self.replicas.get(storage_agent)
+        if replica is not None and (
+                reply is None or reply.performative != Performative.INFORM):
+            self.fetch_failovers += 1
+            reply = yield from self._query(
+                replica, storage_query, size_units,
+                MessageTemplate(conversation_id="%s-failover-%s" % (
+                    conversation_tag, self.name)),
+                patience)
         if reply is None or reply.performative != Performative.INFORM:
             self.fetch_failures += 1
             return None
         return reply.content
 
-    def _storage_agent_name(self):
-        # Storage agents are named after their host by the system facade;
-        # jobs carry the storage host name.
-        return self._current_storage_agent
+    def _query(self, storage_agent, storage_query, size_units, template,
+               patience):
+        """One QUERY_REF attempt; the reply, or None after ``patience``."""
+        self.fetch_attempts += 1
+        self.send_reliable(ACLMessage(
+            Performative.QUERY_REF,
+            sender=self.name,
+            receiver=storage_agent,
+            content=storage_query,
+            conversation_id=template.conversation_id,
+            size_units=size_units,
+        ))
+        reply = yield from self.receive(template, timeout=patience)
+        return reply
 
     def _run_cluster_job(self, content):
-        self._current_storage_agent = "storage@" + content["storage_host"]
         fetched = yield from self._fetch(
+            "storage@" + content["storage_host"],
             {"op": "fetch-cluster", "dataset": content["dataset"],
              "cluster": content["cluster"]},
             size_units=self.cost_model.fetch_query_size
@@ -1157,12 +1174,12 @@ class AnalyzerAgent(Agent):
         return findings, len(records)
 
     def _run_cross_job(self, content):
-        self._current_storage_agent = "storage@" + content["storage_host"]
         shards = content.get("shards") or ()
         if shards:
             yield from self._scatter_summaries(content, shards)
         else:
             yield from self._fetch(
+                "storage@" + content["storage_host"],
                 {"op": "fetch-summary", "dataset": content["dataset"]},
                 size_units=self.cost_model.cross_query_size,
                 conversation_tag=content["job_id"],
@@ -1201,12 +1218,12 @@ class AnalyzerAgent(Agent):
             for offset, (storage_host, dataset_id) in enumerate(wave):
                 processes.append(self.sim.spawn(
                     self._fetch(
+                        "storage@" + storage_host,
                         {"op": "fetch-summary", "dataset": dataset_id},
                         size_units=self.cost_model.cross_query_size,
                         conversation_tag="%s-s%d" % (
                             content["job_id"], start + offset),
                         reply_units=self.cost_model.cross_reply_size,
-                        storage_agent="storage@" + storage_host,
                     ),
                     name="%s/scatter-fetch" % self.name,
                 ))

@@ -1,152 +1,96 @@
-"""Storage replication and fetch failover.
+"""Storage replication: one replica per shard.
 
 The paper's future work: "Improving the efficacy of forms of storage,
 replication, indexing and recuperation of management data by agent grids."
 
-:class:`ReplicationService` mirrors everything the primary
-:class:`~repro.core.storage.ManagementDataStore` persists onto a replica
-store on another host: each replicated batch travels as a real message
-(NIC cost at both ends) and is re-stored on the replica (its Storing cost
-applies there too -- replication is not free).  A
-:class:`~repro.core.storage.StorageAgent` on the replica host serves
-analyzer fetches when the primary host dies; analyzers opt in via
-:func:`attach_failover`.
+Every shard's :class:`~repro.core.storage.ManagementDataStore` mirrors
+its own writes onto a replica store on another host: each batch travels
+from the shard's storage agent as a real message (NIC cost at both ends)
+and is re-stored on the replica (its Storing cost applies there too --
+replication is not free).  Analyzers fail over to a shard's replica from
+their one fetch ladder (:meth:`~repro.core.processor.AnalyzerAgent._fetch`).
 """
 
-from repro.agents.acl import ACLMessage, MessageTemplate, Performative
+from repro.agents.acl import ACLMessage, Performative
 from repro.core.storage import ManagementDataStore, StorageAgent
 
 
 class ReplicationService:
-    """Mirrors a primary store onto a replica host.
+    """Mirrors every shard's store onto a replica host.
 
     Args:
         system: a built :class:`~repro.core.system.GridManagementSystem`
-            (provides platform/transport and the primary store).
-        replica_host: host carrying the replica (created by the caller).
+            (provides platform/transport, stores and analyzers).
+        replica_hosts: one host per entry of ``system.stores``, in shard
+            order (created by the caller); none may be its primary's host.
         lag: seconds between the primary write and the replica shipping
             (asynchronous replication; 0 = ship immediately).
+
+    Raises ValueError when the ladder's replica attempt would outlive the
+    job (the spec's own ladder rule, one attempt longer).
     """
 
-    def __init__(self, system, replica_host, lag=0.5):
-        self.system = system
+    def __init__(self, system, replica_hosts, lag=0.5):
+        replica_hosts = list(replica_hosts)
+        if len(replica_hosts) != len(system.stores):
+            raise ValueError("%d replica hosts for %d stores" % (
+                len(replica_hosts), len(system.stores)))
+        for store, host in zip(system.stores, replica_hosts):
+            if host is store.host:
+                raise ValueError(
+                    "replica host %s is its primary's host" % host.name)
+        spec = system.spec
+        if spec.fetch_timeout * (spec.fetch_retries + 2) >= spec.job_timeout:
+            raise ValueError(
+                "fetch_timeout (%g) x %d attempts (with the replica) must "
+                "stay below job_timeout (%g)" % (
+                    spec.fetch_timeout, spec.fetch_retries + 2,
+                    spec.job_timeout))
+        self.platform = system.platform
         self.sim = system.sim
         self.lag = lag
-        self.replica_store = ManagementDataStore(
-            replica_host, system.cost_model)
-        self.replica_container = system.platform.create_container(
-            "replica-container", replica_host, services=("storage",))
-        self.replica_agent = StorageAgent(
-            "storage@" + replica_host.name, self.replica_store)
-        self.replica_container.deploy(self.replica_agent)
+        self.replica_stores = []
+        self._agents = {}  # primary store -> (primary name, replica name)
+        for index, (store, primary, host) in enumerate(
+                zip(system.stores, system.storage_agents, replica_hosts)):
+            replica_store = ManagementDataStore(host, system.cost_model)
+            replica = StorageAgent("storage@" + host.name, replica_store)
+            lane = "" if index == 0 else "-s%d" % index
+            self.platform.create_container(
+                "replica-container" + lane, host, services=("storage",),
+            ).deploy(replica)
+            store.replication = self
+            self.replica_stores.append(replica_store)
+            self._agents[store] = (primary.name, replica.name)
+        for analyzer in system.analyzers:
+            analyzer.replicas.update(self._agents.values())
         self.batches_replicated = 0
         self.records_replicated = 0
-        self._install_hook()
 
-    def _install_hook(self):
-        """Wrap the primary store's ``store_records`` to mirror writes."""
-        primary = self.system.store
-        original = primary.store_records
-        service = self
-
-        def replicated_store(records, dataset_id=None, cluster_of=None):
-            records = list(records)
-            stored = yield from original(
-                records, dataset_id=dataset_id, cluster_of=cluster_of)
-            if records:
-                service._ship(records, dataset_id)
-            return stored
-
-        primary.store_records = replicated_store
-
-    def _ship(self, records, dataset_id):
+    def ship(self, store, records, dataset_id):
+        """Mirror a batch ``store`` just persisted, ``lag`` seconds on."""
         self.sim.schedule(self.lag, self._send_batch,
-                          (list(records), dataset_id))
+                          (store, records, dataset_id))
 
-    def _send_batch(self, records, dataset_id):
-        primary_host = self.system.store.host
-        if not primary_host.up:
+    def _send_batch(self, store, records, dataset_id):
+        if not store.host.up:
             return  # primary died before shipping; batch is lost (async)
-        size = sum(record.size_units for record in records)
-        message = ACLMessage(
+        primary, replica = self._agents[store]
+        # One-way: the replica stores without replying.  Batches ride the
+        # reliable channel when installed: a lost mirror write would
+        # silently diverge the replica.
+        self.platform.send_reliable(ACLMessage(
             Performative.REQUEST,
-            sender=self.system.storage_agent.name,
-            receiver=self.replica_agent.name,
-            content={"op": "store-batch", "records": records,
+            sender=primary,
+            receiver=replica,
+            content={"op": "replicate", "records": records,
                      "dataset": dataset_id},
             ontology="replication",
-            size_units=size,
-        )
-        # Replica batches ride the reliable channel when installed: a lost
-        # mirror write would silently diverge the replica.
-        self.system.platform.send_reliable(message)
+            size_units=sum(record.size_units for record in records),
+        ))
         self.batches_replicated += 1
         self.records_replicated += len(records)
-
-    def failover_storage_host(self):
-        """The replica's host name (what analyzers fall back to)."""
-        return self.replica_store.host.name
 
     def __repr__(self):
         return "ReplicationService(batches=%d, records=%d)" % (
             self.batches_replicated, self.records_replicated)
-
-
-def attach_failover(analyzer, replica_host_name, fetch_timeout=20.0):
-    """Teach an analyzer to retry fetches against a replica.
-
-    Replaces the analyzer's ``_fetch`` with a three-attempt ladder:
-    primary, primary once more (a transient blip -- a rebooting host or a
-    lossy window -- usually clears within one patience window), then the
-    replica's storage agent.  The analyzer gains ``fetch_failovers`` and
-    ``fetch_primary_retries`` counters.
-    """
-    analyzer.fetch_failovers = 0
-    analyzer.fetch_primary_retries = 0
-
-    def fetch_with_failover(storage_query, size_units, conversation_tag,
-                            reply_units=0.0):
-        result = yield from _query(
-            analyzer, analyzer._current_storage_agent, storage_query,
-            size_units, conversation_tag, fetch_timeout, reply_units)
-        if result is not None:
-            return result
-        # Retry the primary once before abandoning it: same conversation
-        # id, so a late reply to the first attempt still counts.
-        analyzer.fetch_primary_retries += 1
-        result = yield from _query(
-            analyzer, analyzer._current_storage_agent, storage_query,
-            size_units, conversation_tag, fetch_timeout, reply_units)
-        if result is not None:
-            return result
-        analyzer.fetch_failovers += 1
-        result = yield from _query(
-            analyzer, "storage@" + replica_host_name, storage_query,
-            size_units, conversation_tag + "-failover", fetch_timeout,
-            reply_units)
-        return result
-
-    analyzer._fetch = fetch_with_failover
-    return analyzer
-
-
-def _query(analyzer, storage_agent_name, storage_query, size_units,
-           conversation_tag, timeout, reply_units=0.0):
-    """One bounded QUERY_REF round-trip (process generator)."""
-    conversation = "%s-%s" % (conversation_tag, analyzer.name)
-    patience = timeout + 2.0 * (
-        size_units + reply_units) / analyzer.host.nic.capacity
-    analyzer.fetch_attempts += 1
-    analyzer.send_reliable(ACLMessage(
-        Performative.QUERY_REF,
-        sender=analyzer.name,
-        receiver=storage_agent_name,
-        content=storage_query,
-        conversation_id=conversation,
-        size_units=size_units,
-    ))
-    reply = yield from analyzer.receive(
-        MessageTemplate(conversation_id=conversation), timeout=patience)
-    if reply is None or reply.performative != Performative.INFORM:
-        return None
-    return reply.content

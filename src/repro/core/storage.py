@@ -29,6 +29,9 @@ class ManagementDataStore:
         self._datasets = {}  # dataset_id -> {cluster_key: [records]}
         self.records_stored = 0
         self.fetches_served = 0
+        #: The :class:`~repro.core.replication.ReplicationService` that
+        #: ships every persisted batch to this store's replica, or None.
+        self.replication = None
 
     # -- persistence (process generators charging Table 1 costs) ----------
 
@@ -58,6 +61,8 @@ class ManagementDataStore:
                 clusters = self._datasets.setdefault(dataset_id, {})
                 clusters.setdefault(cluster_of(record), []).append(record)
             self.records_stored += 1
+        if self.replication is not None:
+            self.replication.ship(self, records, dataset_id)
         return len(records)
 
     def _index(self, record):
@@ -233,6 +238,9 @@ class StorageAgent(Agent):
 
     * ``{"op": "store-batch", "records": [...], "dataset": ...}`` --
       persists records, replies CONFIRM.
+    * ``{"op": "replicate", "records": [...], "dataset": ...}`` -- persists
+      a replicated batch without a reply (one-way; the reliable channel,
+      when installed, acks the wire message).
     * ``{"op": "migrate-in", "history": ..., "datasets": ...}`` -- absorbs
       a shard-rebalance transfer (see :meth:`migrate_devices`), replies
       CONFIRM with the absorbed item count.
@@ -339,7 +347,7 @@ class StorageAgent(Agent):
                 content={"absorbed": absorbed}, reliable=True,
             )
             return
-        if operation != "store-batch":
+        if operation not in ("store-batch", "replicate"):
             self.reply_to(
                 message, Performative.NOT_UNDERSTOOD,
                 content={"reason": "unknown op"},
@@ -350,9 +358,10 @@ class StorageAgent(Agent):
             records, dataset_id=content.get("dataset"),
             cluster_of=content.get("cluster_of"),
         )
-        self.reply_to(
-            message, Performative.CONFIRM, content={"stored": stored},
-        )
+        if operation == "store-batch":
+            self.reply_to(
+                message, Performative.CONFIRM, content={"stored": stored},
+            )
 
     # -- shard rebalance ----------------------------------------------------
 
