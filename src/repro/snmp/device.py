@@ -1,16 +1,18 @@
 """Managed network devices with stochastic metric dynamics.
 
 A :class:`ManagedDevice` wraps a simulated :class:`~repro.network.topology.Host`
-(role ``"device"``) and populates a MIB with callables that read its
-state.  The state evolves in fixed ticks that are sampled on demand, when
-the device is read, so devices nobody polls cost no simulation work.
-Fault injection (used by the fault-management example and benches) switches
-the dynamics into degraded regimes that the stock analysis rules detect.
+(role ``"device"``).  Its MIB is the template of its shape bound to it.
+The state evolves in fixed ticks that are sampled on demand, when the
+device is read, so devices nobody polls cost no simulation work and hold
+no RNG stream or MIB.  Fault injection (used by the fault-management
+example and benches) switches the dynamics into degraded regimes that the
+stock analysis rules detect.
 """
 
+from functools import lru_cache
 from math import ceil, sqrt
 
-from repro.snmp.mib import MibObject, MibTree, std
+from repro.snmp.mib import MibObject, MibTemplate, std
 
 
 class DeviceProfile:
@@ -65,6 +67,54 @@ PROFILES = {
 }
 
 
+def resolve_profile(profile):
+    """``profile`` itself, or the :data:`PROFILES` entry it names."""
+    if isinstance(profile, DeviceProfile):
+        return profile
+    if isinstance(profile, str) and profile in PROFILES:
+        return PROFILES[profile]
+    raise ValueError("unknown device profile %r (known: %s)" % (
+        profile, ", ".join(sorted(PROFILES))))
+
+
+#: (OID, name, units, reader) of the scalars every device MIB holds.
+_SCALARS = (
+    (std.SYS_DESCR, "sysDescr", "", lambda d: "repro %s device" % d._profile.name),
+    (std.SYS_UPTIME, "sysUpTime", "ticks",
+     lambda d: int((d.sim.now - d.started_at) * 100)),
+    (std.SYS_NAME, "sysName", "", lambda d: d.host.name),
+    (std.CPU_LOAD, "ssCpuBusy", "percent", lambda d: round(d.cpu_load, 1)),
+    (std.MEM_AVAIL, "memAvailReal", "kB", lambda d: d.mem_available_kb),
+    (std.LOAD_AVG_1MIN, "laLoad1", "", lambda d: round(d.load_avg, 2)),
+    (std.DISK_FREE, "dskAvail", "kB", lambda d: d.disk_free_kb),
+    (std.DISK_TOTAL, "dskTotal", "kB", lambda d: d._profile.disk_total_kb),
+    (std.PROC_COUNT, "hrSystemProcesses", "", lambda d: d.proc_count),
+)
+
+
+@lru_cache(maxsize=None)
+def _mib_template(interface_count, process_slots):
+    """The MIB every device of this shape shares, built on first use.  Each
+    reader takes the device; table rows are 1-based in the MIB, 0-based in
+    the device state."""
+    rows = list(_SCALARS)
+    rows.append((std.IF_COUNT, "ifNumber", "", lambda d: interface_count))
+    for i in range(interface_count):
+        rows += [
+            (std.IF_IN_OCTETS_AT[i + 1], "ifInOctets.%d" % (i + 1), "octets",
+             lambda d, i=i: d.if_in_octets[i]),
+            (std.IF_OUT_OCTETS_AT[i + 1], "ifOutOctets.%d" % (i + 1), "octets",
+             lambda d, i=i: d.if_out_octets[i]),
+            (std.IF_OPER_STATUS_AT[i + 1], "ifOperStatus.%d" % (i + 1), "",
+             lambda d, i=i: 2 if i in d.faults.down_interfaces else 1),
+        ]
+    for i in range(process_slots):
+        rows.append((std.PROC_TABLE_AT[i + 1], "hrSWRunName.%d" % (i + 1), "",
+                     lambda d, i=i: "proc-%s-%d" % (d.host.name, i)))
+    return MibTemplate(MibObject(oid, name, reader, units=units)
+                       for oid, name, units, reader in rows)
+
+
 class _Faults:
     """Active fault flags for a device."""
 
@@ -97,17 +147,15 @@ class ManagedDevice:
     """
 
     def __init__(self, sim, host, profile="server", tick=1.0):
-        if isinstance(profile, str):
-            profile = PROFILES[profile]
+        profile = resolve_profile(profile)
         self.sim = sim
         self.host = host
         self._profile = profile
         self.tick = tick
-        self.rng = sim.rng("device/" + host.name)
         self.faults = _Faults()
         self.started_at = sim.now
         self._ticks_done = 0
-        self._mib = None  # built on first read
+        self._mib = None  # bound on first read
 
         # State as of the last catch_up()
         self.cpu_load = profile.cpu_mean
@@ -117,10 +165,12 @@ class ManagedDevice:
         self.proc_count = 40 + profile.process_slots * 10
         self.if_in_octets = [0] * profile.interface_count
         self.if_out_octets = [0] * profile.interface_count
-        self.process_names = [
-            "proc-%s-%d" % (host.name, index)
-            for index in range(profile.process_slots)
-        ]
+
+    @property
+    def rng(self):
+        """The device's own stream, created on first use.  It is seeded from
+        (master seed, name), so its draws do not depend on when that is."""
+        return self.sim.rng("device/" + self.host.name)
 
     @property
     def profile(self):
@@ -131,86 +181,23 @@ class ManagedDevice:
         # A swap (e.g. rerouted traffic multiplying the rate) applies from
         # now on: the ticks before it are sampled under the old profile.  The
         # counters and the MIB keep the shape they were built with.
-        current = self._profile
-        if (profile.interface_count != current.interface_count
-                or profile.process_slots != current.process_slots):
+        profile, current = resolve_profile(profile), self._profile
+        if (profile.interface_count, profile.process_slots) != (
+                current.interface_count, current.process_slots):
             raise ValueError(
-                "profile %r has %d interfaces and %d process slots; %s "
-                "needs %d and %d" % (
-                    profile.name, profile.interface_count,
-                    profile.process_slots, self.name,
-                    current.interface_count, current.process_slots))
+                "profile %r has %d interfaces and %d process slots; %s needs "
+                "%d and %d" % (profile.name, profile.interface_count,
+                               profile.process_slots, self.name,
+                               current.interface_count, current.process_slots))
         self.catch_up()
         self._profile = profile
 
-    # -- MIB ---------------------------------------------------------------
-
     @property
     def mib(self):
-        mib = self._mib
-        if mib is None:
-            mib = self._mib = MibTree()
-            self._populate_mib()
-        return mib
-
-    def _populate_mib(self):
-        mib = self._mib
-        mib.register_scalar(
-            std.SYS_DESCR, "sysDescr",
-            lambda: "repro %s device" % self._profile.name,
-        )
-        mib.register_scalar(
-            std.SYS_UPTIME, "sysUpTime",
-            lambda: int((self.sim.now - self.started_at) * 100), units="ticks",
-        )
-        mib.register_scalar(std.SYS_NAME, "sysName", self.host.name, writable=False)
-        mib.register_scalar(
-            std.CPU_LOAD, "ssCpuBusy", lambda: round(self.cpu_load, 1),
-            units="percent",
-        )
-        mib.register_scalar(
-            std.MEM_AVAIL, "memAvailReal", lambda: self.mem_available_kb, units="kB",
-        )
-        mib.register_scalar(
-            std.LOAD_AVG_1MIN, "laLoad1", lambda: round(self.load_avg, 2),
-        )
-        mib.register_scalar(
-            std.DISK_FREE, "dskAvail", lambda: self.disk_free_kb, units="kB",
-        )
-        mib.register_scalar(
-            std.DISK_TOTAL, "dskTotal", lambda: self._profile.disk_total_kb,
-            units="kB",
-        )
-        mib.register_scalar(
-            std.PROC_COUNT, "hrSystemProcesses", lambda: self.proc_count,
-        )
-        mib.register_scalar(
-            std.IF_COUNT, "ifNumber", self.profile.interface_count,
-        )
-        for index in range(1, self.profile.interface_count + 1):
-            mib.register(MibObject(
-                std.IF_IN_OCTETS_AT[index], "ifInOctets.%d" % index,
-                self._octet_reader(self.if_in_octets, index - 1), units="octets",
-            ))
-            mib.register(MibObject(
-                std.IF_OUT_OCTETS_AT[index], "ifOutOctets.%d" % index,
-                self._octet_reader(self.if_out_octets, index - 1), units="octets",
-            ))
-            mib.register(MibObject(
-                std.IF_OPER_STATUS_AT[index], "ifOperStatus.%d" % index,
-                self._status_reader(index),
-            ))
-        for slot, name in enumerate(self.process_names, start=1):
-            mib.register_scalar(
-                std.PROC_TABLE_AT[slot], "hrSWRunName.%d" % slot, name,
-            )
-
-    def _octet_reader(self, counters, index):
-        return lambda: counters[index]
-
-    def _status_reader(self, if_index):
-        # MIB interface indices are 1-based; fault indices are 0-based.
-        return lambda: 2 if (if_index - 1) in self.faults.down_interfaces else 1
+        if self._mib is None:
+            self._mib = _mib_template(self._profile.interface_count,
+                                      self._profile.process_slots).bind(self)
+        return self._mib
 
     # -- dynamics -----------------------------------------------------------
 
@@ -293,33 +280,26 @@ class ManagedDevice:
         ``kind`` is one of ``"cpu_runaway"``, ``"memory_leak"``,
         ``"disk_filling"``, ``"interface_down"`` (needs ``interface``).
         """
-        self.catch_up()  # regime switches apply from a caught-up state
-        if kind == "cpu_runaway":
-            self.faults.cpu_runaway = True
-        elif kind == "memory_leak":
-            self.faults.memory_leak = True
-        elif kind == "disk_filling":
-            self.faults.disk_filling = True
-        elif kind == "interface_down":
-            self.check_interface(interface)
-            self.faults.down_interfaces.add(interface)
-        else:
-            raise ValueError("unknown fault kind %r" % kind)
+        self._switch_fault(kind, interface, True)
 
     def clear_fault(self, kind, interface=None):
         """Return a metric to its healthy regime."""
-        self.catch_up()
-        if kind == "cpu_runaway":
-            self.faults.cpu_runaway = False
-        elif kind == "memory_leak":
-            self.faults.memory_leak = False
-            self.mem_available_kb = int(self.profile.mem_total_kb * 0.6)
+        self._switch_fault(kind, interface, False)
+        if kind == "memory_leak":
+            self.mem_available_kb = int(self._profile.mem_total_kb * 0.6)
         elif kind == "disk_filling":
-            self.faults.disk_filling = False
-            self.disk_free_kb = int(self.profile.disk_total_kb * 0.5)
+            self.disk_free_kb = int(self._profile.disk_total_kb * 0.5)
+
+    def _switch_fault(self, kind, interface, active):
+        self.catch_up()  # regime switches apply from a caught-up state
+        if kind in ("cpu_runaway", "memory_leak", "disk_filling"):
+            setattr(self.faults, kind, active)
         elif kind == "interface_down":
             self.check_interface(interface)
-            self.faults.down_interfaces.discard(interface)
+            if active:
+                self.faults.down_interfaces.add(interface)
+            else:
+                self.faults.down_interfaces.discard(interface)
         else:
             raise ValueError("unknown fault kind %r" % kind)
 

@@ -8,7 +8,7 @@ network to the requester's reply port.
 """
 
 from repro.network.transport import DeliveryError, Message
-from repro.snmp.oids import as_oid
+from repro.snmp.oids import OID
 
 
 class PduType:
@@ -35,7 +35,7 @@ class VarBind:
     __slots__ = ("oid", "value", "name", "error")
 
     def __init__(self, oid, value=None, name="", error=None):
-        self.oid = as_oid(oid)
+        self.oid = oid if isinstance(oid, OID) else OID(oid)
         self.value = value
         self.name = name
         self.error = error
@@ -139,8 +139,8 @@ class SnmpEngine:
     def _handle(self, request):
         cpu_units = self.cpu_cost_per_varbind * max(1, len(request.varbinds))
         yield self.device.host.cpu.use(cpu_units, label="snmp-agent")
-        # Replay the dynamics ticks missed since the device was last read,
-        # so the response sees its values as of now.
+        # Sample the state the device has reached by now (one draw per
+        # field, however many ticks it missed), so the response sees it.
         self.device.catch_up()
         varbinds = self._evaluate(request)
         self.pdus_handled += 1
@@ -161,43 +161,34 @@ class SnmpEngine:
 
     def _evaluate(self, request):
         mib = self.device.mib
+        pdu_type = request.pdu_type
         results = []
-        if request.pdu_type == PduType.GET:
-            for varbind in request.varbinds:
-                obj = mib.get(varbind.oid)
-                if obj is None:
-                    results.append(VarBind(varbind.oid, error=SnmpError.NO_SUCH_OBJECT))
-                else:
-                    results.append(VarBind(obj.oid, obj.read(), obj.name))
-        elif request.pdu_type == PduType.GETNEXT:
-            for varbind in request.varbinds:
-                obj = mib.get_next(varbind.oid)
-                if obj is None:
-                    results.append(VarBind(varbind.oid, error=SnmpError.END_OF_MIB))
-                else:
-                    results.append(VarBind(obj.oid, obj.read(), obj.name))
-        elif request.pdu_type == PduType.GETBULK:
+        if pdu_type in (PduType.GETNEXT, PduType.GETBULK):
+            # GETNEXT is GETBULK with one repetition.
+            repetitions = (request.max_repetitions
+                           if pdu_type == PduType.GETBULK else 1)
             for varbind in request.varbinds:
                 cursor = varbind.oid
-                for _ in range(request.max_repetitions):
+                for _ in range(repetitions):
                     obj = mib.get_next(cursor)
                     if obj is None:
                         results.append(VarBind(cursor, error=SnmpError.END_OF_MIB))
                         break
                     results.append(VarBind(obj.oid, obj.read(), obj.name))
                     cursor = obj.oid
-        elif request.pdu_type == PduType.SET:
-            for varbind in request.varbinds:
-                obj = mib.get(varbind.oid)
-                if obj is None:
-                    results.append(VarBind(varbind.oid, error=SnmpError.NO_SUCH_OBJECT))
-                    continue
+            return results
+        for varbind in request.varbinds:  # GET or SET
+            obj = mib.get(varbind.oid)
+            if obj is None:
+                results.append(VarBind(varbind.oid, error=SnmpError.NO_SUCH_OBJECT))
+                continue
+            if pdu_type == PduType.SET:
                 try:
                     obj.write(varbind.value)
                 except PermissionError:
                     results.append(VarBind(varbind.oid, error=SnmpError.NOT_WRITABLE))
-                else:
-                    results.append(VarBind(obj.oid, obj.read(), obj.name))
+                    continue
+            results.append(VarBind(obj.oid, obj.read(), obj.name))
         return results
 
     def __repr__(self):

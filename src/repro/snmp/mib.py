@@ -1,9 +1,10 @@
 """MIB trees and the standard managed-object set.
 
 A :class:`MibTree` is an ordered registry of :class:`MibObject` entries.
-Objects can be static values or callables evaluated at read time, which is
-how devices expose *live* metrics (the callable reads the device's current
-state).  GETNEXT walks the tree in OID order, exactly like real SNMP.
+Objects can be static values or callables evaluated at read time.
+GETNEXT walks the tree in OID order, exactly like real SNMP.  A
+:class:`MibTemplate` is one schema shared by every device of a shape:
+bound to a device, it is that device's tree, and builds nothing per device.
 
 :class:`StandardMib` collects the OIDs the paper's workload polls -- host
 performance (CPU, memory), storage (disk, processes) and interface traffic
@@ -50,24 +51,23 @@ class MibObject:
 
 
 class MibTree:
-    """An OID-ordered collection of :class:`MibObject`.
-
-    Registration only fills the dict; the OID order is sorted on the
-    first GETNEXT, walk or listing after it, so a tree that is only read
-    with GET (every poll) is never sorted.
-    """
+    """An OID-ordered collection of :class:`MibObject`."""
 
     def __init__(self):
         self._objects = {}
         self._order = []
+        self._subject = None
 
     def register(self, mib_object):
         """Add an object; OIDs must be unique."""
+        if self._subject is not None:
+            raise ValueError("a bound MIB shares its template's objects; "
+                             "cannot register %s" % mib_object.name)
         oid = mib_object.oid
         if oid in self._objects:
             raise ValueError("OID %s already registered" % oid)
         self._objects[oid] = mib_object
-        self._order = None
+        bisect.insort(self._order, oid)
         return mib_object
 
     def register_scalar(self, oid, name, value, writable=False, units=""):
@@ -79,40 +79,86 @@ class MibTree:
     def __len__(self):
         return len(self._objects)
 
-    def _ordered(self):
-        order = self._order
-        if order is None:
-            order = self._order = sorted(self._objects)
-        return order
+    def _view(self, obj):
+        """``obj`` as this tree hands it out: bound to the subject, if any."""
+        if obj is None or self._subject is None:
+            return obj
+        return _Bound(obj, self._subject)
 
     def get(self, oid):
         """The object at exactly ``oid``, or None."""
-        return self._objects.get(as_oid(oid))
+        obj = self._objects.get(oid if isinstance(oid, OID) else OID(oid))
+        if obj is None or self._subject is None:
+            return obj
+        return _Bound(obj, self._subject)
 
     def get_next(self, oid):
         """The first object with OID strictly greater than ``oid``, or None."""
-        order = self._ordered()
+        order = self._order
         index = bisect.bisect_right(order, as_oid(oid))
         if index >= len(order):
             return None
-        return self._objects[order[index]]
+        return self._view(self._objects[order[index]])
 
     def walk(self, prefix):
         """All objects within the subtree rooted at ``prefix``, in order."""
         prefix = as_oid(prefix)
-        order = self._ordered()
+        order = self._order
         index = bisect.bisect_left(order, prefix)
         results = []
         while index < len(order):
             oid = order[index]
             if not prefix.is_prefix_of(oid):
                 break
-            results.append(self._objects[oid])
+            results.append(self._view(self._objects[oid]))
             index += 1
         return results
 
     def oids(self):
-        return list(self._ordered())
+        return list(self._order)
+
+
+class MibTemplate:
+    """One MIB schema, shared by every subject (device) of one shape: its
+    :class:`MibObject` entries' values are readers of the subject.  A
+    writable one is refused, as a SET on one subject would show on all."""
+
+    def __init__(self, objects):
+        self._objects = {}
+        for obj in objects:
+            if obj.writable or obj.oid in self._objects:
+                raise ValueError("template object %s (%s) is %s" % (
+                    obj.oid, obj.name,
+                    "writable" if obj.writable else "a duplicate OID"))
+            self._objects[obj.oid] = obj
+        self._order = sorted(self._objects)
+
+    def bind(self, subject):
+        """``subject``'s MIB: a :class:`MibTree` that shares this template's
+        objects and order and reads them against ``subject``."""
+        tree = MibTree()
+        tree._objects, tree._order = self._objects, self._order
+        tree._subject = subject
+        return tree
+
+
+class _Bound:
+    """A template object read against one subject; read-only."""
+
+    __slots__ = ("oid", "name", "entry", "subject")
+    writable = False
+    units = property(lambda self: self.entry.units)
+
+    def __init__(self, entry, subject):
+        self.oid, self.name = entry.oid, entry.name
+        self.entry, self.subject = entry, subject
+
+    def read(self):
+        return self.entry._value(self.subject)
+
+    def write(self, value):
+        raise PermissionError("object %s (%s) is read-only"
+                              % (self.oid, self.name))
 
 
 class _Instances(dict):
