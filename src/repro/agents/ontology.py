@@ -93,10 +93,10 @@ DATA_READY = Ontology(
 )
 
 #: Analysis job assignment (PG root -> container, Figure 3).  Level-3
-#: (cross) jobs additionally carry the level-1/2 problems to correlate;
-#: on a sharded grid they also carry ``shards`` -- the (storage_host,
-#: dataset) pairs of the scatter-gather round, so the analyzer fetches
-#: every shard's summary before correlating.
+#: (cross) jobs additionally carry the level-1/2 problems to correlate
+#: and ``shards`` -- the (storage_host, dataset) pairs of their scope's
+#: members, so the analyzer fetches every member's summary before
+#: correlating.
 ANALYSIS_JOB = Ontology(
     "analysis-job",
     fields={

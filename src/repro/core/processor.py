@@ -40,10 +40,10 @@ from repro.rules.facts import Fact, WorkingMemory
 
 #: Cluster name used for level-3 cross-inference jobs.
 CROSS_CLUSTER = "correlation"
-#: Seconds a scatter round waits for every shard's dataset before its
+#: Seconds a level-3 scope waits for every shard's dataset before its
 #: cross job dispatches over the members it has.
 SCATTER_WINDOW = 10.0
-#: Concurrent shard-summary fetches per wave of a scatter-gather cross job.
+#: Concurrent summary fetches per wave of a cross job.
 SCATTER_FANOUT = 4
 
 
@@ -81,25 +81,23 @@ class _DatasetState:
         self.trace = None  # (trace_id, notify span id) from the classifier
 
 
-class _ScatterRound:
-    """One scatter-gather correlation round over a sharded grid.
+class _Scope:
+    """The datasets one level-3 cross job correlates over.
 
-    Datasets whose level-2 clusters all settled enroll here; the round
-    closes (and dispatches ONE cross job over all members) when every
-    shard's storage host is represented -- the fan-out barrier -- or when
-    ``SCATTER_WINDOW`` elapses first, whichever comes sooner.  The first
-    member is the *primary*: the cross job is dispatched against it, its
-    dataset collects the level-3 findings, and every other member
+    The first member is the *primary*: the cross job is dispatched against
+    it, its report carries the level-3 findings, and every other member
     finalizes alongside it.
     """
 
-    def __init__(self, round_id, opened_at):
-        self.round_id = round_id
-        self.opened_at = opened_at
-        self.members = []   # dataset ids, primary first
-        self.shards = []    # [(storage_host, dataset_id)] per member
+    def __init__(self):
+        self.members = []   # _DatasetState, primary first
         self.hosts = set()  # distinct storage hosts enrolled so far
         self.closed = False
+
+    def own_problems(self):
+        """The members' level-1/2 findings as problem dicts."""
+        return [_finding_to_problem_dict(finding)
+                for member in self.members for finding in member.findings]
 
 
 class ProcessorRootAgent(Agent):
@@ -128,20 +126,21 @@ class ProcessorRootAgent(Agent):
             immediately instead of waiting out the Reaper's job timeout.
             ``None`` (default) disables eviction; containers that resume
             heartbeating after an eviction are re-registered.
-        enable_cross: run the level-3 cross analysis per dataset.
+        enable_cross: run the level-3 cross analysis.
         negotiation_deadline: proposal window for the negotiated policy.
-        cross_window: when > 0, cross jobs also carry problems found in
-            *other* datasets within this many seconds -- the federation
-            layer uses this so network-wide incidents spanning sites (and
-            hence datasets from different classifiers) can be correlated.
-        scatter_shards: number of classifier/storage shards feeding this
-            root.  At 1 (default) level-3 correlation runs per dataset on
-            the historical path; above 1 the root gathers one finished
-            dataset per shard into a :class:`_ScatterRound` and dispatches
-            a single scatter-gather cross job over all of them; a round
-            whose shards have not all reported within ``SCATTER_WINDOW``
-            seconds dispatches over the members it has (a quiet shard
-            must not stall correlation).
+        cross_window, scatter_shards: the level-3 *scope*.  A dataset
+            whose level-2 clusters all settled enrolls in the open scope,
+            which closes once its members' storage hosts number
+            ``scatter_shards`` (at 1, the default, every dataset closes
+            its own scope) or ``SCATTER_WINDOW`` seconds after its first
+            member enrolled, so a quiet shard cannot stall correlation.
+            A closed scope dispatches ONE cross job, which fetches every
+            member's summary and correlates the members' problems plus,
+            when ``cross_window`` > 0, the problems other scopes found
+            within the last ``cross_window`` seconds -- the federation
+            layer uses this so incidents spanning sites (datasets from
+            different classifiers) can be correlated.  All members
+            finalize when the cross job settles.
     """
 
     _job_ids = itertools.count(1)
@@ -185,13 +184,13 @@ class ProcessorRootAgent(Agent):
         if scatter_shards < 1:
             raise ValueError("scatter_shards must be >= 1")
         self.scatter_shards = scatter_shards
-        self._scatter_round = None       # the currently-open round
-        self._scatter_by_dataset = {}    # primary dataset id -> round
-        self._scatter_round_ids = itertools.count(1)
+        self._open_scope = None
+        self._scopes = {}  # primary dataset id -> closed scope
+        #: Scopes closed, and their storage hosts in total and in the last.
         self.scatter_rounds = 0
         self.scatter_fanout_total = 0
         self.last_scatter_fanout = 0
-        self._recent_problems = []  # [(time, problem_dict)] across datasets
+        self._recent_problems = []  # [(closed at, problem)] of closed scopes
         self._analyzer_agent_by_container = {}
         self._outstanding_by_container = {}
         self.jobs = {}
@@ -352,9 +351,6 @@ class ProcessorRootAgent(Agent):
         Independent of placement -- the same content ships to a local
         analyzer or, via the forwarder, to a peer site.
         """
-        scatter = (
-            self._scatter_by_dataset.get(dataset_id) if level >= 3 else None
-        )
         content_kwargs = dict(
             job_id=job_id,
             dataset=dataset_id,
@@ -362,17 +358,19 @@ class ProcessorRootAgent(Agent):
             record_count=record_count,
             level=level,
             storage_host=state.storage_host,
-            problems=(
-                self._scatter_problems(scatter) if scatter is not None
-                else self._cross_problems(state) if level >= 3 else []
-            ),
+            problems=[],
         )
-        if scatter is not None:
-            # Scatter-gather: the job names every shard's (host, dataset)
-            # so the analyzer fetches all of them before correlating.  The
-            # round stays registered until _finalize_cross, so a Reaper
-            # re-dispatch rebuilds the same merged view.
-            content_kwargs["shards"] = [list(pair) for pair in scatter.shards]
+        if level >= 3:
+            # The job names every member's (host, dataset) so the analyzer
+            # fetches all of them before correlating.  The scope stays
+            # registered until _finalize_cross, so a Reaper re-dispatch
+            # rebuilds the same view.
+            scope = self._scopes[dataset_id]
+            content_kwargs["problems"] = self._scope_problems(scope)
+            content_kwargs["shards"] = [
+                [member.storage_host, member.dataset_id]
+                for member in scope.members
+            ]
         return ANALYSIS_JOB.make(**content_kwargs)
 
     def _grid_saturated(self, profiles):
@@ -573,96 +571,76 @@ class ProcessorRootAgent(Agent):
             return
         if self.enable_cross:
             state.cross_dispatched = True
-            if self.scatter_shards > 1:
-                yield from self._enroll_scatter(state)
-            else:
-                yield from self._dispatch_job(
-                    state.dataset_id, CROSS_CLUSTER, record_count=1, level=3,
-                )
+            yield from self._enroll(state)
         else:
             yield from self._finalize_dataset(state)
 
-    # -- scatter-gather correlation (sharded grid) --------------------------
+    # -- level 3: enroll -> close -> correlate --------------------------------
 
-    def _enroll_scatter(self, state):
-        """Add a level-2-complete dataset to the open scatter round.
+    def _enroll(self, state):
+        """Add a level-2-complete dataset to the open scope.
 
-        The round dispatches as soon as every shard's storage host is
-        represented (the bounded fan-out barrier); a window timer backs
-        the barrier so one quiet shard cannot stall correlation forever.
+        The scope closes as soon as every shard's storage host is
+        represented (at once on an unsharded grid); otherwise its first
+        member starts the ``SCATTER_WINDOW`` timer.
         """
-        round_ = self._scatter_round
-        if round_ is None or round_.closed:
-            round_ = _ScatterRound(
-                next(self._scatter_round_ids), opened_at=self.sim.now,
-            )
-            self._scatter_round = round_
-            self.sim.schedule(
-                SCATTER_WINDOW, self._scatter_window_expired, (round_,),
-            )
-        round_.members.append(state.dataset_id)
-        round_.shards.append((state.storage_host, state.dataset_id))
-        round_.hosts.add(state.storage_host)
-        if len(round_.hosts) >= self.scatter_shards:
-            yield from self._dispatch_scatter(round_)
+        scope = self._open_scope
+        if scope is None:
+            scope = self._open_scope = _Scope()
+        scope.members.append(state)
+        scope.hosts.add(state.storage_host)
+        if len(scope.hosts) >= self.scatter_shards:
+            yield from self._close(scope)
+        elif len(scope.members) == 1:
+            self.sim.schedule(SCATTER_WINDOW, self._window_expired, (scope,))
 
-    def _scatter_window_expired(self, round_):
-        """Barrier timeout (kernel callback): dispatch a partial round."""
-        if round_.closed:
-            return  # barrier won: the round already dispatched
-        self.sim.spawn(
-            self._dispatch_scatter(round_),
-            name="%s/scatter-%d" % (self.name, round_.round_id),
-        )
+    def _window_expired(self, scope):
+        """Barrier timeout (kernel callback): close a partial scope."""
+        if not scope.closed:
+            self.sim.spawn(self._close(scope), name="%s/scope" % self.name)
 
-    def _dispatch_scatter(self, round_):
-        """Close a round and dispatch ONE cross job over all its members."""
-        if round_.closed:
-            return
-        round_.closed = True
-        if self._scatter_round is round_:
-            self._scatter_round = None
-        primary = round_.members[0]
-        self._scatter_by_dataset[primary] = round_
+    def _close(self, scope):
+        """Close the open scope; dispatch ONE cross job over its members."""
+        if scope.closed:
+            return  # the barrier won the race with a spawned window close
+        scope.closed = True
+        self._open_scope = None
+        primary = scope.members[0].dataset_id
+        self._scopes[primary] = scope
         self.scatter_rounds += 1
-        self.scatter_fanout_total += len(round_.hosts)
-        self.last_scatter_fanout = len(round_.hosts)
+        self.scatter_fanout_total += len(scope.hosts)
+        self.last_scatter_fanout = len(scope.hosts)
+        if self.cross_window > 0:
+            # Only the members' own problems, stamped once: a borrowed
+            # problem expires with the scope that found it.
+            now = self.sim.now
+            self._recent_problems.extend(
+                (now, problem) for problem in scope.own_problems())
         yield from self._dispatch_job(
             primary, CROSS_CLUSTER, record_count=1, level=3,
         )
 
-    def _scatter_problems(self, round_):
-        """Merged, deduplicated level-1/2 problems across round members."""
-        problems = []
-        seen = set()
-        for dataset_id in round_.members:
-            member = self.datasets.get(dataset_id)
-            if member is None:
-                continue
-            for finding in member.findings:
-                problem = _finding_to_problem_dict(finding)
-                key = tuple(sorted(problem.items()))
-                if key not in seen:
-                    seen.add(key)
-                    problems.append(problem)
-        return problems
+    def _scope_problems(self, scope):
+        """The members' problems, then those other scopes recorded within
+        ``cross_window``, deduplicated."""
+        problems = scope.own_problems()
+        if self.cross_window > 0:
+            horizon = self.sim.now - self.cross_window
+            self._recent_problems = [
+                entry for entry in self._recent_problems if entry[0] >= horizon
+            ]
+            problems.extend(problem for _, problem in self._recent_problems)
+        unique = {}
+        for problem in problems:
+            unique.setdefault(tuple(sorted(problem.items())), problem)
+        return list(unique.values())
 
     def _finalize_cross(self, state):
-        """Finalize after level-3 settles (result OR abandonment).
-
-        On the scatter path every round member finalizes together -- the
-        primary carries the cross findings, the other members report their
-        own level-2 results; leaving them open would strand their reports
-        (and their ``records_analyzed`` accounting) forever.  Unsharded,
-        this is exactly the historical single-dataset finalize.
-        """
-        round_ = self._scatter_by_dataset.pop(state.dataset_id, None)
-        yield from self._finalize_dataset(state)
-        if round_ is None:
-            return
-        for dataset_id in round_.members:
-            member = self.datasets.get(dataset_id)
-            if member is not None and not member.finished:
+        """Finalize every member after level 3 settles (result OR
+        abandonment): the primary carries the cross findings, the others
+        report their own level-2 results."""
+        for member in self._scopes.pop(state.dataset_id).members:
+            if not member.finished:
                 yield from self._finalize_dataset(member)
 
     def _finalize_dataset(self, state):
@@ -696,31 +674,6 @@ class ProcessorRootAgent(Agent):
         self.reports_issued += 1
         return
         yield  # pragma: no cover - keeps this a generator for symmetry
-
-    def _cross_problems(self, state):
-        """Problems a cross job should correlate over.
-
-        Always the dataset's own findings; with ``cross_window`` set, also
-        problems from other recent datasets (deduplicated), so incidents
-        spanning classifiers -- e.g. two sites -- become visible.
-        """
-        problems = [
-            _finding_to_problem_dict(finding) for finding in state.findings
-        ]
-        if self.cross_window > 0:
-            horizon = self.sim.now - self.cross_window
-            self._recent_problems = [
-                entry for entry in self._recent_problems if entry[0] >= horizon
-            ]
-            seen = {tuple(sorted(problem.items())) for problem in problems}
-            for _, problem in self._recent_problems:
-                key = tuple(sorted(problem.items()))
-                if key not in seen:
-                    seen.add(key)
-                    problems.append(problem)
-            for problem in problems:
-                self._recent_problems.append((self.sim.now, problem))
-        return problems
 
     def _abandon_placement(self, dataset_id, cluster, level):
         """Give up on placing a job (no analyzers for too long)."""
@@ -1174,17 +1127,7 @@ class AnalyzerAgent(Agent):
         return findings, len(records)
 
     def _run_cross_job(self, content):
-        shards = content.get("shards") or ()
-        if shards:
-            yield from self._scatter_summaries(content, shards)
-        else:
-            yield from self._fetch(
-                "storage@" + content["storage_host"],
-                {"op": "fetch-summary", "dataset": content["dataset"]},
-                size_units=self.cost_model.cross_query_size,
-                conversation_tag=content["job_id"],
-                reply_units=self.cost_model.cross_reply_size,
-            )
+        yield from self._scatter_summaries(content, content["shards"])
         cross_cost = self.cost_model.cross_cost()
         if cross_cost.cpu:
             yield self.cpu.use(cross_cost.cpu, label=TaskKind.INFER_CROSS)
@@ -1202,9 +1145,9 @@ class AnalyzerAgent(Agent):
         return findings, 0
 
     def _scatter_summaries(self, content, shards):
-        """Gather every shard's dataset summary, bounded-fan-out.
+        """Gather the summary of every dataset the job names, bounded-fan-out.
 
-        Shards are fetched in waves of ``SCATTER_FANOUT`` concurrent
+        Summaries are fetched in waves of ``SCATTER_FANOUT`` concurrent
         fetches (each a spawned process with its own conversation id, so
         replies cannot cross wires); a wave must settle before the next
         starts, bounding both the NIC burst and the storage-grid load.

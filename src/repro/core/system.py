@@ -24,7 +24,7 @@ from repro.network.topology import Network
 from repro.network.transport import Transport
 from repro.rules.stdlib import standard_knowledge_base
 from repro.simkernel.simulator import Simulator
-from repro.snmp.device import PROFILES, ManagedDevice
+from repro.snmp.device import ManagedDevice, resolve_profile
 from repro.snmp.engine import SnmpEngine
 
 
@@ -32,9 +32,10 @@ class DeviceSpec:
     """One managed device in the deployment."""
 
     def __init__(self, name, profile="server", site="site1"):
-        if isinstance(profile, str) and profile not in PROFILES:
-            raise ValueError("device %r: unknown profile %r (known: %s)" % (
-                name, profile, ", ".join(sorted(PROFILES))))
+        try:
+            resolve_profile(profile)
+        except ValueError as exc:
+            raise ValueError("device %r: %s" % (name, exc)) from None
         self.name = name
         self.profile = profile
         self.site = site

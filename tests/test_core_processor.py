@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+from repro.agents.acl import ACLMessage, Performative
+from repro.agents.ontology import DATA_READY
 from repro.core.health import SLOSpec
 from repro.core.processor import CROSS_CLUSTER
+from repro.core.reports import Finding
 from repro.core.system import (
     DeviceSpec,
     GridManagementSystem,
@@ -232,6 +235,73 @@ class TestFaultTolerance:
         system.run(until=120.0)
         assert killed.fetch_attempts == attempts
         assert sum(a.jobs_completed for a in system.analyzers[1:]) > 0
+
+
+class TestCrossWindow:
+    """With ``cross_window`` set, a cross job also correlates the problems
+    other datasets' cross jobs found within the window -- and only then:
+    a borrowed problem is not re-stamped, so it expires ``cross_window``
+    seconds after the dataset that found it, however often cross jobs
+    keep arriving."""
+
+    def _shipped(self, arrivals, cross_window=120.0):
+        system = GridManagementSystem(small_grid_spec())
+        system.root.cross_window = cross_window
+        problem = Finding("high-cpu", "major", "dev1", "site1",
+                          {"metric": "cpu_load", "value": 97.0}, level=2)
+        shipped = []
+
+        # Scripted analyzers: level 2 finds the problem in dataset
+        # "found" only; level 3 records what the root shipped.
+        def cluster_job(content):
+            return ([problem] if content["dataset"] == "found" else []), 1
+            yield  # pragma: no cover - keeps this a generator
+
+        def cross_job(content):
+            shipped.append((content["dataset"], system.sim.now,
+                            list(content["problems"])))
+            return [], 0
+            yield  # pragma: no cover - keeps this a generator
+
+        for analyzer in system.analyzers:
+            analyzer._run_cluster_job = cluster_job
+            analyzer._run_cross_job = cross_job
+        classifier = system.classifier
+
+        def publish(dataset):
+            classifier.send(ACLMessage(
+                Performative.INFORM, sender=classifier.name,
+                receiver=system.root.name, ontology=DATA_READY.name,
+                content=DATA_READY.make(
+                    dataset=dataset, record_count=1,
+                    clusters=["performance"],
+                    storage_host=system.store.host.name),
+                size_units=0.1,
+            ))
+
+        for at, dataset in arrivals:
+            system.sim.schedule(at, publish, (dataset,))
+        system.run(until=max(at for at, _ in arrivals) + 60.0)
+        return {dataset: problems for dataset, _, problems in shipped}
+
+    def test_borrowed_problem_expires_after_the_window(self):
+        shipped = self._shipped([
+            (100.0, "found"), (200.0, "t200"), (300.0, "t300"),
+            (400.0, "t400"), (500.0, "t500"),
+        ])
+        assert len(shipped["found"]) == 1
+        # t=200 is within 120 s of t=100: the problem is borrowed...
+        assert shipped["t200"] == shipped["found"]
+        # ...but borrowing it does not restart its window.
+        assert shipped["t300"] == []
+        assert shipped["t400"] == []
+        assert shipped["t500"] == []
+
+    def test_no_window_borrows_nothing(self):
+        shipped = self._shipped([(100.0, "found"), (150.0, "t150")],
+                                cross_window=0.0)
+        assert len(shipped["found"]) == 1
+        assert shipped["t150"] == []
 
 
 class TestHeartbeatFailureDetection:

@@ -43,6 +43,13 @@ class TestSpecValidation:
         assert DeviceSpec("d2", profile).profile is profile
         assert DeviceSpec("d3", "switch").profile == "switch"
 
+    @pytest.mark.parametrize("profile", [42, None, ("server",)])
+    def test_device_profile_neither_name_nor_profile_rejected(self, profile):
+        # One rule with the device layer (snmp.device.resolve_profile):
+        # the spec refuses what ManagedDevice would refuse, when it is built.
+        with pytest.raises(ValueError, match="'d1'.*unknown device profile"):
+            DeviceSpec("d1", profile)
+
     def test_fetch_timeout_derived_from_job_timeout(self):
         # Default: the whole retry ladder fits in half the job timeout,
         # so a slow fetch ladder can never outlive its own job.
