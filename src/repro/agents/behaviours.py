@@ -194,9 +194,6 @@ class MultiplexedTickerBehaviour(TickerBehaviour):
         self._callbacks.append(callback)
         return self
 
-    def remove_callback(self, callback):
-        self._callbacks.remove(callback)
-
     def on_tick(self):
         for callback in list(self._callbacks):
             callback()

@@ -162,11 +162,17 @@ class AgentPlatform:
                          % acl_message.receiver)
             return None
         sender = self.agent(acl_message.sender)
-        sender_host = sender.container.host if sender and sender.container else None
+        if sender is None or sender.container is None:
+            # A removed agent has no host to charge the send to; routing
+            # it for free would hide its traffic from every NIC.
+            self._bounce(acl_message, "unknown or undeployed sender %s"
+                         % acl_message.sender)
+            return None
+        sender_host = sender.container.host
         dest_host = receiver.container.host
         self.messages_routed += 1
-        if sender_host is dest_host or sender_host is None:
-            # Intra-host (or platform-origin): direct delivery, no NIC cost.
+        if sender_host is dest_host:
+            # Intra-host: direct delivery, no NIC cost.
             self.sim.schedule(0.0, self._deliver_local, (acl_message,))
             return None
         return Message(

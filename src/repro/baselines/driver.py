@@ -29,10 +29,6 @@ class RunResult:
         return self.system.interface.all_findings()
 
     @property
-    def reports_received(self):
-        return list(self.system.interface.reports)
-
-    @property
     def records_analyzed(self):
         return sum(r.records_analyzed for r in self.system.interface.reports)
 

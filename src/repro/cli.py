@@ -804,8 +804,9 @@ def build_parser():
                        help="write the labelled metrics snapshot here")
     trace.add_argument("--shards", type=int, default=1,
                        help="classifier/storage shards (>1 turns on the "
-                            "consistent-hash sharded lane and its "
-                            "shard.* metrics)")
+                            "consistent-hash sharded lane, and a "
+                            "grid=storage source with per-shard record "
+                            "counts)")
     trace.add_argument("--reliable", action="store_true",
                        help="route critical sends over the reliable channel")
     trace.add_argument("--stream", metavar="DIR", default=None,

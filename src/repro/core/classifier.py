@@ -18,7 +18,6 @@ from repro.agents.agent import Agent
 from repro.agents.behaviours import CyclicBehaviour
 from repro.agents.ontology import DATA_READY
 from repro.core.costs import DEFAULT_COST_MODEL, TaskKind
-from repro.core.storage import new_dataset_id
 
 #: CPU units charged per record for classification/indexing proper (on top
 #: of the Table 1 Storing cost, which covers persistence).  Documented
@@ -168,7 +167,7 @@ class ClassifierAgent(Agent):
             self._derive_rates(record)
             parsed_records.append(record)
         if self._open_dataset is None:
-            self._open_dataset = new_dataset_id()
+            self._open_dataset = self.sim.next_id("ds")
             self._open_count = 0
             self._open_cluster_counts = {}
         dataset_id = self._open_dataset
@@ -279,11 +278,6 @@ class ClassifierAgent(Agent):
         self._open_count = 0
         self._open_cluster_counts = {}
         self._open_contributors = []
-
-    def force_publish(self):
-        """Close the open dataset immediately (drivers use this at end)."""
-        if self._open_dataset is not None and self._open_count > 0:
-            self._publish()
 
     def __repr__(self):
         return "ClassifierAgent(%r, classified=%d, published=%d)" % (

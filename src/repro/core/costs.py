@@ -156,11 +156,6 @@ class CostModel:
         self.infer_costs = self._kind_cache(TaskKind.INFER)
         self.store_cost_entry = self._table.get((TaskKind.STORE, None))
         self.cross_cost_entry = self._table.get((TaskKind.INFER_CROSS, None))
-        self._flat = {}
-        for (kind, rtype), entry in self._table.items():
-            self._flat[(kind, rtype)] = entry
-            if rtype is None:
-                self._flat[kind] = entry
         # Enforce the immutability the caches above assume: runtime model
         # changes (chaos plans, scenario overrides) must build a fresh
         # CostModel via derive()/scaled(), never poke the table of a live
@@ -190,21 +185,6 @@ class CostModel:
             raise KeyError(
                 "no cost for task %r / request type %r" % (kind, request_type)
             ) from None
-
-    def cost_cached(self, kind, request_type=None):
-        """Fast-path :meth:`cost`: one dict probe, no key normalization.
-
-        STORE / INFER_CROSS resolve regardless of ``request_type`` (same
-        tolerance as :meth:`cost`); unknown entries fall back to
-        :meth:`cost` for its descriptive KeyError.
-        """
-        entry = self._flat.get((kind, request_type))
-        if entry is not None:
-            return entry
-        entry = self._flat.get(kind)
-        if entry is not None:
-            return entry
-        return self.cost(kind, request_type)
 
     def request_cost(self, request_type):
         entry = self.request_costs.get(request_type)

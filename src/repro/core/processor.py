@@ -14,8 +14,6 @@ charge the Table 1 inference cost, run the rule engine over the facts, and
 return findings.
 """
 
-import itertools
-
 from repro.agents.acl import ACLMessage, MessageTemplate, Performative
 from repro.agents.agent import Agent
 from repro.agents.behaviours import CyclicBehaviour, TickerBehaviour
@@ -142,8 +140,6 @@ class ProcessorRootAgent(Agent):
             different classifiers) can be correlated.  All members
             finalize when the cross job settles.
     """
-
-    _job_ids = itertools.count(1)
 
     def __init__(
         self,
@@ -435,7 +431,7 @@ class ProcessorRootAgent(Agent):
             infer_cpu = self.cost_model.infer_cost(
                 GROUP_REQUEST_TYPES[group]).cpu
             cpu_units = infer_cpu * max(1, record_count)
-        job_id = "job-%d" % next(ProcessorRootAgent._job_ids)
+        job_id = self.sim.next_id("job")
         span = None
         telemetry = self.telemetry
         if telemetry is not None and state.trace is not None:

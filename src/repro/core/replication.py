@@ -5,7 +5,8 @@ replication, indexing and recuperation of management data by agent grids."
 
 Every shard's :class:`~repro.core.storage.ManagementDataStore` mirrors
 its own writes onto a replica store on another host: each batch travels
-from the shard's storage agent as a real message (NIC cost at both ends)
+from the shard's classifier, which wrote it and shares the primary's
+host, as a real message (NIC cost at both ends)
 and is re-stored on the replica (its Storing cost applies there too --
 replication is not free).  Analyzers fail over to a shard's replica from
 their one fetch ladder (:meth:`~repro.core.processor.AnalyzerAgent._fetch`).
@@ -50,9 +51,11 @@ class ReplicationService:
         self.sim = system.sim
         self.lag = lag
         self.replica_stores = []
-        self._agents = {}  # primary store -> (primary name, replica name)
-        for index, (store, primary, host) in enumerate(
-                zip(system.stores, system.storage_agents, replica_hosts)):
+        self._lanes = {}  # primary store -> (sender name, replica name)
+        replicas = {}     # primary storage agent name -> replica name
+        for index, (store, primary, classifier, host) in enumerate(zip(
+                system.stores, system.storage_agents, system.classifiers,
+                replica_hosts)):
             replica_store = ManagementDataStore(host, system.cost_model)
             replica = StorageAgent("storage@" + host.name, replica_store)
             lane = "" if index == 0 else "-s%d" % index
@@ -61,9 +64,10 @@ class ReplicationService:
             ).deploy(replica)
             store.replication = self
             self.replica_stores.append(replica_store)
-            self._agents[store] = (primary.name, replica.name)
+            self._lanes[store] = (classifier.name, replica.name)
+            replicas[primary.name] = replica.name
         for analyzer in system.analyzers:
-            analyzer.replicas.update(self._agents.values())
+            analyzer.replicas.update(replicas)
         self.batches_replicated = 0
         self.records_replicated = 0
 
@@ -75,13 +79,13 @@ class ReplicationService:
     def _send_batch(self, store, records, dataset_id):
         if not store.host.up:
             return  # primary died before shipping; batch is lost (async)
-        primary, replica = self._agents[store]
+        sender, replica = self._lanes[store]
         # One-way: the replica stores without replying.  Batches ride the
         # reliable channel when installed: a lost mirror write would
         # silently diverge the replica.
         self.platform.send_reliable(ACLMessage(
             Performative.REQUEST,
-            sender=primary,
+            sender=sender,
             receiver=replica,
             content={"op": "replicate", "records": records,
                      "dataset": dataset_id},

@@ -406,10 +406,3 @@ class StorageAgent(Agent):
         self.items_migrated_out += items
         return items
 
-
-def new_dataset_id(prefix="ds"):
-    """A process-wide unique dataset identifier."""
-    return "%s-%d" % (prefix, next(_dataset_counter))
-
-
-_dataset_counter = itertools.count(1)

@@ -263,7 +263,7 @@ class Fabric:
     federation builds one and hands it to every site's grid.  The fabric
     registers its own telemetry sources (platform, transport, channel)
     and hooks the channel into the span recorder once, however many
-    grids share it.  The channel's metrics carry ``grid="network"``.
+    grids share it.  The channel's source carries ``grid="network"``.
     """
 
     def __init__(self, seed=0, wan=None, reliability=False, telemetry=False):
@@ -279,12 +279,8 @@ class Fabric:
         if reliability:
             from repro.network.reliable import ReliableChannel
 
-            channel_kwargs = _options(reliability)
-            if self.telemetry is not None:
-                channel_kwargs.setdefault("metrics", self.telemetry.registry)
-                channel_kwargs.setdefault("metric_labels", {"grid": "network"})
             self.reliable_channel = ReliableChannel(
-                self.transport, **channel_kwargs)
+                self.transport, **_options(reliability))
         self.platform = AgentPlatform(
             self.sim, self.network, self.transport,
             reliable_channel=self.reliable_channel,
@@ -346,13 +342,11 @@ class GridManagementSystem:
         self.cost_model = spec.cost_model
         self.site = spec.storage_host.site
         self._suffix = ""
-        self._site_labels = {}
         if fabric is None:
             fabric = Fabric(spec.seed, spec.wan, spec.reliability,
                             spec.telemetry)
         else:
             self._suffix = "@" + self.site
-            self._site_labels = {"site": self.site}
         if processor is not None and processor.fabric is not fabric:
             raise ValueError("a processor grid must share this grid's fabric")
         self.fabric = fabric
@@ -679,29 +673,26 @@ class GridManagementSystem:
                 agent=interface.name,
             )
         if self.ring is not None:
-            registry = telemetry.registry
-            system = self
-            site_labels = self._site_labels
-
             def _shard_metrics():
-                # Supplier with a side effect: refresh the per-shard
-                # labelled gauges at snapshot time, then report the
-                # scalar shard health counters as its own source dict.
-                for index, store in enumerate(system.stores):
-                    registry.gauge(
-                        "shard.records", dict(site_labels, shard=str(index)),
-                    ).set(store.records_stored)
-                registry.gauge("shard.scatter_fanout", site_labels).set(
-                    system.root.last_scatter_fanout)
-                return {
-                    "shards": len(system.ring),
-                    "scatter_rounds": system.root.scatter_rounds,
-                    "scatter_fanout_total": system.root.scatter_fanout_total,
-                    "rebalances": system.rebalances,
-                    "records_rebalanced": system.records_rebalanced,
+                metrics = {
+                    "records_shard%d" % index: store.records_stored
+                    for index, store in enumerate(self.stores)
                 }
+                metrics.update(
+                    shards=len(self.ring),
+                    scatter_rounds=self.root.scatter_rounds,
+                    scatter_fanout=self.root.last_scatter_fanout,
+                    scatter_fanout_total=self.root.scatter_fanout_total,
+                    rebalances=self.rebalances,
+                    records_rebalanced=self.records_rebalanced,
+                )
+                return metrics
 
-            telemetry.register_source(_shard_metrics, grid="storage")
+            # Shard 0's host names the sharded grid, so two sites on one
+            # fabric report two distinguishable sources.
+            telemetry.register_source(
+                _shard_metrics, grid="storage",
+                host=self.shard_hosts[0].name)
 
     # -- shard membership (sharded deployments only) -----------------------
 
@@ -784,10 +775,6 @@ class GridManagementSystem:
                 device_names, target.name)
         self.rebalances += 1
         self.records_rebalanced += total
-        if self.telemetry is not None:
-            self.telemetry.registry.counter(
-                "shard.rebalanced", self._site_labels).inc(
-                max(0, total))
 
     # -- goal assignment -------------------------------------------------------
 

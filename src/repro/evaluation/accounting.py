@@ -107,11 +107,6 @@ class UtilizationReport:
             return None
         return max(self.rows, key=lambda row: (row.total_units, row.host_name))
 
-    def max_utilization(self, kind):
-        if not self.rows:
-            return 0.0
-        return max(row.utilization(kind) for row in self.rows)
-
     def balance_index(self, kind=ResourceKind.CPU):
         """Jain's fairness index over per-host units (1.0 = perfectly even)."""
         values = [row.units.get(kind, 0.0) for row in self.rows]

@@ -156,13 +156,6 @@ class ReliableChannel:
         max_attempts: total transmissions (first + retransmits) before a
             message is dead-lettered.
         ack_size_units: network units charged for each ACK message.
-        metrics: optional :class:`~repro.simkernel.metrics.MetricRegistry`;
-            when given, the channel's accounting (sent / retransmits /
-            dup drops / dead letters / acked) is *registered* as live
-            counters there -- labelled by ``metric_labels`` -- so it shows
-            up in telemetry snapshots instead of staying attribute-only.
-        metric_labels: labels dict for the registered counters (e.g.
-            ``{"grid": "network"}``).
         redelivery: park dead-lettered envelopes per destination host and
             re-ship them once the destination heals (default off -- the
             dead-letter queue stays terminal, pre-redelivery behaviour).
@@ -178,8 +171,7 @@ class ReliableChannel:
     """
 
     def __init__(self, transport, ack_timeout=2.0, backoff=2.0,
-                 max_attempts=6, ack_size_units=0.1, metrics=None,
-                 metric_labels=None, redelivery=False,
+                 max_attempts=6, ack_size_units=0.1, redelivery=False,
                  redelivery_interval=None, redelivery_backoff=2.0,
                  redelivery_max_interval=30.0,
                  redelivery_give_up_after=600.0):
@@ -227,7 +219,7 @@ class ReliableChannel:
         self.on_dead_letter = None        # optional hook(dead_letter)
         self.on_redelivered = None        # optional hook(dead_letter)
         self.on_redelivery_gave_up = None  # optional hook(dead_letter)
-        # -- metrics ------------------------------------------------------
+        # -- accounting (polled through stats()) -------------------------
         self.messages_sent = 0
         self.messages_delivered = 0   # first copies handed to handlers
         self.messages_acked = 0       # pending entries settled by an ACK
@@ -240,30 +232,6 @@ class ReliableChannel:
         self.heal_probes = 0
         self.latency_sum = 0.0        # first-send -> ack, per acked message
         self.latency_max = 0.0
-        self.bind_metrics(metrics, metric_labels)
-
-    def bind_metrics(self, metrics, labels=None):
-        """Register the channel's counters in a metric registry.
-
-        The attribute accounting stays (cheap, always on); the registry
-        counters mirror it live so snapshots -- and anything else reading
-        the registry -- see retransmissions, duplicate suppressions and
-        dead letters without reaching into channel internals.
-        """
-        if metrics is None:
-            self._m_sent = self._m_delivered = self._m_acked = None
-            self._m_retransmits = self._m_dups = self._m_dead = None
-            self._m_redelivered = self._m_gave_up = None
-            return
-        self._m_sent = metrics.counter("reliable.sent", labels)
-        self._m_delivered = metrics.counter("reliable.delivered", labels)
-        self._m_acked = metrics.counter("reliable.acked", labels)
-        self._m_retransmits = metrics.counter("reliable.retransmits", labels)
-        self._m_dups = metrics.counter("reliable.dup_drops", labels)
-        self._m_dead = metrics.counter("reliable.dead_letters", labels)
-        self._m_redelivered = metrics.counter("reliable.redelivered", labels)
-        self._m_gave_up = metrics.counter(
-            "reliable.redelivery_gave_up", labels)
 
     # -- submission --------------------------------------------------------
 
@@ -324,8 +292,6 @@ class ReliableChannel:
         self._pending[(stream, seq)] = pending
         self._bind_endpoints(message.sender.host, message.dest.host)
         self.messages_sent += 1
-        if self._m_sent is not None:
-            self._m_sent.inc()
         return pending
 
     def _make_wire(self, pending, first):
@@ -334,8 +300,6 @@ class ReliableChannel:
         pending.last_sent = self.sim.now
         if not first:
             self.retransmits += 1
-            if self._m_retransmits is not None:
-                self._m_retransmits.inc()
         message = pending.message
         envelope = Envelope(
             pending.stream, pending.seq, message.dest.port,
@@ -367,8 +331,6 @@ class ReliableChannel:
                 dead = DeadLetter(pending, self.sim.now, reason)
                 self._dead_by_key[key] = dead
                 self.dead_letters.append(dead)
-                if self._m_dead is not None:
-                    self._m_dead.inc()
             else:
                 # Re-exhaustion after a redelivery round: refresh the
                 # existing entry instead of double-counting the loss.
@@ -475,8 +437,6 @@ class ReliableChannel:
         dead.status = "redelivered"
         dead.redelivered_at = self.sim.now
         self.redelivered += 1
-        if self._m_redelivered is not None:
-            self._m_redelivered.inc()
         if self.on_redelivered is not None:
             self.on_redelivered(dead)
         return self._make_wire(pending, first=True)
@@ -484,8 +444,6 @@ class ReliableChannel:
     def _give_up(self, dead):
         dead.status = "gave-up"
         self.redelivery_gave_up += 1
-        if self._m_gave_up is not None:
-            self._m_gave_up.inc()
         if self.on_redelivery_gave_up is not None:
             self.on_redelivery_gave_up(dead)
 
@@ -499,8 +457,6 @@ class ReliableChannel:
         if pending.timer is not None:
             pending.timer.cancel()
         self.messages_acked += 1
-        if self._m_acked is not None:
-            self._m_acked.inc()
         latency = self.sim.now - pending.first_sent
         self.latency_sum += latency
         if latency > self.latency_max:
@@ -518,8 +474,6 @@ class ReliableChannel:
             # Duplicate: the payload was already handed up; the ACK must
             # have been lost, so re-ack without redelivering.
             self.dup_drops += 1
-            if self._m_dups is not None:
-                self._m_dups.inc()
             self._send_ack(wire, stream, seq)
             return
         destination = self.network.hosts.get(wire.dest.host)
@@ -535,8 +489,6 @@ class ReliableChannel:
             return
         seen.add(seq)
         self.messages_delivered += 1
-        if self._m_delivered is not None:
-            self._m_delivered.inc()
         # Restore the original addressing before the handoff so handlers
         # (e.g. AgentPlatform._on_network_message) see a plain delivery.
         wire.dest = Address(wire.dest.host, envelope.port)
@@ -574,20 +526,6 @@ class ReliableChannel:
         if not self.messages_acked:
             return 0.0
         return self.latency_sum / self.messages_acked
-
-    def stream_stats(self):
-        """Per-stream accounting: one row per (src host, dst host, port).
-
-        Exposes the persistent inter-site link view the federation mesh
-        reports on: how many envelopes each site-pair stream has carried
-        and how many are still unacknowledged.
-        """
-        rows = {}
-        for stream, next_seq in self._next_seq.items():
-            rows[stream] = {"sent": next_seq, "pending": 0}
-        for (stream, _seq) in self._pending:
-            rows[stream]["pending"] += 1
-        return rows
 
     def stats(self):
         return {

@@ -115,10 +115,6 @@ class InferenceEngine:
             raise ValueError("duplicate rule name %r" % rule.name)
         self.rules.append(rule)
 
-    @property
-    def fire_count(self):
-        return len(self.fired)
-
     def run(self):
         """Fire rules until quiescent; returns number of firings."""
         fired_before = len(self.fired)

@@ -8,7 +8,7 @@ rules at runtime (user feedback through the interface grid adds rules
 here).
 """
 
-from repro.rules.engine import InferenceEngine, Rule
+from repro.rules.engine import InferenceEngine
 
 
 class KnowledgeBase:
@@ -102,8 +102,3 @@ class KnowledgeBase:
         return "KnowledgeBase(%r, rules=%d, groups=%s)" % (
             self.name, len(self._rules), self.groups(),
         )
-
-
-def make_rule(name, patterns, action, **kwargs):
-    """Convenience constructor mirroring :class:`Rule`'s signature."""
-    return Rule(name, patterns, action, **kwargs)

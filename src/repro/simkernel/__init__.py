@@ -14,9 +14,9 @@ Public surface:
 * :class:`Resource` / :class:`ResourceKind` -- capacity-limited server with a
   busy-time ledger.
 * :class:`RngStream` -- named, seed-derived random streams for determinism.
-* :mod:`metrics <repro.simkernel.metrics>` -- time series / counters.
 * :mod:`telemetry <repro.simkernel.telemetry>` -- causal spans and the
-  session :class:`Telemetry` flight recorder.
+  session :class:`Telemetry` flight recorder, whose metrics snapshot
+  polls every registered source.
 """
 
 from repro.simkernel.events import EventQueue, ScheduledEvent, SimEvent
@@ -29,15 +29,11 @@ from repro.simkernel.simulator import (
 )
 from repro.simkernel.resources import Resource, ResourceKind, Use
 from repro.simkernel.rng import RngStream, derive_seed
-from repro.simkernel.metrics import Counter, Gauge, MetricRegistry, TimeSeries
 from repro.simkernel.telemetry import Span, SpanRecorder, Telemetry
 
 __all__ = [
-    "Counter",
     "EventQueue",
-    "Gauge",
     "Interrupted",
-    "MetricRegistry",
     "Process",
     "ProcessKilled",
     "Resource",
@@ -50,7 +46,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Telemetry",
-    "TimeSeries",
     "Use",
     "derive_seed",
 ]

@@ -1,8 +1,8 @@
 """Log-bucketed streaming latency histogram.
 
-The flight recorder (PRs 4/6) can answer forensic percentile questions
-after a run by sorting every recorded value (``TimeSeries.percentile``,
-O(n log n) per query, O(n) memory).  That shape cannot back a *live*
+The flight recorder can answer forensic percentile questions after a
+run by sorting every recorded value (O(n log n) per query, O(n)
+memory).  That shape cannot back a *live*
 health layer: an operator asking "what is the ship-stage p99 right now"
 on a grid pushing millions of spans needs O(1) ingest, bounded memory
 and cheap quantile reads -- and the per-shard/per-site histograms must

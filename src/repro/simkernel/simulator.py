@@ -218,6 +218,7 @@ class Simulator:
         self.queue = EventQueue()
         self.spawned = 0
         self._name_counts = {}
+        self._id_counts = {}
         self._trace_hooks = []
         self._rng_streams = {}
 
@@ -246,6 +247,16 @@ class Simulator:
         event = self.event(name)
         self.schedule(delay, event.trigger, (value,))
         return event
+
+    def next_id(self, prefix):
+        """``"<prefix>-N"``, with N counting from 1 per prefix in this run.
+
+        Ids a deployment hands out (datasets, jobs) come from its own
+        simulator, so two identical runs in one process name things alike.
+        """
+        number = self._id_counts.get(prefix, 0) + 1
+        self._id_counts[prefix] = number
+        return "%s-%d" % (prefix, number)
 
     # -- processes --------------------------------------------------------
 

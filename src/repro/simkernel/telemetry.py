@@ -13,9 +13,9 @@ Two pieces:
   trees).  Exports a Chrome-trace/Perfetto JSON timeline
   (:meth:`SpanRecorder.to_chrome_trace`) that loads directly into
   ``chrome://tracing`` / https://ui.perfetto.dev.
-* :class:`Telemetry` -- the session facade: one recorder, one session-wide
-  :class:`~repro.simkernel.metrics.MetricRegistry`, labelled metric
-  *sources* (per grid / host / agent) and export helpers.
+* :class:`Telemetry` -- the session facade: one recorder, labelled metric
+  *sources* (per grid / host / agent) polled at snapshot time, and export
+  helpers.
 
 Everything here is passive Python bookkeeping: recording a span schedules
 no events, draws no random numbers and charges no resources, so a run with
@@ -766,8 +766,9 @@ class Telemetry:
     Components *register sources* -- ``(labels, supplier)`` pairs where
     ``supplier()`` returns a flat name->number dict -- so one snapshot
     shows every counter in the deployment labelled by grid / host / agent.
-    The session :attr:`registry` additionally holds metrics written
-    directly by instrumented components (e.g. the reliable channel).
+    Sources are polled, the way the collector grid polls a device: a
+    component keeps its own counters and costs nothing until a snapshot
+    reads them.
     """
 
     #: Reserved trace id grouping behaviour-attribution spans; fixed (not
@@ -776,11 +777,8 @@ class Telemetry:
 
     def __init__(self, sim, capacity=100_000, stream_dir=None,
                  stream_chunk_spans=5000, attribution=False):
-        from repro.simkernel.metrics import MetricRegistry
-
         self.sim = sim
         self.recorder = SpanRecorder(sim, capacity=capacity)
-        self.registry = MetricRegistry()
         self.attribution = attribution
         self.exporter = None
         if stream_dir is not None:
@@ -795,7 +793,7 @@ class Telemetry:
         labels = {"grid": grid, "host": host, "agent": agent}
         self._sources.append((labels, supplier))
 
-    def metrics_snapshot(self, series_window=None, series_max_points=None):
+    def metrics_snapshot(self):
         """One labelled, JSON-ready view of every metric in the session."""
         sources = []
         for labels, supplier in self._sources:
@@ -805,10 +803,6 @@ class Telemetry:
             }
             sources.append({"labels": dict(labels), "metrics": metrics})
         payload = {
-            "registry": self.registry.snapshot(
-                series_window=series_window,
-                series_max_points=series_max_points,
-            ),
             "sources": sources,
             "spans": {
                 "recorded": len(self.recorder),

@@ -78,6 +78,25 @@ class TestPlatformRouting:
         assert sender.got[0].performative == Performative.FAILURE
         assert platform.messages_failed == 1
 
+    @pytest.mark.parametrize("sender_name", ["ghost", "removed"])
+    def test_undeployed_sender_is_refused(self, sim, deployment,
+                                          sender_name):
+        # A sender with no container has no host to charge, so the
+        # message must not reach the receiver for free.
+        platform, container_a, container_b = deployment
+        receiver = Recorder("recv")
+        container_b.deploy(receiver)
+        removed = Recorder("removed")
+        container_a.deploy(removed)
+        container_a.remove(removed)
+        platform.send(ACLMessage(
+            Performative.INFORM, sender_name, "recv", size_units=4.0))
+        sim.run(until=10)
+        assert receiver.got == []
+        assert platform.messages_failed == 1
+        assert platform.messages_routed == 0
+        assert container_b.host.nic.total_units == 0.0
+
     def test_duplicate_agent_name_rejected(self, sim, deployment):
         platform, container_a, container_b = deployment
         container_a.deploy(Recorder("same"))

@@ -205,6 +205,30 @@ class TestCli:
         assert payload["mode"] == "siloed"
         assert payload["records"] == 12
 
+    def test_trace_metrics_payload_is_polled_sources(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        assert cli.main(["trace", "--reliable", "--shards", "2",
+                         "--metrics", str(path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        assert "registry" not in payload
+        assert sorted(payload) == ["sources", "spans"]
+        sources = payload["sources"]
+        (channel,) = [source["metrics"] for source in sources
+                      if source["labels"]["agent"] == "reliable-channel"]
+        assert channel["sent"] > 0
+        assert "retransmits" in channel
+        (storage,) = [source for source in sources
+                      if source["labels"]["grid"] == "storage"]
+        per_shard = [value for name, value in storage["metrics"].items()
+                     if name.startswith("records_shard")]
+        assert len(per_shard) == storage["metrics"]["shards"] == 2
+        classified = sum(source["metrics"]["records_classified"]
+                         for source in sources
+                         if source["labels"]["grid"] == "classifier")
+        assert sum(per_shard) == classified == 30
+        assert storage["labels"]["host"]
+
     def test_crossover_small(self, capsys):
         assert cli.main(["crossover", "--points", "1", "2"]) == 0
         out = capsys.readouterr().out

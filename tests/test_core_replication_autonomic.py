@@ -111,6 +111,26 @@ class TestFailover:
         assert sum(a.fetch_failovers for a in system.analyzers) > 0
         assert service.replica_stores[0].fetches_served > 0
 
+    @staticmethod
+    def _replica_nic_units(kill_primary_at):
+        system, service = replicated_system(seed=29)
+        # No analyzers, so no fetch ever reaches the replica: its NIC
+        # carries replication traffic only.
+        for analyzer in system.analyzers:
+            analyzer.container.remove(analyzer)
+        if kill_primary_at is not None:
+            system.sim.schedule(kill_primary_at, lambda: (
+                system.storage_container.remove(system.storage_agent)))
+        system.assign_goals(system.make_paper_goals(polls_per_type=4))
+        system.sim.run(until=200.0)
+        assert service.records_replicated == 12
+        return service.replica_stores[0].host.nic.total_units
+
+    def test_replication_after_primary_removal_still_pays_the_nic(self):
+        healthy = self._replica_nic_units(None)
+        assert healthy == 18.0
+        assert self._replica_nic_units(0.5) == healthy
+
     def test_no_failover_when_primary_healthy(self):
         system, service = replicated_system()
         system.assign_goals(system.make_paper_goals(polls_per_type=2))

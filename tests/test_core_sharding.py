@@ -275,24 +275,27 @@ class TestRebalance:
             system.remove_storage_shard(system.shard_hosts[0].name)
 
 
+def _shard_source(system):
+    """The sharded grid's one ``grid=storage`` source with shard health."""
+    (source,) = [
+        source for source in system.telemetry.metrics_snapshot()["sources"]
+        if source["labels"]["grid"] == "storage"
+        and "shards" in source["metrics"]
+    ]
+    return source
+
+
 class TestShardMetrics:
     def test_shard_metrics_in_snapshot(self):
         system = GridManagementSystem(
             _sharded_spec(2, devices=3, seed=5, telemetry=True))
         system.assign_goals(system.make_paper_goals(polls_per_type=4))
         assert system.run_until_records(12, timeout=4000)
-        snapshot = system.telemetry.metrics_snapshot()
-        gauges = snapshot["registry"]["gauges"]
-        assert gauges["shard.records{shard=0}"] + \
-            gauges["shard.records{shard=1}"] == 12
-        assert "shard.scatter_fanout" in gauges
-        storage_sources = [
-            source for source in snapshot["sources"]
-            if source["labels"].get("grid") == "storage"
-            and "shards" in source["metrics"]
-        ]
-        assert storage_sources
-        metrics = storage_sources[0]["metrics"]
+        metrics = _shard_source(system)["metrics"]
+        assert metrics["records_shard0"] + metrics["records_shard1"] == 12
+        assert [metrics["records_shard%d" % index] for index in range(2)] \
+            == [store.records_stored for store in system.stores]
+        assert metrics["scatter_fanout"] == system.root.last_scatter_fanout
         assert metrics["shards"] == 2
         assert metrics["scatter_rounds"] >= 1
 
@@ -303,5 +306,8 @@ class TestShardMetrics:
         assert system.run_until_records(12, timeout=4000)
         system.add_storage_shard()
         system.sim.run(until=system.sim.now + 150.0)
-        counters = system.telemetry.metrics_snapshot()["registry"]["counters"]
-        assert counters.get("shard.rebalanced", 0) > 0
+        metrics = _shard_source(system)["metrics"]
+        assert metrics["records_rebalanced"] > 0
+        assert metrics["records_rebalanced"] == system.records_rebalanced
+        assert metrics["rebalances"] == 1
+        assert metrics["records_shard2"] > 0

@@ -6,7 +6,7 @@ from repro.agents.acl import ACLMessage, MessageTemplate, Performative
 from repro.agents.agent import Agent
 from repro.agents.platform import AgentPlatform
 from repro.core.records import ManagementRecord, Sample
-from repro.core.storage import ManagementDataStore, StorageAgent, new_dataset_id
+from repro.core.storage import ManagementDataStore, StorageAgent
 from repro.network.topology import Network
 from repro.network.transport import Transport
 from repro.simkernel.simulator import Simulator
@@ -126,7 +126,10 @@ class TestDataStore:
         assert store.history("d1", "proc_name") == []
 
     def test_dataset_id_generator_unique(self):
-        assert new_dataset_id() != new_dataset_id()
+        sim = Simulator()
+        assert [sim.next_id("ds"), sim.next_id("ds")] == ["ds-1", "ds-2"]
+        # ids are per simulator: another run starts over
+        assert Simulator().next_id("ds") == "ds-1"
 
 
 class _Requester(Agent):

@@ -480,28 +480,33 @@ class TestShardedSiteGrids:
         system.sim.run(until=60.0)
         system.sites["site1"].add_storage_shard()
         system.sim.run(until=200.0)
-        registry = system.telemetry.metrics_snapshot()["registry"]
-        gauges = registry["gauges"]
-        shard_gauges = sorted(
-            name for name in gauges if name.startswith("shard."))
-        assert shard_gauges == [
-            "shard.records{shard=0,site=site1}",
-            "shard.records{shard=0,site=site2}",
-            "shard.records{shard=1,site=site1}",
-            "shard.records{shard=1,site=site2}",
-            "shard.records{shard=2,site=site1}",
-            "shard.scatter_fanout{site=site1}",
-            "shard.scatter_fanout{site=site2}",
-        ]
+        shard_sources = {
+            source["labels"]["host"]: source["metrics"]
+            for source in system.telemetry.metrics_snapshot()["sources"]
+            if source["labels"]["grid"] == "storage"
+            and "shards" in source["metrics"]
+        }
+        # one source per site, told apart by shard 0's host
+        assert sorted(shard_sources) == sorted(
+            grid.shard_hosts[0].name for grid in system.sites.values())
+        total = 0
         for site, grid in system.sites.items():
+            metrics = shard_sources[grid.shard_hosts[0].name]
+            assert sorted(name for name in metrics
+                          if name.startswith("records_shard")) == [
+                "records_shard%d" % index
+                for index in range(len(grid.stores))]
             for index, store in enumerate(grid.stores):
-                assert gauges["shard.records{shard=%d,site=%s}" % (
-                    index, site)] == store.records_stored
-        assert sum(gauges[name] for name in shard_gauges
-                   if name.startswith("shard.records")) > 0
-        counters = registry["counters"]
-        assert counters["shard.rebalanced{site=site1}"] > 0
-        assert "shard.rebalanced" not in counters
+                assert metrics["records_shard%d" % index] == \
+                    store.records_stored
+                total += store.records_stored
+            assert metrics["scatter_fanout"] == grid.root.last_scatter_fanout
+        assert total > 0
+        assert len(system.sites["site1"].stores) == 3
+        assert shard_sources[system.sites["site1"].shard_hosts[0].name][
+            "records_rebalanced"] > 0
+        assert shard_sources[system.sites["site2"].shard_hosts[0].name][
+            "records_rebalanced"] == 0
 
 
 class TestSiteGrids:

@@ -14,8 +14,8 @@ For each level-3 dispatch it pins the sim time, the primary dataset, the
 sorted problems shipped, and the (storage host, dataset) summaries the
 analyzer fetched for that job.  For each report it pins the dataset,
 ``generated_at``, ``records_analyzed`` and every finding's kind,
-severity, device, site and level.  Dataset ids come from a process-wide
-counter, so they are renumbered from 1 in order of creation.
+severity, device, site and level.  Dataset ids are numbered per run, so
+each scenario's record is the same whatever ran before it.
 
 Regenerate after a deliberate behaviour change (and explain every
 changed byte) with::
@@ -39,7 +39,6 @@ GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "benchmarks", "golden",
     "level3.json")
 
-_DATASET = re.compile(r"^ds-(\d+)$")
 _JOB = re.compile(r"^(job-\d+)")
 
 
@@ -113,32 +112,16 @@ def level3_record(name):
     for analyzer in analyzers:
         _tap_analyzer(analyzer, fetched)
     run()
-
-    seen = set()
-    for _, content in dispatches:
-        seen.add(content["dataset"])
-    for pairs in fetched.values():
-        seen.update(dataset for _, dataset in pairs)
-    for report in interface.reports:
-        seen.add(report.dataset_id)
-    numbered = sorted(int(_DATASET.match(dataset).group(1))
-                      for dataset in seen if _DATASET.match(dataset))
-    renumber = {"ds-%d" % number: "ds-%d" % index
-                for index, number in enumerate(numbered, 1)}
-
-    def label(dataset):
-        return renumber.get(dataset, dataset)
-
     return {
         "cross_jobs": [
             {
                 "at": at,
-                "primary": label(content["dataset"]),
+                "primary": content["dataset"],
                 "problems": sorted(
                     content.get("problems", ()),
                     key=lambda problem: json.dumps(problem, sort_keys=True)),
                 "summaries": [
-                    [host, label(dataset)]
+                    [host, dataset]
                     for host, dataset in fetched.get(content["job_id"], ())
                 ],
             }
@@ -146,7 +129,7 @@ def level3_record(name):
         ],
         "reports": [
             {
-                "dataset": label(report.dataset_id),
+                "dataset": report.dataset_id,
                 "generated_at": report.generated_at,
                 "records_analyzed": report.records_analyzed,
                 "findings": [

@@ -279,21 +279,21 @@ class TestRedelivery:
             ReliableChannel(transport, redelivery_give_up_after=0)
 
     def test_redelivery_metrics_registered(self):
-        from repro.simkernel.metrics import MetricRegistry
+        from repro.simkernel.telemetry import Telemetry
 
         sim, network, channel, _ = self._healing_channel()
-        registry = MetricRegistry()
-        channel.bind_metrics(registry, {"grid": "network"})
+        telemetry = Telemetry(sim)
+        telemetry.register_source(channel.stats, grid="network",
+                                  agent="reliable-channel")
         network.hosts["b"].fail()
         _post_many(channel, 1)
         sim.schedule(10.0, network.hosts["b"].recover, ())
         sim.run(until=100)
         assert channel.redelivered == 1
-        snapshot = registry.snapshot()
-        redelivered = [name for name in snapshot["counters"]
-                       if "reliable.redelivered" in name]
-        assert redelivered
-        assert snapshot["counters"][redelivered[0]] == 1
+        (source,) = telemetry.metrics_snapshot()["sources"]
+        assert source["labels"]["agent"] == "reliable-channel"
+        assert source["metrics"]["redelivered"] == 1
+        assert source["metrics"]["redelivery_gave_up"] == 0
 
 
 class TestRedeliveryProperty:

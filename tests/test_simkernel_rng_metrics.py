@@ -1,8 +1,7 @@
-"""Unit tests for RNG streams and metric primitives."""
+"""Unit tests for RNG streams."""
 
 import pytest
 
-from repro.simkernel.metrics import Counter, Gauge, MetricRegistry, TimeSeries
 from repro.simkernel.rng import RngStream, derive_seed
 
 
@@ -46,62 +45,3 @@ class TestRng:
         shuffled = stream.shuffle(list(items))
         assert sorted(shuffled) == items
 
-
-class TestMetrics:
-    def test_counter_only_increases(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.add(-3)
-        assert gauge.value == 7
-
-    def test_series_records_and_aggregates(self):
-        series = TimeSeries("s")
-        for time, value in [(0, 1.0), (1, 3.0), (2, 2.0)]:
-            series.record(time, value)
-        assert series.last() == 2.0
-        assert series.mean() == 2.0
-        assert series.maximum() == 3.0
-        assert len(series) == 3
-
-    def test_series_rejects_time_regression(self):
-        series = TimeSeries("s")
-        series.record(5, 1.0)
-        with pytest.raises(ValueError):
-            series.record(4, 1.0)
-
-    def test_time_weighted_mean_of_step_function(self):
-        series = TimeSeries("s")
-        series.record(0.0, 0.0)
-        series.record(5.0, 10.0)
-        # 0 for 5s, 10 for 5s -> mean 5 over [0, 10]
-        assert series.time_weighted_mean(horizon=10.0) == pytest.approx(5.0)
-
-    def test_empty_series_aggregates_are_zero(self):
-        series = TimeSeries("s")
-        assert series.mean() == 0.0
-        assert series.maximum() == 0.0
-        assert series.last() is None
-
-    def test_registry_reuses_instances(self):
-        registry = MetricRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("b") is registry.gauge("b")
-        assert registry.series("c") is registry.series("c")
-
-    def test_registry_snapshot(self):
-        registry = MetricRegistry()
-        registry.counter("a").inc(2)
-        registry.gauge("b").set(5)
-        registry.series("c").record(0, 1)
-        snap = registry.snapshot()
-        assert snap["counters"] == {"a": 2}
-        assert snap["gauges"] == {"b": 5}
-        assert snap["series"] == {"c": [(0, 1)]}

@@ -1,7 +1,7 @@
 """Tests for the causal tracing + telemetry subsystem (flight recorder).
 
-Covers the span recorder primitives, the kernel profiler, windowed
-time-series snapshots, labelled metrics, Chrome-trace export, the
+Covers the span recorder primitives, labelled metric sources,
+Chrome-trace export, the
 end-to-end span chain through a real grid run, determinism of identical
 seeded runs, and -- crucially -- that telemetry is *passive*: a run with
 the recorder attached produces exactly the same simulation as one without.
@@ -18,7 +18,6 @@ from repro.core.system import (
     HostSpec,
 )
 from repro.network.topology import LinkSpec
-from repro.simkernel.metrics import MetricRegistry, TimeSeries
 from repro.simkernel.telemetry import (
     SpanRecorder,
     StreamingTraceExporter,
@@ -219,79 +218,12 @@ class TestChromeTraceExport:
         assert rows == [("collect", 2, 1, 2.0)]
 
 
-class TestTimeSeriesSnapshot:
-    def _series(self, count=100):
-        series = TimeSeries("q")
-        for index in range(count):
-            series.record(float(index), index * 10)
-        return series
-
-    def test_full_copy_by_default(self):
-        series = self._series(10)
-        copy = series.snapshot()
-        assert copy == series.points
-        assert copy is not series.points
-
-    def test_window_keeps_trailing_points_only(self):
-        series = self._series(100)
-        tail = series.snapshot(window=4.0)
-        assert tail == [(t, v) for t, v in series.points if t >= 95.0]
-
-    def test_max_points_decimates_keeping_first_and_last(self):
-        series = self._series(100)
-        decimated = series.snapshot(max_points=10)
-        assert len(decimated) == 10
-        assert decimated[0] == series.points[0]
-        assert decimated[-1] == series.points[-1]
-        assert decimated == sorted(decimated)
-
-    def test_window_and_max_points_compose(self):
-        series = self._series(1000)
-        bounded = series.snapshot(window=500.0, max_points=5)
-        assert len(bounded) == 5
-        assert bounded[0][0] >= 499.0
-        assert bounded[-1] == series.points[-1]
-
-    def test_max_points_larger_than_series_is_full_copy(self):
-        series = self._series(5)
-        assert series.snapshot(max_points=50) == series.points
-
-    def test_single_point_budget_returns_last(self):
-        series = self._series(10)
-        assert series.snapshot(max_points=1) == [series.points[-1]]
-
-    def test_validation(self):
-        series = self._series(5)
-        with pytest.raises(ValueError):
-            series.snapshot(window=-1.0)
-        with pytest.raises(ValueError):
-            series.snapshot(max_points=0)
-
-    def test_registry_snapshot_routes_series_bounds(self):
-        registry = MetricRegistry()
-        series = registry.series("depth")
-        for index in range(50):
-            series.record(float(index), index)
-        snap = registry.snapshot(series_max_points=5)
-        assert len(snap["series"]["depth"]) == 5
-
-
-class TestLabeledMetrics:
-    def test_labels_canonicalized_into_name(self):
-        registry = MetricRegistry()
-        counter = registry.counter("reliable.sent",
-                                   {"host": "h1", "grid": "network"})
-        counter.inc(3)
-        snap = registry.snapshot()
-        assert snap["counters"]["reliable.sent{grid=network,host=h1}"] == 3.0
-
-    def test_same_labels_same_instance(self):
-        registry = MetricRegistry()
-        first = registry.counter("x", {"a": "1"})
-        second = registry.counter("x", {"a": "1"})
-        other = registry.counter("x", {"a": "2"})
-        assert first is second
-        assert first is not other
+def _channel_source(snapshot):
+    """The reliable channel's metrics in a snapshot (``grid=network``)."""
+    (source,) = [s for s in snapshot["sources"]
+                 if s["labels"] == {"grid": "network", "host": "",
+                                    "agent": "reliable-channel"}]
+    return source["metrics"]
 
 
 def _grid_spec(seed=7, telemetry=True, **overrides):
@@ -358,27 +290,24 @@ class TestGridTelemetry:
         second = GridManagementSystem(_grid_spec(seed=11))
         _run(first)
         _run(second)
-        # Dataset and job ids come from process-global counters (like
-        # FIPA conversation ids), so two runs in one process label them
-        # differently; canonicalize to first-seen order before comparing
-        # -- everything else must match exactly.
-        def keys(system):
-            rename = {}
-            rows = []
-            for span in system.telemetry.recorder.spans:
-                detail = dict(span.detail)
-                for slot in ("dataset", "job_id"):
-                    value = detail.get(slot)
-                    if value is not None:
-                        detail[slot] = rename.setdefault(
-                            value, "%s#%d" % (slot, len(rename)))
-                rows.append(span.key()[:-1] + (tuple(sorted(detail.items())),))
-            return rows
-
-        first_keys = keys(first)
-        second_keys = keys(second)
+        first_keys = [span.key() for span in first.telemetry.recorder.spans]
+        second_keys = [span.key() for span in second.telemetry.recorder.spans]
         assert first_keys == second_keys
         assert first_keys  # non-vacuous
+
+    def test_identical_builds_in_one_process_give_identical_chrome_traces(self):
+        # Dataset and job ids are numbered per deployment, so whatever ran
+        # earlier in the process leaves a later trace byte-identical.
+        traces = []
+        for _ in range(2):
+            system = GridManagementSystem(_grid_spec(
+                seed=11, reliability=True, shards=2))
+            assert _run(system)
+            traces.append(json.dumps(system.telemetry.chrome_trace(),
+                                     sort_keys=True))
+        assert traces[0] == traces[1]
+        assert '"dataset": "ds-1"' in traces[0]
+        assert '"job_id": "job-1"' in traces[0]
 
     def test_telemetry_is_passive_same_simulation_either_way(self):
         """A run with the recorder on is simulation-identical to one with
@@ -415,10 +344,9 @@ class TestGridTelemetry:
         assert recorder.orphan_spans() == []
         outcome = system.telemetry.pipeline_report()
         assert outcome["complete"] == outcome["batches"]
-        # the channel's accounting surfaced as registered metrics
+        # the channel's accounting surfaced through its polled source
         snap = system.telemetry.metrics_snapshot()
-        assert snap["registry"]["counters"][
-            "reliable.dead_letters{grid=network}"] >= 1
+        assert _channel_source(snap)["dead_letters"] >= 1
 
     def test_metrics_snapshot_has_labelled_sources(self):
         system = GridManagementSystem(_grid_spec(reliability=True))
@@ -432,8 +360,8 @@ class TestGridTelemetry:
                          if s["labels"]["agent"] == "collector-1")
         assert collector["metrics"]["records_shipped"] > 0
         assert snap["spans"]["recorded"] == len(system.telemetry.recorder)
-        assert snap["registry"]["counters"][
-            "reliable.sent{grid=network}"] > 0
+        assert "registry" not in snap
+        assert _channel_source(snap)["sent"] > 0
 
     def test_chrome_trace_roundtrips_from_real_run(self):
         system = GridManagementSystem(_grid_spec())
