@@ -13,9 +13,10 @@ This package provides the equivalent substrate:
 * :mod:`platform <repro.agents.platform>` -- AMS (agent registry) and MTS
   (message transport over the simulated network);
 * :mod:`directory <repro.agents.directory>` -- the directory facilitator
-  (service + container-profile registry, the paper's "D1");
-* :mod:`mobility <repro.agents.mobility>` -- agent migration (the paper's
-  future-work item, exercised by the mobility bench).
+  (service + container-profile registry, the paper's "D1").
+
+Agents stay where they are deployed: the grids move work to agents (job
+placement), never agents between containers.
 """
 
 from repro.agents.acl import ACLMessage, AgentId, MessageTemplate, Performative
@@ -30,7 +31,6 @@ from repro.agents.behaviours import (
 from repro.agents.container import AgentContainer, ResourceProfile
 from repro.agents.platform import AgentPlatform, PlatformError
 from repro.agents.directory import DirectoryFacilitator, ServiceDescription
-from repro.agents.mobility import MigrationError, MobilityService
 
 __all__ = [
     "ACLMessage",
@@ -43,8 +43,6 @@ __all__ = [
     "DirectoryFacilitator",
     "FSMBehaviour",
     "MessageTemplate",
-    "MigrationError",
-    "MobilityService",
     "OneShotBehaviour",
     "Performative",
     "PlatformError",

@@ -3,7 +3,7 @@
 Agents live inside a container (which binds them to a host) and interact
 with the world only through ACL messages and explicit resource usage on
 their host.  Behaviours are simulation processes; the agent tracks them so
-it can be stopped or migrated cleanly.
+it can be stopped cleanly.
 """
 
 from repro.agents.acl import ACLMessage, AgentId, MessageTemplate
@@ -71,9 +71,6 @@ class Agent:
     def setup(self):
         """Install initial behaviours; called when the agent is deployed."""
 
-    def on_stop(self):
-        """Hook invoked when the agent is stopped or migrated away."""
-
     def start(self):
         """Called by the container after deployment."""
         self.alive = True
@@ -84,7 +81,6 @@ class Agent:
         if not self.alive:
             return
         self.alive = False
-        self.on_stop()
         for behaviour in list(self._behaviours):
             behaviour.kill()
         self._behaviours = []
@@ -193,8 +189,8 @@ class Agent:
         try:
             result = yield event
         finally:
-            # If the waiting process was killed (agent stop / migration),
-            # drop the stale waiter so it cannot swallow a future message.
+            # If the waiting process was killed (agent stop), drop the
+            # stale waiter so it cannot swallow a future message.
             try:
                 self._waiters.remove(entry)
             except ValueError:
@@ -213,24 +209,6 @@ class Agent:
     @property
     def mailbox_size(self):
         return len(self._queue)
-
-    # -- mobility support -----------------------------------------------------
-
-    def checkpoint(self):
-        """Serializable state captured before migration.
-
-        Subclasses extend the dict; the queue travels with the agent.
-        """
-        return {"queued_messages": list(self._queue)}
-
-    def restore(self, state):
-        """Reinstall checkpointed state after migration."""
-        self._queue = list(state.get("queued_messages", ()))
-
-    @property
-    def state_size_units(self):
-        """Approximate serialized size for migration cost (network units)."""
-        return 1.0 + 0.2 * len(self._queue)
 
     def __repr__(self):
         where = self.container.name if self.container else "undeployed"

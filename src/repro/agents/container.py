@@ -117,12 +117,11 @@ class AgentContainer:
         agent.start()
         return agent
 
-    def remove(self, agent, stop=True):
-        """Detach an agent (stopping it unless ``stop=False`` for migration)."""
+    def remove(self, agent):
+        """Stop and detach an agent."""
         if self.agents.get(agent.name) is not agent:
             raise ValueError("agent %s not in container %s" % (agent.name, self.name))
-        if stop:
-            agent.stop()
+        agent.stop()
         del self.agents[agent.name]
         self.platform._deregister_agent(agent)
         agent.container = None

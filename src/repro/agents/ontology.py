@@ -5,7 +5,8 @@ collected data (section 3.1, "XML and ontologies") and the
 container-resource-profile ontology used at registration time (Figure 4).
 We model an ontology as a named schema: a set of required fields with type
 predicates.  Content objects are plain dicts validated against the schema,
-which keeps them serializable (a prerequisite for agent mobility).
+which keeps them serializable: the same content ships to a local agent
+or, through a site gateway, to a peer site.
 """
 
 

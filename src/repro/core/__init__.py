@@ -43,7 +43,6 @@ from repro.core.federation import (
 )
 from repro.core.reactive import ReactiveCollectionService
 from repro.core.replication import ReplicationService
-from repro.core.autonomic import MobilityBalancer
 
 __all__ = [
     "Alert",
@@ -54,7 +53,6 @@ __all__ = [
     "CollectorAgent",
     "FederatedManagementSystem",
     "FederatedTopologySpec",
-    "MobilityBalancer",
     "ReactiveCollectionService",
     "ReplicationService",
     "SiteSpec",

@@ -454,6 +454,7 @@ class SiteGatewayAgent(Agent):
             },
         )
         report = ManagementReport(
+            report_id=self.sim.next_id("report"),
             dataset_id="link-%s-%s" % (self.site, peer),
             findings=[finding],
             records_analyzed=0,

@@ -422,6 +422,7 @@ class HealthMonitor:
             },
         )
         report = ManagementReport(
+            report_id=self.sim.next_id("report"),
             dataset_id="slo-%s-p%g" % (slo.stage, slo.p),
             findings=[finding],
             records_analyzed=0,

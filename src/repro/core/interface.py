@@ -149,7 +149,8 @@ class InterfaceAgent(Agent):
         threshold = severity_rank(self.alert_min_severity)
         for finding in report.deduplicated():
             if severity_rank(finding.severity) >= threshold:
-                alert = Alert(finding, raised_at=self.sim.now)
+                alert = Alert(self.sim.next_id("alert"), finding,
+                              raised_at=self.sim.now)
                 self.alerts.append(alert)
                 for channel in self.channels:
                     channel.deliver_alert(alert)

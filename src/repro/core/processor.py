@@ -190,6 +190,8 @@ class ProcessorRootAgent(Agent):
         self._analyzer_agent_by_container = {}
         self._outstanding_by_container = {}
         self.jobs = {}
+        #: (dataset, cluster, level) -> its latest attempt, while unsettled.
+        self._attempts = {}
         self.datasets = {}
         self.jobs_dispatched = 0
         self.jobs_redispatched = 0
@@ -207,10 +209,10 @@ class ProcessorRootAgent(Agent):
         self.jobs_forwarded = 0
         self.negotiator = None
         self.heartbeats_received = 0
-        #: Results that arrived for an already-settled job id -- normally
-        #: a re-dispatch race, but after a split-brain heal also the
-        #: gossip stand-in's buffer flush colliding with the Reaper's
-        #: re-dispatch.  Counted (exactly-once audit), never re-applied.
+        #: Results that arrived for an already-settled task -- normally the
+        #: superseded attempt of a re-dispatch race, but after a
+        #: split-brain heal also the gossip stand-in's buffer flush.
+        #: Counted (exactly-once audit), never re-applied.
         self.duplicate_results = 0
 
     def setup(self):
@@ -401,20 +403,16 @@ class ProcessorRootAgent(Agent):
         remote_label = "remote:%s" % remote
         # No service estimate for a remote container: the deadline is the
         # attempt's full grace window, and the Reaper re-dispatches
-        # locally (new job id; the stale result dedups) if it expires.
+        # locally if it expires; whichever answer arrives first settles
+        # the task.
         grace = self.job_timeout * (2 ** (attempt - 1))
         job_state = _JobState(
             job_id, dataset_id, cluster, record_count, level,
             remote_label, remote_label,
             deadline=self.sim.now + grace, attempt=attempt,
         )
-        job_state.excluded_containers = set(exclude)
-        job_state.span = span
-        self.jobs[job_id] = job_state
-        self.jobs_dispatched += 1
+        self._register(job_state, exclude, span)
         self.jobs_forwarded += 1
-        if attempt > 1:
-            self.jobs_redispatched += 1
         if span is not None:
             span.detail["container"] = remote_label
         return job_state
@@ -447,9 +445,12 @@ class ProcessorRootAgent(Agent):
             job_id, cluster, record_count, cpu_units,
             required_service="analysis",
         )
+        task = (dataset_id, cluster, level)
         container_name = None
         wait_deadline = self.sim.now + self.placement_patience
         while container_name is None:
+            if self._settled_while_placing(task, attempt, span):
+                return None
             if self.sim.now >= wait_deadline:
                 if span is not None:
                     telemetry.recorder.end(
@@ -494,6 +495,8 @@ class ProcessorRootAgent(Agent):
                     yield 1.0
                     continue
                 container_name = chosen.container_name
+        if self._settled_while_placing(task, attempt, span):
+            return None
         agent_name = self._analyzer_agent_by_container[container_name]
         job_content = self._job_content(
             job_id, dataset_id, cluster, record_count, level, state,
@@ -515,9 +518,7 @@ class ProcessorRootAgent(Agent):
             container_name, agent_name,
             deadline=self.sim.now + service_estimate + grace, attempt=attempt,
         )
-        job_state.excluded_containers = set(exclude)
-        job_state.span = span
-        self.jobs[job_id] = job_state
+        self._register(job_state, exclude, span)
         self._outstanding_by_container[container_name] = (
             self._outstanding_by_container.get(container_name, 0) + 1
         )
@@ -533,23 +534,52 @@ class ProcessorRootAgent(Agent):
             span.detail["container"] = container_name
             message.trace_context = (span.trace_id, span.span_id)
         self.send(message)
-        self.jobs_dispatched += 1
-        if attempt > 1:
-            self.jobs_redispatched += 1
         return job_state
+
+    def _settled_while_placing(self, task, attempt, span):
+        """True once a late answer from the retired attempt settled the
+        task this re-dispatch is still placing (its span is superseded)."""
+        if attempt == 1 or task in self._attempts:
+            return False
+        if span is not None:
+            self.telemetry.recorder.end(span, status="superseded")
+        return True
+
+    def _register(self, job_state, exclude, span):
+        """Book a placed attempt as its task's live one."""
+        job_state.excluded_containers = set(exclude)
+        job_state.span = span
+        self.jobs[job_state.job_id] = job_state
+        self._attempts[job_state.dataset_id, job_state.cluster,
+                       job_state.level] = job_state
+        self.jobs_dispatched += 1
+        if job_state.attempt > 1:
+            self.jobs_redispatched += 1
 
     # -- results --------------------------------------------------------------
 
     def _job_completed(self, message):
+        """The first answer from any attempt settles its task.
+
+        A retired attempt (timed out or evicted) that answers after all
+        still settles the task if it is open, and the newer live attempt
+        is retired as ``superseded``; an answer for a settled task is a
+        duplicate.
+        """
         content = ANALYSIS_RESULT.validate(message.content)
         job = self.jobs.get(content["job_id"])
-        if job is None or job.done:
+        live = None if job is None else self._attempts.pop(
+            (job.dataset_id, job.cluster, job.level), None)
+        if live is None:
             self.duplicate_results += 1
-            return  # late duplicate from a re-dispatched job
-        job.done = True
-        if job.span is not None:
-            self.telemetry.recorder.end(job.span)
-        self._settle_outstanding(job.container)
+            return  # the task is settled: a superseded attempt's answer
+        if live is not job and not live.done:
+            self._retire(live, "superseded")
+        elif not job.done:
+            job.done = True
+            if job.span is not None:
+                self.telemetry.recorder.end(job.span)
+            self._settle_outstanding(job.container)
         state = self.datasets.get(job.dataset_id)
         if state is None or state.finished:
             return
@@ -642,6 +672,7 @@ class ProcessorRootAgent(Agent):
     def _finalize_dataset(self, state):
         state.finished = True
         report = ManagementReport(
+            report_id=self.sim.next_id("report"),
             dataset_id=state.dataset_id,
             findings=state.findings,
             records_analyzed=state.records_analyzed,
@@ -688,6 +719,7 @@ class ProcessorRootAgent(Agent):
         rather than silent.
         """
         self.jobs_abandoned += 1
+        self._attempts.pop((state.dataset_id, cluster, level), None)
         telemetry = self.telemetry
         if telemetry is not None and state.trace is not None:
             # An explicitly-statused terminal span: the cluster's chain
@@ -712,6 +744,15 @@ class ProcessorRootAgent(Agent):
             yield from self._finalize_cross(state)
         else:
             yield from self._cluster_done(state, cluster)
+
+    def _retire(self, job, status):
+        """End a live attempt: its spans close with ``status`` and its
+        container's outstanding count is settled."""
+        job.done = True
+        if job.span is not None:
+            self.telemetry.recorder.end(job.span, status=status)
+            self.telemetry.recorder.end_children(job.span, status=status)
+        self._settle_outstanding(job.container)
 
     def _settle_outstanding(self, container_name):
         count = self._outstanding_by_container.get(container_name, 0)
@@ -767,12 +808,7 @@ class ProcessorRootAgent(Agent):
         for job in list(self.jobs.values()):
             if job.done or job.container != container_name:
                 continue
-            job.done = True
-            if job.span is not None:
-                self.telemetry.recorder.end(job.span, status="evicted")
-                self.telemetry.recorder.end_children(
-                    job.span, status="evicted")
-            self._settle_outstanding(container_name)
+            self._retire(job, "evicted")
             state = self.datasets.get(job.dataset_id)
             if state is None or state.finished:
                 continue
@@ -794,12 +830,9 @@ class ProcessorRootAgent(Agent):
             if not job.done and now >= job.deadline
         ]
         for job in expired:
-            job.done = True  # retire this attempt
-            if job.span is not None:
-                self.telemetry.recorder.end(job.span, status="timeout")
-                self.telemetry.recorder.end_children(
-                    job.span, status="timeout")
-            self._settle_outstanding(job.container)
+            if job.done:
+                continue  # settled while an earlier re-dispatch yielded
+            self._retire(job, "timeout")
             state = self.datasets.get(job.dataset_id)
             if state is None or state.finished:
                 continue

@@ -6,8 +6,6 @@ critical findings additionally raise :class:`Alert` notifications, both of
 which travel to the interface grid for presentation.
 """
 
-import itertools
-
 #: Severity ordering used to decide what becomes an alert.
 SEVERITY_ORDER = ("info", "warning", "minor", "major", "critical")
 
@@ -66,13 +64,15 @@ class Finding:
 
 
 class ManagementReport:
-    """A consolidated report over one analyzed dataset."""
+    """A consolidated report over one analyzed dataset.
 
-    _ids = itertools.count(1)
+    ``report_id`` comes from the issuing deployment's simulator
+    (``sim.next_id("report")``), so identical runs name reports alike.
+    """
 
-    def __init__(self, dataset_id, findings, records_analyzed, generated_at,
-                 kind="analysis"):
-        self.report_id = "report-%d" % next(ManagementReport._ids)
+    def __init__(self, report_id, dataset_id, findings, records_analyzed,
+                 generated_at, kind="analysis"):
+        self.report_id = report_id
         self.dataset_id = dataset_id
         self.findings = list(findings)
         self.records_analyzed = records_analyzed
@@ -110,12 +110,11 @@ class ManagementReport:
 
 
 class Alert:
-    """An out-of-band notification for a critical finding."""
+    """An out-of-band notification for a critical finding; ``alert_id``
+    comes from ``sim.next_id("alert")``, like a report's id."""
 
-    _ids = itertools.count(1)
-
-    def __init__(self, finding, raised_at, channel="console"):
-        self.alert_id = "alert-%d" % next(Alert._ids)
+    def __init__(self, alert_id, finding, raised_at, channel="console"):
+        self.alert_id = alert_id
         self.finding = finding
         self.raised_at = raised_at
         self.channel = channel

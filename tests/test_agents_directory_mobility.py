@@ -1,12 +1,8 @@
-"""Unit tests for the directory facilitator and agent mobility."""
+"""Unit tests for the directory facilitator."""
 
 import pytest
 
-from repro.agents.acl import ACLMessage, Performative
-from repro.agents.agent import Agent
-from repro.agents.behaviours import CyclicBehaviour
 from repro.agents.directory import DirectoryFacilitator, ServiceDescription
-from repro.agents.mobility import MigrationError, MobilityService
 from repro.agents.platform import AgentPlatform
 
 
@@ -71,157 +67,3 @@ class TestDirectory:
         directory.register_container_profile(container.profile())
         assert len(directory) == 1
         assert directory.container_profile("c").busy_agents == 3
-
-
-class _StatefulAgent(Agent):
-    """Carries custom state across migrations and counts setups."""
-
-    def __init__(self, name):
-        super().__init__(name)
-        self.counter = 0
-        self.setups = 0
-
-    def setup(self):
-        self.setups += 1
-
-    def checkpoint(self):
-        state = super().checkpoint()
-        state["counter"] = self.counter
-        return state
-
-    def restore(self, state):
-        super().restore(state)
-        self.counter = state["counter"]
-
-
-class TestMobility:
-    @pytest.fixture
-    def world(self, sim, network, transport):
-        platform = AgentPlatform(sim, network, transport)
-        host_a = network.add_host("ha", "site1")
-        host_b = network.add_host("hb", "site2")
-        container_a = platform.create_container("ca", host_a)
-        container_b = platform.create_container("cb", host_b)
-        return platform, container_a, container_b
-
-    def test_migration_moves_state_and_restarts(self, sim, world):
-        platform, container_a, container_b = world
-        agent = _StatefulAgent("mobile")
-        container_a.deploy(agent)
-        agent.counter = 41
-        mobility = MobilityService(platform)
-
-        def migrate():
-            yield from mobility.migrate(agent, container_b)
-            return "done"
-
-        process = sim.spawn(migrate())
-        sim.run(until=60)
-        assert process.result == "done"
-        assert agent.container is container_b
-        assert agent.counter == 41
-        assert agent.setups == 2
-        assert mobility.migrations == 1
-
-    def test_migration_charges_cpu_and_network(self, sim, world):
-        platform, container_a, container_b = world
-        agent = _StatefulAgent("mobile")
-        container_a.deploy(agent)
-        mobility = MobilityService(platform, serialize_cpu_per_unit=1.0)
-
-        def migrate():
-            yield from mobility.migrate(agent, container_b)
-
-        sim.spawn(migrate())
-        sim.run(until=60)
-        assert container_a.host.cpu.units_by_label["agent-migration"] > 0
-        assert container_b.host.cpu.units_by_label["agent-migration"] > 0
-        assert container_a.host.nic.total_units > 0
-
-    def test_pending_mail_travels(self, sim, world):
-        platform, container_a, container_b = world
-        agent = _StatefulAgent("mobile")
-        container_a.deploy(agent)
-        agent.deliver(ACLMessage(Performative.INFORM, "x", "mobile", content=9))
-        mobility = MobilityService(platform)
-
-        def migrate():
-            yield from mobility.migrate(agent, container_b)
-
-        sim.spawn(migrate())
-        sim.run(until=60)
-        assert agent.mailbox_size == 1
-        assert agent.receive_nowait().content == 9
-
-    def test_migrating_to_same_container_is_noop(self, sim, world):
-        platform, container_a, _ = world
-        agent = _StatefulAgent("mobile")
-        container_a.deploy(agent)
-        mobility = MobilityService(platform)
-
-        def migrate():
-            yield from mobility.migrate(agent, container_a)
-
-        sim.spawn(migrate())
-        sim.run(until=60)
-        assert agent.setups == 1
-        assert mobility.migrations == 0
-
-    def test_migration_to_dead_container_rejected(self, sim, world):
-        platform, container_a, container_b = world
-        agent = _StatefulAgent("mobile")
-        container_a.deploy(agent)
-        container_b.shutdown()
-        mobility = MobilityService(platform)
-
-        def migrate():
-            try:
-                yield from mobility.migrate(agent, container_b)
-            except MigrationError:
-                return "refused"
-
-        process = sim.spawn(migrate())
-        sim.run(until=60)
-        assert process.result == "refused"
-        assert agent.container is container_a
-
-    def test_undeployed_agent_rejected(self, sim, world):
-        platform, _, container_b = world
-        mobility = MobilityService(platform)
-        with pytest.raises(MigrationError):
-            # migrate() raises before the first yield runs
-            generator = mobility.migrate(_StatefulAgent("ghost"), container_b)
-            next(generator)
-
-    def test_messages_reach_agent_after_migration(self, sim, world):
-        platform, container_a, container_b = world
-        received = []
-
-        class Listener(_StatefulAgent):
-            def setup(self):
-                super().setup()
-                agent = self
-
-                class Collect(CyclicBehaviour):
-                    def step(self):
-                        message = yield from self.receive()
-                        if message is not None:
-                            received.append(message.content)
-
-                self.add_behaviour(Collect())
-
-        listener = Listener("mobile")
-        sender = Agent("sender")
-        container_a.deploy(listener)
-        container_b.deploy(sender)
-        mobility = MobilityService(platform)
-
-        def script():
-            yield from mobility.migrate(listener, container_b)
-            sender.send(ACLMessage(
-                Performative.INFORM, "sender", "mobile", content="hello"))
-            yield 1.0
-
-        sim.spawn(script())
-        sim.run(until=60)
-        assert "hello" in received

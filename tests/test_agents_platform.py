@@ -176,6 +176,21 @@ class TestAgentMailbox:
         sim.run(until=5)
         assert process.result == 1
 
+    def test_message_after_stop_is_queued_not_swallowed(self, sim, deployment):
+        # Stopping kills the behaviour blocked in receive(); its waiter
+        # must go with it, or it would swallow the next message.
+        platform, container_a, _ = deployment
+        agent = Recorder("r")
+        container_a.deploy(agent)
+        sim.run(until=1)
+        assert len(agent._waiters) == 1
+        agent.stop()
+        assert agent._waiters == []
+        agent.deliver(ACLMessage(Performative.INFORM, "x", "r", content=7))
+        assert agent.mailbox_size == 1
+        assert agent.receive_nowait().content == 7
+        assert agent.got == []
+
 
 class TestContainers:
     def test_profile_reflects_container(self, sim, deployment):

@@ -253,7 +253,8 @@ class TestInterface:
 
     def _report(self, severity="critical"):
         return ManagementReport(
-            "ds-1", [Finding("high-cpu", severity, "d1", "s1")], 5, 1.0)
+            "report-1", "ds-1", [Finding("high-cpu", severity, "d1", "s1")],
+            5, 1.0)
 
     def _send_report(self, platform, interface, report):
         sender = Sink("root-sender")

@@ -140,7 +140,7 @@ class TestFindingsAndReports:
         low = Finding("high-cpu", "warning", "d1", "s1")
         high = Finding("high-cpu", "critical", "d1", "s1")
         other = Finding("low-disk", "minor", "d2", "s1")
-        report = ManagementReport("ds", [low, high, other], 10, 5.0)
+        report = ManagementReport("report-1", "ds", [low, high, other], 10, 5.0)
         deduped = report.deduplicated()
         assert len(deduped) == 2
         kept = {f.kind: f.severity for f in deduped}
@@ -151,19 +151,19 @@ class TestFindingsAndReports:
             Finding("a", "critical", "d1"),
             Finding("b", "warning", "d2"),
         ]
-        report = ManagementReport("ds", findings, 5, 1.0)
+        report = ManagementReport("report-1", "ds", findings, 5, 1.0)
         assert len(report.by_severity()["critical"]) == 1
         assert len(report.critical_findings()) == 1
         assert len(report) == 2
 
     def test_report_size_grows_with_findings(self):
-        small = ManagementReport("ds", [], 1, 0.0)
+        small = ManagementReport("report-1", "ds", [], 1, 0.0)
         big = ManagementReport(
-            "ds", [Finding("k", "minor", "d")] * 10, 1, 0.0)
+            "report-2", "ds", [Finding("k", "minor", "d")] * 10, 1, 0.0)
         assert big.size_units > small.size_units
 
     def test_alert_wraps_finding(self):
         finding = Finding("high-cpu", "critical", "d1")
-        alert = Alert(finding, raised_at=9.0, channel="email")
+        alert = Alert("alert-1", finding, raised_at=9.0, channel="email")
         assert alert.finding is finding
         assert alert.channel == "email"

@@ -237,6 +237,94 @@ class TestFaultTolerance:
         assert sum(a.jobs_completed for a in system.analyzers[1:]) > 0
 
 
+class TestFirstAnswerSettles:
+    """Whichever attempt answers first settles its (dataset, cluster)
+    task: a timed-out attempt that answers after all is not thrown away,
+    and the re-dispatch it beat is retired."""
+
+    def _grid(self, attempt_script, **overrides):
+        """One dataset with one cluster; ``attempt_script(system, attempt,
+        job_id)`` is each scripted attempt's generator body before it
+        answers."""
+        spec = small_grid_spec(job_timeout=10.0, enable_cross=False,
+                               telemetry=True, **overrides)
+        system = GridManagementSystem(spec)
+        attempts = []
+
+        def cluster_job(content):
+            attempts.append(content["job_id"])
+            attempt = len(attempts)
+            yield from attempt_script(system, attempt, content["job_id"])
+            return [Finding("answer", "minor", "dev1", "site1",
+                            {"attempt": attempt}, level=2)], 1
+
+        for analyzer in system.analyzers:
+            analyzer._run_cluster_job = cluster_job
+        classifier = system.classifier
+        message = ACLMessage(
+            Performative.INFORM, sender=classifier.name,
+            receiver=system.root.name, ontology=DATA_READY.name,
+            content=DATA_READY.make(
+                dataset="d1", record_count=1, clusters=["performance"],
+                storage_host=system.store.host.name),
+            size_units=0.1,
+        )
+        # A notify span, so the root traces one dispatch span per attempt.
+        recorder = system.telemetry.recorder
+        notify = recorder.start("notify", recorder.new_trace())
+        message.trace_context = (notify.trace_id, notify.span_id)
+        classifier.send(message)
+        return system, attempts
+
+    @staticmethod
+    def _dispatch_statuses(system):
+        return sorted(
+            (span.detail["attempt"], span.status)
+            for span in system.telemetry.recorder.find(name="dispatch"))
+
+    def test_late_answer_beats_the_redispatch(self):
+        # Attempt 1 answers at t=30, long after its ~10 s deadline; the
+        # re-dispatch would answer 100 s after it started.
+        def script(system, attempt, job_id):
+            yield 30.0 if attempt == 1 else 100.0
+
+        system, attempts = self._grid(script)
+        system.run(until=60.0)
+        root = system.root
+        assert len(attempts) == 2 and root.jobs_redispatched == 1
+        (report,) = system.interface.reports
+        assert report.generated_at < 40.0
+        assert [f.detail["attempt"] for f in report.findings] == [1]
+        assert self._dispatch_statuses(system) == [
+            (1, "timeout"), (2, "superseded")]
+        assert root._outstanding_by_container == {
+            "analysis-1": 0, "analysis-2": 0}
+        assert root.duplicate_results == 0
+        system.run(until=200.0)
+        # The re-dispatch's answer arrives for a settled task.
+        assert root.duplicate_results == 1
+        assert len(system.interface.reports) == 1
+
+    def test_late_answer_while_the_redispatch_is_placing(self):
+        # Negotiated placement keeps the re-dispatch waiting for bids (a
+        # CFP round trip); attempt 1 answers within 10 ms of the Reaper
+        # retiring it, a single transit, so the task settles before any
+        # second attempt is placed.
+        def script(system, attempt, job_id):
+            while not system.root.jobs[job_id].done:
+                yield 0.01
+
+        system, attempts = self._grid(script, policy="negotiated")
+        system.run(until=60.0)
+        root = system.root
+        assert len(attempts) == 1 and root.jobs_redispatched == 0
+        (report,) = system.interface.reports
+        assert [f.detail["attempt"] for f in report.findings] == [1]
+        assert self._dispatch_statuses(system) == [
+            (1, "timeout"), (2, "superseded")]
+        assert root.duplicate_results == 0
+
+
 class TestCrossWindow:
     """With ``cross_window`` set, a cross job also correlates the problems
     other datasets' cross jobs found within the window -- and only then:

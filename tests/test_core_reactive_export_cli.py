@@ -132,7 +132,7 @@ class TestExport:
         from repro.core.reports import Finding, ManagementReport
 
         report = ManagementReport(
-            "ds", [Finding("k", "minor", "d")], 3, 1.5)
+            "report-1", "ds", [Finding("k", "minor", "d")], 3, 1.5)
         payload = export.management_report_to_dict(report)
         assert payload["records_analyzed"] == 3
         json.dumps(payload)

@@ -1,12 +1,11 @@
-"""Tests for storage replication/failover and the autonomic mobility
-balancer (the paper's future-work features)."""
+"""Tests for storage replication and fetch failover (one of the paper's
+future-work features)."""
 
 import pytest
 
 from repro.agents.acl import Performative
 from repro.agents.agent import Agent
 from repro.agents.behaviours import CyclicBehaviour
-from repro.core.autonomic import MobilityBalancer
 from repro.core.processor import AnalyzerAgent
 from repro.core.replication import ReplicationService
 from repro.core.system import GridManagementSystem, GridTopologySpec, HostSpec
@@ -277,97 +276,3 @@ class TestFetchLadder:
         assert log == [("storage@stor", "job-analyzer")] * 2
         assert (analyzer.fetch_attempts, analyzer.fetch_failovers,
                 analyzer.fetch_failures) == (2, 0, 1)
-
-
-class TestMobilityBalancer:
-    @pytest.fixture
-    def world(self, sim, network, transport, platform):
-        hot_host = network.add_host("hot", "site1", cpu_capacity=2.0)
-        cool_host = network.add_host("cool", "site1", cpu_capacity=20.0)
-        hot = platform.create_container("hot-c", hot_host,
-                                        services=("analysis",))
-        cool = platform.create_container("cool-c", cool_host,
-                                         services=("analysis",))
-        return sim, platform, hot, cool
-
-    def _deploy_analyzer(self, container, name="mobile-analyzer"):
-        analyzer = AnalyzerAgent(
-            name, root_name="nobody",
-            knowledge_base=standard_knowledge_base(),
-            register_on_start=False,
-        )
-        container.deploy(analyzer)
-        return analyzer
-
-    def _hog(self, sim, host, units):
-        def burn():
-            yield host.cpu.use(units)
-
-        sim.spawn(burn())
-
-    def test_pressure_reflects_backlog_and_capacity(self, world):
-        sim, platform, hot, cool = world
-        assert MobilityBalancer.pressure(hot) == 0.0
-        for _ in range(3):
-            self._hog(sim, hot.host, 50.0)
-        sim.run(until=0.1)
-        # 2 queued behind 1 in service -> queue_length 2 -> 40 units / 2 cap
-        assert MobilityBalancer.pressure(hot) == pytest.approx(20.0)
-
-    def test_migrates_agent_off_hot_host(self, world):
-        sim, platform, hot, cool = world
-        analyzer = self._deploy_analyzer(hot)
-        balancer = MobilityBalancer(platform, [hot, cool], period=5.0,
-                                    imbalance_threshold=5.0)
-        for _ in range(4):
-            self._hog(sim, hot.host, 100.0)
-        # resources are non-preemptive: the migration's serialization jumps
-        # the queue but still waits out the hog already in service (50 s)
-        sim.run(until=120.0)
-        assert balancer.migrations >= 1
-        assert analyzer.container is cool
-        actions = [decision.action for decision in balancer.decisions]
-        assert "migrate" in actions
-
-    def test_holds_when_balanced(self, world):
-        sim, platform, hot, cool = world
-        self._deploy_analyzer(hot)
-        balancer = MobilityBalancer(platform, [hot, cool], period=5.0,
-                                    imbalance_threshold=5.0)
-        sim.run(until=20.0)
-        assert balancer.migrations == 0
-        assert all(decision.action == "hold"
-                   for decision in balancer.decisions)
-
-    def test_max_migrations_cap(self, world):
-        sim, platform, hot, cool = world
-        self._deploy_analyzer(hot, "a1")
-        self._deploy_analyzer(hot, "a2")
-        balancer = MobilityBalancer(platform, [hot, cool], period=2.0,
-                                    imbalance_threshold=1.0,
-                                    max_migrations=1)
-
-        def keep_hot():
-            while True:
-                yield hot.host.cpu.use(50.0)
-
-        sim.spawn(keep_hot())
-        sim.spawn(keep_hot())
-        sim.spawn(keep_hot())
-        sim.run(until=60.0)
-        assert balancer.migrations == 1
-
-    def test_requires_two_containers(self, world):
-        sim, platform, hot, cool = world
-        with pytest.raises(ValueError):
-            MobilityBalancer(platform, [hot])
-
-    def test_stop_halts_loop(self, world):
-        sim, platform, hot, cool = world
-        self._deploy_analyzer(hot)
-        balancer = MobilityBalancer(platform, [hot, cool], period=2.0)
-        sim.run(until=5.0)
-        decisions_before = len(balancer.decisions)
-        balancer.stop()
-        sim.run(until=30.0)
-        assert len(balancer.decisions) == decisions_before

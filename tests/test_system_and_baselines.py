@@ -207,6 +207,19 @@ class TestDeterminism:
         findings_b = [(f.kind, f.device) for f in second.findings]
         assert findings_a == findings_b
 
+    def test_report_ids_are_numbered_per_deployment(self):
+        # Like dataset and job ids, report ids come from the deployment's
+        # simulator: an earlier build in the process does not shift them.
+        report_ids = []
+        for _ in range(2):
+            system = GridManagementSystem(
+                GridTopologySpec.paper_figure6c(seed=1))
+            system.assign_goals(system.make_paper_goals(polls_per_type=10))
+            assert system.run_until_reports(1, timeout=2000)
+            report_ids.append(
+                [report.report_id for report in system.interface.reports])
+        assert report_ids == [["report-1"], ["report-1"]]
+
     def test_different_seed_changes_device_readings(self):
         first = run_architecture(
             centralized_spec(seed=1, dataset_threshold=6), "c",
