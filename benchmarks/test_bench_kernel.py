@@ -10,6 +10,8 @@ bench measures:
   same-instant callbacks (the kernel's fast lane);
 * process spawn/join throughput;
 * resource contention -- many processes hammering one FIFO resource;
+* transport -- 50-message same-flow bursts sent as one ``post_batch``
+  (one transfer) against 50 ``post`` calls (one transfer each);
 * an end-to-end Figure-6c (agent grid) wall-clock measurement.
 
 Results go to stdout, ``benchmarks/results/kernel.txt`` and -- machine
@@ -21,6 +23,7 @@ import gc
 import json
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -50,6 +53,7 @@ CONTENTION_PROCESSES = 2_000
 CONTENTION_USES = 25
 TRANSPORT_MESSAGES = 100_000
 TRANSPORT_BURST = 50  # same-instant same-flow messages per burst
+TRANSPORT_PAIRS = 5  # interleaved post_batch / post rounds
 HISTOGRAM_RECORDS = 500_000
 # X3 big-topology configuration: 500 managed devices, 32 management hosts
 # (16 collectors + 14 analyzers + storage + interface).
@@ -65,18 +69,19 @@ def _noop():
     pass
 
 
+def _timed(work):
+    """Seconds one ``work()`` call takes."""
+    # Drain garbage left by earlier benches/rounds so a gen-2 pause
+    # from someone else's cycles doesn't land inside this timing.
+    gc.collect()
+    start = time.perf_counter()
+    work()
+    return time.perf_counter() - start
+
+
 def _best_rate(work, count, rounds=ROUNDS):
     """Run ``work`` (fresh state per round) and return best ops/sec."""
-    best = None
-    for _ in range(rounds):
-        # Drain garbage left by earlier benches/rounds so a gen-2 pause
-        # from someone else's cycles doesn't land inside this timing.
-        gc.collect()
-        start = time.perf_counter()
-        work()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
+    best = min(_timed(work) for _ in range(rounds))
     return count / best, best
 
 
@@ -221,8 +226,10 @@ def test_bench_resource_contention():
           (rate, elapsed, total_uses))
 
 
-def _transport_work(coalesce):
-    """Burst delivery: TRANSPORT_BURST same-flow messages per instant."""
+def _transport_work(batched):
+    """TRANSPORT_BURST same-flow messages per instant, as one ``post_batch``
+    (one transfer) or as TRANSPORT_BURST ``post`` calls (one transfer
+    each)."""
 
     def work():
         sim = Simulator(seed=SEED)
@@ -230,15 +237,19 @@ def _transport_work(coalesce):
         network.add_host("src", "site1")
         network.add_host("dst", "site1")
         network.host("dst").bind("in", lambda message: None)
-        transport = Transport(network, coalesce=coalesce)
+        transport = Transport(network)
         source = Address("src", "out")
         sink = Address("dst", "in")
-        post = transport.post
+        post, post_batch = transport.post, transport.post_batch
 
         def driver():
             for _ in range(TRANSPORT_MESSAGES // TRANSPORT_BURST):
-                for _ in range(TRANSPORT_BURST):
-                    post(Message(source, sink, None, 1.0))
+                if batched:
+                    post_batch([Message(source, sink, None, 1.0)
+                                for _ in range(TRANSPORT_BURST)])
+                else:
+                    for _ in range(TRANSPORT_BURST):
+                        post(Message(source, sink, None, 1.0))
                 yield 1000.0  # let the NIC drain before the next burst
 
         sim.spawn(driver())
@@ -248,22 +259,30 @@ def _transport_work(coalesce):
     return work
 
 
-def test_bench_transport_batched():
-    """Coalescing lane: one wire batch per same-destination burst."""
-    rate, elapsed = _best_rate(_transport_work(coalesce=True),
-                               TRANSPORT_MESSAGES)
-    _RESULTS["transport_msgs_per_sec"] = rate
-    print("transport batched msgs/sec: %.0f (%.3fs for %d)" %
-          (rate, elapsed, TRANSPORT_MESSAGES))
+def test_bench_transport_batched_vs_single():
+    """One ``post_batch`` per burst against one ``post`` per message.
 
-
-def test_bench_transport_unbatched():
-    """The per-message pipeline (coalesce=False): the A/B baseline."""
-    rate, elapsed = _best_rate(_transport_work(coalesce=False),
-                               TRANSPORT_MESSAGES)
-    _RESULTS["transport_unbatched_msgs_per_sec"] = rate
-    print("transport unbatched msgs/sec: %.0f (%.3fs for %d)" %
-          (rate, elapsed, TRANSPORT_MESSAGES))
+    The two lanes run in alternation, one round each per pair, so machine
+    drift hits both alike; the >=2x claim is held on the median of the
+    per-pair ratios, not on one best-of-N figure against another.
+    """
+    batched, single = _transport_work(True), _transport_work(False)
+    batched_times, single_times, ratios = [], [], []
+    for _ in range(TRANSPORT_PAIRS):
+        batched_times.append(_timed(batched))
+        single_times.append(_timed(single))
+        ratios.append(single_times[-1] / batched_times[-1])
+    ratio = statistics.median(ratios)
+    _RESULTS["transport_msgs_per_sec"] = TRANSPORT_MESSAGES / min(batched_times)
+    _RESULTS["transport_unbatched_msgs_per_sec"] = \
+        TRANSPORT_MESSAGES / min(single_times)
+    _RESULTS["transport_batch_speedup_median"] = ratio
+    print("transport msgs/sec: post_batch %.0f, post %.0f; per-pair "
+          "ratios %s, median %.2f" % (
+              _RESULTS["transport_msgs_per_sec"],
+              _RESULTS["transport_unbatched_msgs_per_sec"],
+              " ".join("%.2f" % r for r in ratios), ratio))
+    assert ratio >= 2.0
 
 
 def test_bench_bigtopo_wallclock():
@@ -441,6 +460,7 @@ def test_bench_kernel_export():
         "bigtopo_streaming_wall_seconds",
         "transport_msgs_per_sec",
         "transport_unbatched_msgs_per_sec",
+        "transport_batch_speedup_median",
         "histogram_record_per_sec",
         "bigtopo_wall_seconds",
         "bigtopo_sim_seconds_per_wall_second",
@@ -450,10 +470,6 @@ def test_bench_kernel_export():
     }
     missing = expected - set(_RESULTS)
     assert not missing, "benches did not run: %s" % sorted(missing)
-    # the tentpole claim: batched same-destination traffic is >=2x the
-    # per-message pipeline
-    assert (_RESULTS["transport_msgs_per_sec"]
-            >= 2.0 * _RESULTS["transport_unbatched_msgs_per_sec"])
 
     rows = [(name, "%.0f" % value if "per_sec" in name else "%.4f" % value)
             for name, value in sorted(_RESULTS.items())]
@@ -476,6 +492,7 @@ def test_bench_kernel_export():
             "contention_uses": CONTENTION_USES,
             "transport_messages": TRANSPORT_MESSAGES,
             "transport_burst": TRANSPORT_BURST,
+            "transport_pairs": TRANSPORT_PAIRS,
             "histogram_records": HISTOGRAM_RECORDS,
             "bigtopo_devices": BIGTOPO_DEVICES,
             "bigtopo_requests_per_type": BIGTOPO_REQUESTS_PER_TYPE,

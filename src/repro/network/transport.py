@@ -2,49 +2,33 @@
 
 Semantics (see DESIGN.md section 5):
 
-* the sender's NIC *queues* the payload (``nic.use``) -- a busy NIC delays
-  further sends, which is how network bottlenecks emerge;
+* the sender's NIC *queues* the payload -- a busy NIC delays further
+  sends, which is how network bottlenecks emerge;
 * the link adds latency plus size/bandwidth transit time;
 * the receiver's NIC is *charged* the payload units (accounting without
   queueing -- receive-side contention is negligible at the paper's scale);
 * the handler bound to the destination port is invoked with the message.
 
-Delivery to a down host (or an unbound port, unless ``best_effort``) raises
-:class:`DeliveryError` into the sending process via the returned event.
+One delivery rule (DESIGN.md section 5.1 "Transport transfers"): a
+*transfer* is the messages of one flow -- ``(sender host, destination
+host, destination port, ledger label)`` -- that cross the wire together.
+It makes one NIC request for the summed units and, from the start of NIC
+service, arrives after ``total / capacity + link.transit_time(total)``.
+A zero-unit transfer skips the NIC and arrives after the link latency.
+:meth:`Transport.send` and :meth:`~Transport.post` make a transfer of one
+message; :meth:`~Transport.send_batch` and :meth:`~Transport.post_batch`
+make one transfer per flow of the call (the paper's "aggregate before
+transfer", section 3).  Every transfer is launched when it is called, so
+the sender's NIC serves transfers in send order.
 
-Batched delivery (DESIGN.md section 5.1 "Transport batching"):
-
-All traffic flows through *wire batches*.  A flow is the tuple
-``(sender host, destination host, destination port, ledger label)``; every
-message submitted for the same flow within the same simulated instant is
-drained by **one** delivery engine instead of one spawned process per
-message.  Two batch modes exist:
-
-* **coalesced** (automatic, for :meth:`Transport.send` / :meth:`post`) --
-  one pooled NIC ``use`` for the summed units, but per-message transits so
-  each message keeps the *exact* delivery time (and latency accounting) it
-  would have had under per-message delivery: message *i* of the batch
-  arrives at ``nic_service_start + cumsum(sizes[:i+1])/capacity +
-  link.transit_time(sizes[i])``, which is precisely the serialized
-  per-message pipeline.  Figure 6 outputs are therefore byte-identical
-  with and without coalescing.
-* **aggregate** (explicit :meth:`send_batch` / :meth:`post_batch`) -- the
-  sender opted into shipping one aggregate: one NIC ``use`` for the summed
-  units, **one** link transit sized by the sum, and one fan-out loop
-  invoking handlers in send order at the common arrival instant.  This is
-  the paper's "aggregate before transfer" (section 3) made literal.
-
-Loss is applied per *message* in both modes -- each message survives an
-independent Bernoulli draw from the shared ``"transport-loss"`` RNG stream
-(drawn in arrival order), so link loss statistics are unchanged by
-batching.  Host-down / unknown-host / unbound-port failures are likewise
-still judged per message, at the instant that message arrives.
+On arrival each message is judged on its own: it survives an independent
+Bernoulli loss draw from the shared ``"transport-loss"`` RNG stream, and
+partitions, a down destination host and an unbound port are checked per
+message.  An unknown or down sender drops the whole transfer at launch.
+Every failure resolves as a :class:`DeliveryError`.
 """
 
-import itertools
-
 from repro.network.addressing import Address
-from repro.simkernel.events import SimEvent
 
 
 class DeliveryError(Exception):
@@ -68,12 +52,9 @@ class Message:
         label: ledger label for the NIC charge (defaults to protocol).
     """
 
-    _ids = itertools.count(1)
-
     def __init__(self, sender, dest, payload, size_units, protocol="raw", label=None):
         if size_units < 0:
             raise ValueError("size_units must be >= 0")
-        self.id = next(Message._ids)
         self.sender = sender
         self.dest = dest
         self.payload = payload
@@ -90,8 +71,7 @@ class Message:
         return self.delivered_at - self.sent_at
 
     def __repr__(self):
-        return "Message(#%d %s->%s, %s, %g units)" % (
-            self.id,
+        return "Message(%s->%s, %s, %g units)" % (
             self.sender,
             self.dest,
             self.protocol,
@@ -99,41 +79,27 @@ class Message:
         )
 
 
-class _WireBatch:
-    """Delivery state for one wire batch (pooled -- see Transport._pool).
+class _Transfer:
+    """The messages of one flow that cross the wire together.
 
     ``sinks[i]`` records where message *i*'s outcome goes: ``None``
     (fire-and-forget), a :class:`SimEvent` to trigger, or an
     ``(_OutcomeCollector, index)`` pair from :meth:`Transport.send_batch`.
     """
 
-    __slots__ = ("transport", "aggregate", "key", "messages", "sinks",
-                 "src", "dst", "link", "total", "unresolved")
+    __slots__ = ("transport", "messages", "sinks", "src", "dst", "link", "total")
 
-    def __init__(self, transport):
+    def __init__(self, transport, messages, sinks, src, dst, link, total):
         self.transport = transport
-        self.aggregate = False
-        self.key = None
-        self.messages = []
-        self.sinks = []
-        self.src = None
-        self.dst = None
-        self.link = None
-        self.total = 0.0
-        self.unresolved = 0
-
-    def add(self, message, sink):
-        self.messages.append(message)
-        self.sinks.append(sink)
-        self.unresolved += 1
-
-    # NIC callbacks (resources.Resource.acquire) --------------------------
+        self.messages = messages
+        self.sinks = sinks
+        self.src = src
+        self.dst = dst
+        self.link = link
+        self.total = total
 
     def _nic_started(self, request):
-        self.transport._exact_departures(self)
-
-    def _nic_completed(self, request):
-        self.transport._aggregate_transit(self)
+        self.transport._depart(self)
 
 
 class _OutcomeCollector:
@@ -158,26 +124,17 @@ class Transport:
 
     Args:
         network: the :class:`~repro.network.topology.Network` to route over.
-        best_effort: drop (rather than name) unbound destination ports.
-        coalesce: when True (default), same-instant sends to the same flow
-            share one wire batch (timing-exact; see module docstring).
-            ``False`` gives every message its own batch -- the pre-batching
-            per-message pipeline, kept for A/B tests and benchmarks.
     """
 
-    def __init__(self, network, best_effort=False, coalesce=True):
+    def __init__(self, network):
         self.network = network
         self.sim = network.sim
-        self.best_effort = best_effort
-        self.coalesce = coalesce
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.units_carried = 0.0
-        self.wire_batches = 0
-        self.messages_coalesced = 0
-        self._pending = {}  # flow key -> _WireBatch filling this instant
-        self._pool = []  # recycled _WireBatch objects
+        self.transfers = 0
+        self.messages_coalesced = 0  # messages that shared a transfer
         self._loss_random = None  # cached "transport-loss" stream .random
 
     # -- submission ----------------------------------------------------------
@@ -189,8 +146,8 @@ class Transport:
         with the message on delivery, or with a :class:`DeliveryError` on
         failure (the caller decides whether to inspect it).
         """
-        done = self.sim.event("delivery#%d" % message.id)
-        self._submit(message, done)
+        done = self.sim.event("delivery")
+        self._launch([message], [done])
         return done
 
     def post(self, message):
@@ -199,17 +156,16 @@ class Transport:
         The hot path for protocols that surface failures by other means
         (SNMP timeouts, platform FAILURE bounces).
         """
-        self._submit(message, None)
+        self._launch([message], [None])
 
     def send_batch(self, messages):
-        """Ship ``messages`` as aggregate wire batches (one per flow).
+        """Ship ``messages`` as one transfer per flow.
 
         Messages sharing a flow -- same (sender host, destination host,
-        destination port, label) -- travel as **one** transfer: one NIC
-        ``use`` for the summed units and one link transit sized by the
-        sum, arriving together.  Returns a SimEvent that triggers with the
-        list of per-message outcomes (Message or DeliveryError, in input
-        order) once every message has been resolved.
+        destination port, label) -- cross the wire together and arrive
+        together.  Returns a SimEvent that triggers with the list of
+        per-message outcomes (Message or DeliveryError, in input order)
+        once every message has been resolved.
         """
         messages = list(messages)
         done = self.sim.event("delivery-batch")
@@ -217,14 +173,14 @@ class Transport:
             done.trigger([])
             return done
         collector = _OutcomeCollector(done, len(messages))
-        for index, message in enumerate(messages):
-            self._submit_aggregate(message, (collector, index))
+        self._launch_flows(messages, [(collector, index)
+                                      for index in range(len(messages))])
         return done
 
     def post_batch(self, messages):
         """Fire-and-forget :meth:`send_batch` (no outcome collection)."""
-        for message in messages:
-            self._submit_aggregate(message, None)
+        messages = list(messages)
+        self._launch_flows(messages, [None] * len(messages))
 
     def send_and_wait(self, message):
         """Process helper: ``result = yield from transport.send_and_wait(m)``.
@@ -236,184 +192,103 @@ class Transport:
             raise outcome
         return outcome
 
-    # -- batching lanes ------------------------------------------------------
-
-    def _submit(self, message, sink):
-        """Queue one message on the coalesced (timing-exact) lane."""
-        message.sent_at = self.sim.now
-        self.messages_sent += 1
-        if not self.coalesce:
-            batch = self._new_batch(aggregate=False)
-            batch.add(message, sink)
-            self.sim._schedule_now(self._launch, (batch,))
-            return
-        key = (message.sender.host, message.dest.host,
-               message.dest.port, message.label)
-        batch = self._pending.get(key)
-        if batch is None:
-            batch = self._new_batch(aggregate=False)
-            batch.key = key
-            self._pending[key] = batch
-            self.sim._schedule_now(self._launch, (batch,))
-        batch.add(message, sink)
-
-    def _submit_aggregate(self, message, sink):
-        """Queue one message on the aggregate (one-transit) lane."""
-        message.sent_at = self.sim.now
-        self.messages_sent += 1
-        key = (message.sender.host, message.dest.host,
-               message.dest.port, message.label, "aggregate")
-        batch = self._pending.get(key)
-        if batch is None:
-            batch = self._new_batch(aggregate=True)
-            batch.key = key
-            self._pending[key] = batch
-            self.sim._schedule_now(self._launch, (batch,))
-        batch.add(message, sink)
-
-    def _new_batch(self, aggregate):
-        if self._pool:
-            batch = self._pool.pop()
-        else:
-            batch = _WireBatch(self)
-        batch.aggregate = aggregate
-        return batch
-
-    def _recycle(self, batch):
-        batch.key = None
-        batch.src = None
-        batch.dst = None
-        batch.link = None
-        batch.total = 0.0
-        batch.messages.clear()
-        batch.sinks.clear()
-        self._pool.append(batch)
-
     # -- delivery engine -----------------------------------------------------
 
-    def _launch(self, batch):
-        """Start one wire batch (fires in the zero-delay lane)."""
-        if batch.key is not None:
-            del self._pending[batch.key]
-            batch.key = None
-        self.wire_batches += 1
-        count = len(batch.messages)
+    def _launch_flows(self, messages, sinks):
+        """Launch one transfer per flow, flows in order of first message."""
+        flows = {}
+        for message, sink in zip(messages, sinks):
+            key = (message.sender.host, message.dest.host,
+                   message.dest.port, message.label)
+            flow = flows.get(key)
+            if flow is None:
+                flows[key] = ([message], [sink])
+            else:
+                flow[0].append(message)
+                flow[1].append(sink)
+        for flow_messages, flow_sinks in flows.values():
+            self._launch(flow_messages, flow_sinks)
+
+    def _launch(self, messages, sinks):
+        """Put one transfer on the sender's NIC queue."""
+        now = self.sim.now
+        total = 0.0
+        for message in messages:
+            message.sent_at = now
+            total += message.size_units
+        count = len(messages)
+        self.messages_sent += count
+        self.transfers += 1
         if count > 1:
             self.messages_coalesced += count
-        first = batch.messages[0]
+        first = messages[0]
         hosts = self.network.hosts
         src = hosts.get(first.sender.host)
         if src is None:
-            self._abort(batch, "unknown sender host")
+            self._abort(messages, sinks, "unknown sender host")
             return
         dst = hosts.get(first.dest.host)
         if dst is None:
-            self._abort(batch, "unknown destination host")
+            self._abort(messages, sinks, "unknown destination host")
             return
         if not src.up:
-            self._abort(batch, "sender host down")
+            self._abort(messages, sinks, "sender host down")
             return
-        batch.src = src
-        batch.dst = dst
-        link = self.network.link_between(src, dst)
-        batch.link = link
-        total = 0.0
-        for message in batch.messages:
-            total += message.size_units
-        batch.total = total
-        if batch.aggregate:
-            if total > 0:
-                # One queued NIC use for the whole aggregate; transit is
-                # scheduled once the summed units have been served.
-                src.nic.acquire(total, label=first.label,
-                                on_complete=batch._nic_completed)
-            else:
-                self._aggregate_transit(batch)
-            return
-        # Coalesced lane: one NIC use for the sum, per-message transits
-        # once service starts.  Zero-size messages never queue on the NIC
-        # and depart immediately, exactly as in per-message delivery.
+        transfer = _Transfer(self, messages, sinks, src, dst,
+                             self.network.link_between(src, dst), total)
         if total > 0:
             src.nic.acquire(total, label=first.label,
-                            on_start=batch._nic_started)
-        schedule = self.sim.schedule
-        latency = link.latency
-        for index, message in enumerate(batch.messages):
-            if message.size_units > 0:
-                continue
-            if latency > 0:
-                schedule(latency, self._arrive_one, (batch, index))
-            else:
-                self._arrive_one(batch, index)
-
-    def _exact_departures(self, batch):
-        """NIC service started: schedule each message's exact arrival.
-
-        Message *i* would, under per-message delivery, finish the NIC at
-        ``start + cumsum(sizes[:i+1])/capacity`` and then spend its own
-        ``link.transit_time(size_i)`` on the wire; reproduce both from the
-        single batched service start.
-        """
-        capacity = batch.src.nic.capacity
-        link = batch.link
-        schedule = self.sim.schedule
-        cumulative = 0.0
-        for index, message in enumerate(batch.messages):
-            size = message.size_units
-            if size <= 0:
-                continue  # departed at launch
-            cumulative += size
-            schedule(cumulative / capacity + link.transit_time(size),
-                     self._arrive_one, (batch, index))
-
-    def _aggregate_transit(self, batch):
-        """Aggregate NIC service done: one transit for the summed units."""
-        transit = batch.link.transit_time(batch.total)
-        if transit > 0:
-            self.sim.schedule(transit, self._arrive_aggregate, (batch,))
+                            on_start=transfer._nic_started)
         else:
-            self._arrive_aggregate(batch)
+            self._depart(transfer)
 
-    def _arrive_aggregate(self, batch):
-        for index in range(len(batch.messages)):
-            self._arrive_one(batch, index)
+    def _depart(self, transfer):
+        """NIC service started: arrive after serialization plus transit."""
+        total = transfer.total
+        delay = (total / transfer.src.nic.capacity
+                 + transfer.link.transit_time(total))
+        if delay > 0:
+            self.sim.schedule(delay, self._arrive, (transfer,))
+        else:
+            self._arrive(transfer)
 
-    def _arrive_one(self, batch, index):
+    def _arrive(self, transfer):
+        for message, sink in zip(transfer.messages, transfer.sinks):
+            self._arrive_one(transfer, message, sink)
+
+    def _arrive_one(self, transfer, message, sink):
         """One message reaches the destination edge: loss, checks, handoff."""
-        message = batch.messages[index]
-        link = batch.link
+        link = transfer.link
         if link.loss_rate > 0:
             loss_random = self._loss_random
             if loss_random is None:
                 loss_random = self.sim.rng("transport-loss").random
                 self._loss_random = loss_random
             if loss_random() < link.loss_rate:
-                self._finish(batch, index, "lost in transit")
+                self._drop(message, sink, "lost in transit")
                 return
-        dst = batch.dst
+        dst = transfer.dst
         # Site partitions sever traffic at the destination edge: messages
         # already in flight when the partition starts are lost too, like a
         # real cut fibre.  The set membership guard keeps the healthy path
         # free of any per-message cost (partitioned_sites is normally empty).
-        if self.network.partitioned_sites and self.network.severed(batch.src, dst):
-            self._finish(batch, index, "site partitioned")
+        if self.network.partitioned_sites and \
+                self.network.severed(transfer.src, dst):
+            self._drop(message, sink, "site partitioned")
             return
         # Host-island partitions (split-brain) sever at the same edge,
         # under the same empty-set gating.
         if self.network.partitioned_hosts and \
-                self.network.host_severed(batch.src, dst):
-            self._finish(batch, index, "host partitioned")
+                self.network.host_severed(transfer.src, dst):
+            self._drop(message, sink, "host partitioned")
             return
         if not dst.up:
-            self._finish(batch, index, "destination host down")
+            self._drop(message, sink, "destination host down")
             return
         handler = dst.handler_for(message.dest.port)
         if handler is None:
-            if self.best_effort:
-                self._finish(batch, index, "port not bound")
-            else:
-                self._finish(batch, index, "port %r not bound on %s" % (
-                    message.dest.port, dst.name))
+            self._drop(message, sink, "port %r not bound on %s" % (
+                message.dest.port, dst.name))
             return
         if message.size_units > 0:
             dst.nic.charge(message.size_units, label=message.label)
@@ -421,24 +296,12 @@ class Transport:
         self.messages_delivered += 1
         self.units_carried += message.size_units
         handler(message)
-        self._finish(batch, index, None, message)
+        self._resolve(sink, message)
 
-    def _finish(self, batch, index, reason, delivered=None):
-        """Resolve message ``index`` of ``batch`` and recycle when drained."""
-        if reason is not None:
-            self._drop(batch.messages[index], batch.sinks[index], reason)
-        else:
-            self._resolve(batch.sinks[index], delivered)
-        batch.unresolved -= 1
-        if batch.unresolved == 0:
-            self._recycle(batch)
-
-    def _abort(self, batch, reason):
-        """Drop every message of a batch that failed pre-flight checks."""
-        for message, sink in zip(batch.messages, batch.sinks):
+    def _abort(self, messages, sinks, reason):
+        """Drop every message of a transfer that failed pre-flight checks."""
+        for message, sink in zip(messages, sinks):
             self._drop(message, sink, reason)
-        batch.unresolved = 0
-        self._recycle(batch)
 
     def _drop(self, message, sink, reason):
         self.messages_dropped += 1
@@ -464,14 +327,14 @@ class Transport:
             "delivered": self.messages_delivered,
             "dropped": self.messages_dropped,
             "units_carried": self.units_carried,
-            "wire_batches": self.wire_batches,
+            "transfers": self.transfers,
             "coalesced": self.messages_coalesced,
         }
 
     def __repr__(self):
-        return "Transport(sent=%d, delivered=%d, dropped=%d, batches=%d)" % (
+        return "Transport(sent=%d, delivered=%d, dropped=%d, transfers=%d)" % (
             self.messages_sent,
             self.messages_delivered,
             self.messages_dropped,
-            self.wire_batches,
+            self.transfers,
         )

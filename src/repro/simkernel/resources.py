@@ -139,7 +139,7 @@ class Resource:
         The request joins the same FIFO/priority queue as yielded
         :class:`Use` requests and is served identically; ``on_start`` fires
         when service begins and ``on_complete`` when it ends, each receiving
-        the request.  This lets engine-style callers (the batched transport)
+        the request.  This lets engine-style callers (the transport)
         occupy the server without spawning a process per request.
         """
         if units < 0:

@@ -40,8 +40,8 @@ def _post_many(channel, count):
 
 class TestReliableDelivery:
     def test_lossless_delivers_without_retransmits(self):
-        # ack_timeout must exceed NIC serialization of the coalesced
-        # batch, or a slow first ack triggers a (harmless) spurious
+        # ack_timeout must exceed NIC serialization of the 20-message
+        # burst, or a slow first ack triggers a (harmless) spurious
         # retransmission that dedup absorbs.
         sim, _, channel, received = _channel(0.0, ack_timeout=10.0)
         _post_many(channel, 20)

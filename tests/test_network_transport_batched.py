@@ -1,10 +1,10 @@
-"""Batched transport delivery: coalescing, aggregates, failure paths.
+"""Transport transfers: the one delivery rule, batches and failure paths.
 
-The coalescing lane must be *observationally identical* to per-message
-delivery for loss-free links -- same NIC ledgers, same per-message
-``delivered_at``, same handler order.  The aggregate lane
-(:meth:`Transport.send_batch`) trades per-message timing for one transfer.
-These tests pin both behaviours plus every failure path under batching.
+A transfer is the messages of one flow that cross the wire together: one
+NIC request for the summed units, then arrival ``total / capacity +
+link.transit_time(total)`` after NIC service starts.  ``send``/``post``
+make a transfer of one message; ``send_batch``/``post_batch`` one per flow
+of the call.  These tests pin the rule, its timing and every failure path.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.network.transport import DeliveryError, Message, Transport
 from repro.simkernel.simulator import Simulator
 
 
-def build(seed=1, loss=0.0, coalesce=True):
+def build(seed=1, loss=0.0, c_site="site2"):
     sim = Simulator(seed=seed)
     network = Network(
         sim, wan=LinkSpec(latency=0.05, bandwidth=1000.0, loss_rate=loss),
@@ -27,8 +27,8 @@ def build(seed=1, loss=0.0, coalesce=True):
     )
     network.add_host("a", "site1")
     network.add_host("b", "site1")
-    network.add_host("c", "site2")
-    transport = Transport(network, coalesce=coalesce)
+    network.add_host("c", c_site)
+    transport = Transport(network)
     return sim, network, transport
 
 
@@ -43,16 +43,15 @@ def burst(transport, count, sizes=None, dest="b", port="in"):
     return messages
 
 
-class TestCoalescing:
-    def test_same_instant_burst_is_one_wire_batch(self):
+class TestTransfers:
+    def test_same_instant_sends_are_separate_transfers(self):
         sim, network, transport = build()
-        received = []
-        network.host("b").bind("in", received.append)
+        network.host("b").bind("in", lambda m: None)
         burst(transport, 10)
         sim.run(until=100)
         assert transport.stats()["delivered"] == 10
-        assert transport.stats()["wire_batches"] == 1
-        assert transport.stats()["coalesced"] == 10
+        assert transport.stats()["transfers"] == 10
+        assert transport.stats()["coalesced"] == 0
 
     def test_handlers_invoked_in_send_order(self):
         sim, network, transport = build()
@@ -62,20 +61,34 @@ class TestCoalescing:
         sim.run(until=100)
         assert [m.payload for m in received] == list(range(20))
 
-    def test_coalesced_timing_matches_per_message_pipeline(self):
-        # message i arrives at cumsum(sizes[:i+1])/cap + latency + size_i/bw
+    def test_nic_serves_flows_in_send_order(self):
+        # a -> b, a -> c, a -> b in one instant: the NIC serves the three
+        # transfers in send order, so c's message does not wait behind
+        # b's second one
+        sim, network, transport = build(c_site="site1")
+        arrivals = []
+        for host in ("b", "c"):
+            network.host(host).bind(
+                "in", lambda m: arrivals.append((m.dest.host, m.payload)))
+        for index, dest in enumerate(("b", "c", "b")):
+            transport.post(Message(
+                Address("a", "x"), Address(dest, "in"), index, 0.2))
+        sim.run(until=100)
+        assert arrivals == [("b", 0), ("c", 1), ("b", 2)]
+
+    def test_batch_calls_do_not_merge(self):
+        # one transfer per flow *inside* a call: two same-instant calls
+        # for one flow are two transfers, served one after the other
         sim, network, transport = build()
         received = []
         network.host("b").bind("in", received.append)
-        sizes = [2.0, 3.0, 5.0]
-        burst(transport, 3, sizes=sizes)
+        for index in range(2):
+            transport.post_batch([Message(
+                Address("a", "x"), Address("b", "in"), index, 5.0)])
         sim.run(until=100)
-        cap, latency, bw = 10.0, 0.001, 10000.0
-        cumulative = 0.0
-        for message, size in zip(received, sizes):
-            cumulative += size
-            expected = cumulative / cap + latency + size / bw
-            assert message.delivered_at == pytest.approx(expected)
+        assert transport.stats()["transfers"] == 2
+        assert [m.delivered_at for m in received] == pytest.approx(
+            [0.5 + 0.001 + 5.0 / 10000.0, 1.0 + 0.001 + 5.0 / 10000.0])
 
     def test_sequential_instants_do_not_coalesce(self):
         sim, network, transport = build()
@@ -89,7 +102,7 @@ class TestCoalescing:
 
         sim.spawn(sender())
         sim.run(until=100)
-        assert transport.stats()["wire_batches"] == 4
+        assert transport.stats()["transfers"] == 4
         assert transport.stats()["coalesced"] == 0
 
     def test_zero_size_messages_skip_nic_and_arrive_first(self):
@@ -102,6 +115,36 @@ class TestCoalescing:
         # the free message only waits the link latency
         assert [m.payload for m in received] == [1, 0, 2]
 
+
+class TestCoalescing:
+    """A same-instant burst of one flow is not coalesced on the wire:
+    each message keeps the per-message NIC + link pipeline timing."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(
+        st.floats(min_value=0.1, max_value=5.0,
+                  allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=12,
+    ))
+    def test_coalesced_timing_matches_per_message_pipeline(self, sizes):
+        # message i arrives at cumsum(sizes[:i+1])/cap + latency + size_i/bw,
+        # in send order, with both NICs charged exactly the sent units
+        sim, network, transport = build()
+        received = []
+        network.host("b").bind("in", received.append)
+        burst(transport, len(sizes), sizes=sizes)
+        sim.run(until=10000)
+        assert [m.payload for m in received] == list(range(len(sizes)))
+        cap, latency, bw = 10.0, 0.001, 10000.0
+        cumulative = 0.0
+        for message, size in zip(received, sizes):
+            cumulative += size
+            expected = cumulative / cap + latency + size / bw
+            assert message.delivered_at == pytest.approx(expected)
+        for host in ("a", "b"):
+            nic = network.host(host).nic
+            assert nic.units_by_label["raw"] == pytest.approx(sum(sizes))
+            assert nic.busy_time == pytest.approx(sum(sizes) / cap)
 
 class TestAggregateLane:
     def test_send_batch_single_transit(self):
@@ -133,7 +176,8 @@ class TestAggregateLane:
         ])
         sim.run(until=100)
         assert transport.stats()["delivered"] == 3
-        assert transport.stats()["wire_batches"] == 2
+        assert transport.stats()["transfers"] == 2
+        assert transport.stats()["coalesced"] == 2  # the two b messages
 
     def test_empty_batch_triggers_immediately(self):
         sim, _, transport = build()
@@ -240,12 +284,21 @@ class TestFailurePathsUnderBatching:
         assert counts[0] == counts[1]
 
 
-def run_flow(coalesce, sizes, seed=5):
-    """One same-instant burst; returns (ledgers, order, delivery times)."""
-    sim, network, transport = build(seed=seed, coalesce=coalesce)
+def run_flow(batched, sizes, seed=5):
+    """One same-instant burst; returns (ledgers, order, delivery times).
+
+    ``batched`` sends each message through its own ``send_batch`` call,
+    otherwise through ``send``.
+    """
+    sim, network, transport = build(seed=seed)
     received = []
     network.host("b").bind("in", received.append)
-    burst(transport, len(sizes), sizes=list(sizes))
+    for index, size in enumerate(sizes):
+        message = Message(Address("a", "x"), Address("b", "in"), index, size)
+        if batched:
+            transport.send_batch([message])
+        else:
+            transport.send(message)
     sim.run(until=10000)
     ledgers = (
         dict(network.host("a").nic.units_by_label),
@@ -266,8 +319,9 @@ class TestBatchedUnbatchedEquivalence:
         min_size=1, max_size=12,
     ))
     def test_identical_ledgers_order_and_times_on_loss_free_links(self, sizes):
-        batched = run_flow(coalesce=True, sizes=sizes)
-        unbatched = run_flow(coalesce=False, sizes=sizes)
+        # a one-message batch is a transfer of one message, exactly as send
+        batched = run_flow(batched=True, sizes=sizes)
+        unbatched = run_flow(batched=False, sizes=sizes)
         assert batched[1] == unbatched[1]  # delivery order
         assert batched[2] == pytest.approx(unbatched[2])  # delivered_at
         # NIC ledgers: same labels, same units, same busy time
