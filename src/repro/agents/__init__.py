@@ -7,13 +7,15 @@ This package provides the equivalent substrate:
 * :mod:`agent <repro.agents.agent>` -- the agent base class with a mailbox
   and behaviour scheduling;
 * :mod:`behaviours <repro.agents.behaviours>` -- one-shot / cyclic / ticker
-  / finite-state-machine behaviours;
+  behaviours;
 * :mod:`container <repro.agents.container>` -- agent containers bound to
   hosts, with the resource profiles of Figure 4;
 * :mod:`platform <repro.agents.platform>` -- AMS (agent registry) and MTS
-  (message transport over the simulated network);
-* :mod:`directory <repro.agents.directory>` -- the directory facilitator
-  (service + container-profile registry, the paper's "D1").
+  (message transport over the simulated network).
+
+The paper's directory "D1" is the processor root's registration map
+(:class:`~repro.core.processor.ProcessorRootAgent`): containers register
+their profiles there, and placement reads their live load from them.
 
 Agents stay where they are deployed: the grids move work to agents (job
 placement), never agents between containers.
@@ -24,13 +26,11 @@ from repro.agents.agent import Agent
 from repro.agents.behaviours import (
     Behaviour,
     CyclicBehaviour,
-    FSMBehaviour,
     OneShotBehaviour,
     TickerBehaviour,
 )
 from repro.agents.container import AgentContainer, ResourceProfile
 from repro.agents.platform import AgentPlatform, PlatformError
-from repro.agents.directory import DirectoryFacilitator, ServiceDescription
 
 __all__ = [
     "ACLMessage",
@@ -40,13 +40,10 @@ __all__ = [
     "AgentPlatform",
     "Behaviour",
     "CyclicBehaviour",
-    "DirectoryFacilitator",
-    "FSMBehaviour",
     "MessageTemplate",
     "OneShotBehaviour",
     "Performative",
     "PlatformError",
     "ResourceProfile",
-    "ServiceDescription",
     "TickerBehaviour",
 ]

@@ -200,53 +200,3 @@ class MultiplexedTickerBehaviour(TickerBehaviour):
         return
         yield  # pragma: no cover - keeps on_tick a generator for run()
 
-
-class FSMBehaviour(Behaviour):
-    """A finite-state-machine behaviour.
-
-    States are registered as ``(name, handler)`` where ``handler`` is a
-    generator function returning the next state's name (or None to follow
-    the sole registered transition).  Reaching a state registered as final
-    ends the behaviour.
-    """
-
-    def __init__(self, name=None):
-        super().__init__(name)
-        self._states = {}
-        self._finals = set()
-        self._initial = None
-        self.current_state = None
-        self.transitions_taken = []
-
-    def register_state(self, state_name, handler, initial=False, final=False):
-        if state_name in self._states:
-            raise ValueError("state %r already registered" % state_name)
-        self._states[state_name] = handler
-        if initial:
-            if self._initial is not None:
-                raise ValueError("initial state already set to %r" % self._initial)
-            self._initial = state_name
-        if final:
-            self._finals.add(state_name)
-        return self
-
-    def run(self):
-        if self._initial is None:
-            raise RuntimeError("FSM %s has no initial state" % self.name)
-        self.current_state = self._initial
-        while True:
-            handler = self._states[self.current_state]
-            next_state = yield from handler()
-            self.transitions_taken.append((self.current_state, next_state))
-            if self.current_state in self._finals:
-                return
-            if next_state is None:
-                raise RuntimeError(
-                    "state %r returned no next state" % self.current_state
-                )
-            if next_state not in self._states:
-                raise RuntimeError(
-                    "state %r transitioned to unknown state %r"
-                    % (self.current_state, next_state)
-                )
-            self.current_state = next_state

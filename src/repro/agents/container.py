@@ -13,8 +13,8 @@ class ResourceProfile:
 
     Static part (registration time, Figure 4): host name, CPU/disk
     capacities, services, knowledge areas.  Dynamic part (refreshed on
-    demand, the paper's "request the current profile"): CPU queue length,
-    utilization, and number of busy agents.
+    demand, the paper's "request the current profile"): CPU queue length
+    and number of busy agents.
     """
 
     def __init__(
@@ -26,7 +26,6 @@ class ResourceProfile:
         services,
         knowledge=(),
         cpu_queue_length=0,
-        cpu_utilization=0.0,
         busy_agents=0,
     ):
         self.container_name = container_name
@@ -36,7 +35,6 @@ class ResourceProfile:
         self.services = tuple(services)
         self.knowledge = tuple(knowledge)
         self.cpu_queue_length = cpu_queue_length
-        self.cpu_utilization = cpu_utilization
         self.busy_agents = busy_agents
 
     @property
@@ -80,8 +78,8 @@ class AgentContainer:
         name: unique container name.
         host: the host providing resources.
         platform: the owning :class:`~repro.agents.platform.AgentPlatform`.
-        services: capability tags used in directory lookups
-            ("analysis:performance", "storage", ...).
+        services: capability tags placement matches a job's required
+            service against ("analysis:performance", "storage", ...).
         knowledge: knowledge areas (rule groups) this container holds.
     """
 
@@ -150,7 +148,6 @@ class AgentContainer:
             services=self.services,
             knowledge=self.knowledge,
             cpu_queue_length=self.host.cpu.queue_length,
-            cpu_utilization=self.host.cpu.utilization(),
             busy_agents=self.busy_agents,
         )
 

@@ -363,8 +363,7 @@ class SiteGatewayAgent(Agent):
             site=self.site,
             sent_at=self.sim.now,
             analyzers=len(self.root._analyzer_agent_by_container),
-            outstanding=sum(
-                self.root._outstanding_by_container.values()),
+            outstanding=sum(self.root.outstanding().values()),
         )
         if probe:
             content_kwargs["probe"] = True

@@ -11,8 +11,9 @@ A policy sees:
 * the job: required service, cluster (knowledge area), record count and
   the estimated CPU units it will consume;
 * the candidate profiles: fresh
-  :class:`~repro.agents.container.ResourceProfile` snapshots from the
-  directory (the paper's "request the current profile of the resources").
+  :class:`~repro.agents.container.ResourceProfile` snapshots of the
+  containers registered with the root (the paper's "request the current
+  profile of the resources").
 
 It returns the chosen profile (or None when no candidate qualifies).
 """
@@ -100,7 +101,7 @@ class CapacityWeightedPolicy(PlacementPolicy):
 
     Scores candidates by estimated completion time: queued work plus this
     job, divided by CPU capacity.  Queue length is used as a proxy for
-    queued units (the directory profile does not expose exact units).
+    queued units (the profile does not expose exact units).
     """
 
     name = "capacity"

@@ -4,20 +4,22 @@ analysis.
 Section 3.3: the grid root "co-ordinates this distribution, functioning as
 a broker in the system" -- it receives data-ready notifications from the
 classifier grid, divides analysis activities per cluster (Figure 3),
-selects containers through directory profiles or negotiation (Figure 4 /
-section 3.5), tracks outstanding jobs with timeouts (fault tolerance), runs
-the level-3 cross-inference once level-1/2 jobs complete, and ships the
-consolidated report to the interface grid.
+places each job on a container registered in its directory D1 (Figure 4)
+by the container's live profile or by negotiation (section 3.5), retries
+an attempt lost to its timeout or to its container's eviction (fault
+tolerance), runs the level-3 cross-inference once level-1/2 jobs
+complete, and ships the consolidated report to the interface grid.
 
 Analyzer agents do the actual work: fetch their cluster from storage,
 charge the Table 1 inference cost, run the rule engine over the facts, and
 return findings.
 """
 
+from collections import Counter
+
 from repro.agents.acl import ACLMessage, MessageTemplate, Performative
 from repro.agents.agent import Agent
 from repro.agents.behaviours import CyclicBehaviour, TickerBehaviour
-from repro.agents.directory import DirectoryFacilitator
 from repro.agents.ontology import (
     ANALYSIS_JOB,
     ANALYSIS_RESULT,
@@ -101,31 +103,28 @@ class _Scope:
 class ProcessorRootAgent(Agent):
     """The analysis-grid root / broker.
 
+    The root's directory D1 (Figure 4) is its registration map, analyzer
+    container -> analyzer agent.  Placement refreshes each registered
+    container's profile from the container itself and adds the root's
+    live attempts on it (:meth:`outstanding`).
+
     Args:
         name: agent name.
-        storage_agent_name: where analyzers fetch data from.
         interface_name: the interface-grid agent receiving reports.
         policy: a :class:`~repro.core.loadbalance.PlacementPolicy`
             (default knowledge-first, the paper's primary principle).
         cost_model: Table 1 cost model.
-        directory: optional shared
-            :class:`~repro.agents.directory.DirectoryFacilitator`; the root
-            creates a private one ("D1") when omitted.
         job_timeout: grace period added to a job's *estimated service time*
             before it is considered lost and re-dispatched to a different
             container (fault tolerance).  The grace doubles per attempt so
             a slow-but-alive analyzer is not stampeded with duplicates.
-        max_attempts: after this many dispatch attempts a cluster is
-            abandoned (the dataset report proceeds without its findings,
-            carrying an ``analysis-abandoned`` error finding instead).
         heartbeat_interval: the analyzers' beacon period.  A container
             silent for ``TIMEOUT_BEACONS`` intervals is declared dead and
-            *evicted*: its outstanding jobs are settled and re-dispatched
-            immediately instead of waiting out the Reaper's job timeout.
-            ``None`` (default) disables eviction; containers that resume
-            heartbeating after an eviction are re-registered.
+            *evicted*: its live attempts are retried immediately instead
+            of waiting out the Reaper's job timeout.  ``None`` (default)
+            disables eviction; containers that resume heartbeating after
+            an eviction are re-registered.
         enable_cross: run the level-3 cross analysis.
-        negotiation_deadline: proposal window for the negotiated policy.
         cross_window, scatter_shards: the level-3 *scope*.  A dataset
             whose level-2 clusters all settled enrolls in the open scope,
             which closes once its members' storage hosts number
@@ -141,32 +140,31 @@ class ProcessorRootAgent(Agent):
             finalize when the cross job settles.
     """
 
+    #: Proposal window (seconds) for the negotiated policy.
+    negotiation_deadline = 2.0
+    #: After this many dispatch attempts a cluster is abandoned (the
+    #: dataset report proceeds without its findings, carrying an
+    #: ``analysis-abandoned`` error finding instead).
+    max_attempts = 6
+
     def __init__(
         self,
         name,
-        storage_agent_name,
         interface_name,
         policy=None,
         cost_model=None,
-        directory=None,
         job_timeout=60.0,
         enable_cross=True,
-        negotiation_deadline=2.0,
-        max_attempts=6,
         cross_window=0.0,
         heartbeat_interval=None,
         scatter_shards=1,
     ):
         super().__init__(name)
-        self.storage_agent_name = storage_agent_name
         self.interface_name = interface_name
         self.policy = policy if policy is not None else KnowledgeFirstPolicy()
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        self.directory = directory
         self.job_timeout = job_timeout
         self.enable_cross = enable_cross
-        self.negotiation_deadline = negotiation_deadline
-        self.max_attempts = max_attempts
         self.heartbeat_timeout = (None if heartbeat_interval is None
                                   else TIMEOUT_BEACONS * heartbeat_interval)
         #: Container liveness from heartbeats (also read by scorecards).
@@ -187,8 +185,8 @@ class ProcessorRootAgent(Agent):
         self.scatter_fanout_total = 0
         self.last_scatter_fanout = 0
         self._recent_problems = []  # [(closed at, problem)] of closed scopes
+        #: D1: registered analyzer container -> its analyzer agent.
         self._analyzer_agent_by_container = {}
-        self._outstanding_by_container = {}
         self.jobs = {}
         #: (dataset, cluster, level) -> its latest attempt, while unsettled.
         self._attempts = {}
@@ -203,7 +201,7 @@ class ProcessorRootAgent(Agent):
         #: gateway owns delivery and the result comes back as a normal
         #: ANALYSIS_RESULT under the same job id.
         self.forwarder = None
-        #: Outstanding jobs per live container at/above which the local
+        #: Live attempts per live container at/above which the local
         #: grid counts as saturated for forwarding purposes.
         self.forward_threshold = 2
         self.jobs_forwarded = 0
@@ -216,8 +214,6 @@ class ProcessorRootAgent(Agent):
         self.duplicate_results = 0
 
     def setup(self):
-        if self.directory is None:
-            self.directory = DirectoryFacilitator(self.sim)
         self.negotiator = ContractNetInitiator(self, self.negotiation_deadline)
         root = self
 
@@ -282,14 +278,19 @@ class ProcessorRootAgent(Agent):
 
     def _register_analyzer(self, message):
         content = CONTAINER_PROFILE.validate(message.content)
-        container = self.platform.containers.get(content["container"])
-        if container is None:
-            return
-        self.directory.register_container_profile(container.profile())
-        self._analyzer_agent_by_container[content["container"]] = str(message.sender)
+        if content["container"] in self.platform.containers:
+            self._analyzer_agent_by_container[content["container"]] = str(
+                message.sender)
 
     def analyzer_containers(self):
         return sorted(self._analyzer_agent_by_container)
+
+    def outstanding(self):
+        """Live attempts per local container: dispatched, neither answered
+        nor retired.  Attempts forwarded to a peer site are not counted."""
+        return Counter(job.container for job in self._attempts.values()
+                       if not job.done
+                       and not job.container.startswith("remote:"))
 
     # -- dataset handling -----------------------------------------------------
 
@@ -317,12 +318,13 @@ class ProcessorRootAgent(Agent):
             )
 
     def _fresh_profiles(self, exclude=()):
-        """Live profiles of registered analyzer containers.
+        """Live profiles of the analyzer containers registered in D1.
 
-        Static facts come from the directory; dynamic load is refreshed
-        from the containers themselves (the paper's "request the current
-        profile of the resources"), and dead containers are dropped.
+        Each profile is refreshed from its container (the paper's
+        "request the current profile of the resources"), and dead
+        containers are dropped.
         """
+        outstanding = self.outstanding()
         profiles = []
         for container_name in sorted(self._analyzer_agent_by_container):
             if container_name in exclude:
@@ -335,10 +337,9 @@ class ProcessorRootAgent(Agent):
             # invisible to the container's own queue (they may still be in
             # flight); fold them into the load indicators so back-to-back
             # dispatches spread instead of dog-piling one container.
-            outstanding = self._outstanding_by_container.get(container_name, 0)
-            profile.cpu_queue_length += outstanding
-            profile.busy_agents += outstanding
-            self.directory.register_container_profile(profile)
+            load = outstanding[container_name]
+            profile.cpu_queue_length += load
+            profile.busy_agents += load
             profiles.append(profile)
         return profiles
 
@@ -382,10 +383,9 @@ class ProcessorRootAgent(Agent):
         if not profiles:
             return bool(self._analyzer_agent_by_container
                         or self.detector.downs)
-        outstanding = self._outstanding_by_container
+        outstanding = self.outstanding()
         return all(
-            outstanding.get(profile.container_name, 0)
-            >= self.forward_threshold
+            outstanding[profile.container_name] >= self.forward_threshold
             for profile in profiles
         )
 
@@ -457,7 +457,9 @@ class ProcessorRootAgent(Agent):
                         span, status="abandoned",
                         reason="no placeable analyzer container",
                     )
-                yield from self._abandon_placement(dataset_id, cluster, level)
+                yield from self._abandon_job(
+                    dataset_id, cluster, level,
+                    "no placeable analyzer container")
                 return None
             profiles = self._fresh_profiles(exclude=exclude)
             if not profiles and exclude:
@@ -508,9 +510,7 @@ class ProcessorRootAgent(Agent):
             chosen_container.host.cpu.capacity if chosen_container is not None
             else 10.0
         )
-        backlog = (
-            self._outstanding_by_container.get(container_name, 0) * cpu_units
-        )
+        backlog = self.outstanding()[container_name] * cpu_units
         service_estimate = (cpu_units + backlog) / capacity
         grace = self.job_timeout * (2 ** (attempt - 1))
         job_state = _JobState(
@@ -519,9 +519,6 @@ class ProcessorRootAgent(Agent):
             deadline=self.sim.now + service_estimate + grace, attempt=attempt,
         )
         self._register(job_state, exclude, span)
-        self._outstanding_by_container[container_name] = (
-            self._outstanding_by_container.get(container_name, 0) + 1
-        )
         message = ACLMessage(
             Performative.REQUEST,
             sender=self.name,
@@ -576,17 +573,14 @@ class ProcessorRootAgent(Agent):
         if live is not job and not live.done:
             self._retire(live, "superseded")
         elif not job.done:
-            job.done = True
-            if job.span is not None:
-                self.telemetry.recorder.end(job.span)
-            self._settle_outstanding(job.container)
+            self._retire(job, "ok")
         state = self.datasets.get(job.dataset_id)
         if state is None or state.finished:
             return
         state.findings.extend(content["findings"])
         state.records_analyzed += content["records_analyzed"]
         if job.level >= 3:
-            yield from self._finalize_cross(state)
+            self._finalize_cross(state)
             return
         yield from self._cluster_done(state, job.cluster)
 
@@ -599,7 +593,7 @@ class ProcessorRootAgent(Agent):
             state.cross_dispatched = True
             yield from self._enroll(state)
         else:
-            yield from self._finalize_dataset(state)
+            self._finalize_dataset(state)
 
     # -- level 3: enroll -> close -> correlate --------------------------------
 
@@ -667,7 +661,7 @@ class ProcessorRootAgent(Agent):
         report their own level-2 results."""
         for member in self._scopes.pop(state.dataset_id).members:
             if not member.finished:
-                yield from self._finalize_dataset(member)
+                self._finalize_dataset(member)
 
     def _finalize_dataset(self, state):
         state.finished = True
@@ -699,27 +693,19 @@ class ProcessorRootAgent(Agent):
                 message.trace_context = (span.trace_id, span.span_id)
         self.send(message)
         self.reports_issued += 1
-        return
-        yield  # pragma: no cover - keeps this a generator for symmetry
 
-    def _abandon_placement(self, dataset_id, cluster, level):
-        """Give up on placing a job (no analyzers for too long)."""
-        state = self.datasets.get(dataset_id)
-        if state is None or state.finished:
-            self.jobs_abandoned += 1
-            return
-        yield from self._abandon_job(state, cluster, level,
-                                     "no placeable analyzer container")
-
-    def _abandon_job(self, state, cluster, level, reason):
+    def _abandon_job(self, dataset_id, cluster, level, reason):
         """Abandon a cluster/cross job; the dataset still finalizes.
 
         The report carries an ``analysis-abandoned`` error finding instead
         of the cluster's results, so the loss is visible to the manager
-        rather than silent.
+        rather than silent.  A finished dataset only counts the loss.
         """
         self.jobs_abandoned += 1
-        self._attempts.pop((state.dataset_id, cluster, level), None)
+        state = self.datasets[dataset_id]
+        if state.finished:
+            return
+        self._attempts.pop((dataset_id, cluster, level), None)
         telemetry = self.telemetry
         if telemetry is not None and state.trace is not None:
             # An explicitly-statused terminal span: the cluster's chain
@@ -741,23 +727,38 @@ class ProcessorRootAgent(Agent):
             level=level,
         ))
         if level >= 3:
-            yield from self._finalize_cross(state)
+            self._finalize_cross(state)
         else:
             yield from self._cluster_done(state, cluster)
 
     def _retire(self, job, status):
-        """End a live attempt: its spans close with ``status`` and its
-        container's outstanding count is settled."""
+        """End a live attempt (it leaves :meth:`outstanding`); its dispatch
+        span closes with ``status``."""
         job.done = True
         if job.span is not None:
-            self.telemetry.recorder.end(job.span, status=status)
-            self.telemetry.recorder.end_children(job.span, status=status)
-        self._settle_outstanding(job.container)
+            recorder = self.telemetry.recorder
+            recorder.end(job.span, status=status)
+            if status != "ok":
+                # The worker may never return to close its own spans; an
+                # answering one ("ok") already has.
+                recorder.end_children(job.span, status=status)
 
-    def _settle_outstanding(self, container_name):
-        count = self._outstanding_by_container.get(container_name, 0)
-        if count > 0:
-            self._outstanding_by_container[container_name] = count - 1
+    def _retry(self, job, status, cause):
+        """Retire a lost attempt and re-dispatch its task on another
+        container, or abandon it after ``max_attempts`` ("max attempts on
+        <cause>").  The Reaper's timeouts and evictions both land here."""
+        self._retire(job, status)
+        if self.datasets[job.dataset_id].finished:
+            return
+        if job.attempt >= self.max_attempts:
+            yield from self._abandon_job(job.dataset_id, job.cluster,
+                                         job.level, "max attempts on " + cause)
+            return
+        yield from self._dispatch_job(
+            job.dataset_id, job.cluster, job.record_count, job.level,
+            exclude=job.excluded_containers | {job.container},
+            attempt=job.attempt + 1,
+        )
 
     # -- fault tolerance ----------------------------------------------------------
 
@@ -786,7 +787,6 @@ class ProcessorRootAgent(Agent):
             # but unreachable, e.g. its host was down) or a brand-new
             # container announced itself by heartbeat: (re-)register it.
             self._analyzer_agent_by_container[container_name] = content["agent"]
-            self.directory.register_container_profile(container.profile())
         self.detector.heard(container_name)
 
     def _check_heartbeats(self):
@@ -797,31 +797,18 @@ class ProcessorRootAgent(Agent):
                 yield from self._evict_container(container_name)
 
     def _evict_container(self, container_name):
-        """Confirmed-dead path: deregister and recover its jobs *now*.
+        """Confirmed-dead path: deregister and retry its attempts *now*.
 
         Unlike the Reaper (which waits out each job's own deadline), an
-        eviction settles every outstanding job on the container in one
-        sweep and re-dispatches immediately -- detection latency is the
-        heartbeat timeout, not the job timeout.
+        eviction retries every live attempt on the container in one
+        sweep -- detection latency is the heartbeat timeout, not the job
+        timeout.
         """
         self._analyzer_agent_by_container.pop(container_name, None)
         for job in list(self.jobs.values()):
-            if job.done or job.container != container_name:
-                continue
-            self._retire(job, "evicted")
-            state = self.datasets.get(job.dataset_id)
-            if state is None or state.finished:
-                continue
-            if job.attempt >= self.max_attempts:
-                yield from self._abandon_job(state, job.cluster, job.level,
-                                             "max attempts on eviction")
-                continue
-            exclude = set(job.excluded_containers)
-            exclude.add(container_name)
-            yield from self._dispatch_job(
-                job.dataset_id, job.cluster, job.record_count, job.level,
-                exclude=exclude, attempt=job.attempt + 1,
-            )
+            # A later job may settle while an earlier retry yields.
+            if not job.done and job.container == container_name:
+                yield from self._retry(job, "evicted", "eviction")
 
     def _reap_expired_jobs(self):
         now = self.sim.now
@@ -830,22 +817,8 @@ class ProcessorRootAgent(Agent):
             if not job.done and now >= job.deadline
         ]
         for job in expired:
-            if job.done:
-                continue  # settled while an earlier re-dispatch yielded
-            self._retire(job, "timeout")
-            state = self.datasets.get(job.dataset_id)
-            if state is None or state.finished:
-                continue
-            if job.attempt >= self.max_attempts:
-                yield from self._abandon_job(state, job.cluster, job.level,
-                                             "max attempts on job timeout")
-                continue
-            exclude = set(job.excluded_containers)
-            exclude.add(job.container)
-            yield from self._dispatch_job(
-                job.dataset_id, job.cluster, job.record_count, job.level,
-                exclude=exclude, attempt=job.attempt + 1,
-            )
+            if not job.done:  # settled while an earlier retry yielded
+                yield from self._retry(job, "timeout", "job timeout")
 
     def __repr__(self):
         return "ProcessorRootAgent(%r, dispatched=%d, reports=%d)" % (

@@ -520,7 +520,6 @@ class GridManagementSystem:
         # The root is co-located with storage (it is a broker, not a worker).
         self.root = ProcessorRootAgent(
             self._root_name,
-            storage_agent_name=self.storage_agent.name,
             interface_name=self.interface.name,
             policy=make_policy(self.spec.policy),
             cost_model=self.cost_model,

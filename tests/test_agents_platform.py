@@ -6,7 +6,6 @@ from repro.agents.acl import ACLMessage, MessageTemplate, Performative
 from repro.agents.agent import Agent
 from repro.agents.behaviours import (
     CyclicBehaviour,
-    FSMBehaviour,
     OneShotBehaviour,
     TickerBehaviour,
 )
@@ -266,52 +265,6 @@ class TestBehaviours:
         agent.add_behaviour(Tick(period=2.0, max_ticks=3))
         sim.run(until=20)
         assert ticks == [2.0, 4.0, 6.0]
-
-    def test_fsm_follows_transitions(self, sim, deployment):
-        platform, container_a, _ = deployment
-        visited = []
-
-        fsm = FSMBehaviour("machine")
-
-        def start():
-            visited.append("start")
-            yield 1.0
-            return "work"
-
-        def work():
-            visited.append("work")
-            yield 1.0
-            return "end"
-
-        def end():
-            visited.append("end")
-            return None
-            yield  # pragma: no cover
-
-        fsm.register_state("start", start, initial=True)
-        fsm.register_state("work", work)
-        fsm.register_state("end", end, final=True)
-        agent = Agent("a")
-        container_a.deploy(agent)
-        agent.add_behaviour(fsm)
-        sim.run(until=10)
-        assert visited == ["start", "work", "end"]
-        assert fsm.done
-
-    def test_fsm_unknown_transition_fails(self, sim, deployment):
-        platform, container_a, _ = deployment
-        fsm = FSMBehaviour()
-
-        def start():
-            return "nowhere"
-            yield  # pragma: no cover
-
-        fsm.register_state("start", start, initial=True)
-        agent = Agent("a")
-        container_a.deploy(agent)
-        agent.add_behaviour(fsm)
-        with pytest.raises(RuntimeError):
-            sim.run(until=10)
 
     def test_cyclic_spin_guard_trips(self, sim, deployment):
         platform, container_a, _ = deployment

@@ -48,7 +48,6 @@ class TestRootBrokering:
         system.run(until=5.0)
         assert system.root.analyzer_containers() == [
             "analysis-1", "analysis-2"]
-        assert len(system.root.directory) == 2
 
     def test_jobs_divided_per_cluster(self):
         system = GridManagementSystem(small_grid_spec())
@@ -297,8 +296,7 @@ class TestFirstAnswerSettles:
         assert [f.detail["attempt"] for f in report.findings] == [1]
         assert self._dispatch_statuses(system) == [
             (1, "timeout"), (2, "superseded")]
-        assert root._outstanding_by_container == {
-            "analysis-1": 0, "analysis-2": 0}
+        assert not root.outstanding()
         assert root.duplicate_results == 0
         system.run(until=200.0)
         # The re-dispatch's answer arrives for a settled task.
@@ -323,6 +321,44 @@ class TestFirstAnswerSettles:
         assert self._dispatch_statuses(system) == [
             (1, "timeout"), (2, "superseded")]
         assert root.duplicate_results == 0
+
+    @staticmethod
+    def _abandon_reasons(system):
+        (report,) = system.interface.reports
+        return [finding.detail["reason"] for finding in report.findings
+                if finding.kind == "analysis-abandoned"]
+
+    def test_max_attempts_on_job_timeout(self):
+        # No attempt ever answers: the Reaper retires both, then abandons.
+        def script(system, attempt, job_id):
+            yield 1e6
+
+        system, attempts = self._grid(script)
+        system.root.max_attempts = 2
+        system.run(until=200.0)
+        assert len(attempts) == 2
+        assert self._dispatch_statuses(system) == [
+            (1, "timeout"), (2, "timeout")]
+        assert self._abandon_reasons(system) == ["max attempts on job timeout"]
+        assert system.root.jobs_abandoned == 1
+
+    def test_max_attempts_on_eviction(self):
+        # Each attempt's container goes silent 0.5 s after taking the job:
+        # the failure detector evicts it long before the job times out.
+        def script(system, attempt, job_id):
+            container = system.root.jobs[job_id].container
+            system.sim.schedule(
+                0.5, system.platform.containers[container].shutdown)
+            yield 1e6
+
+        system, attempts = self._grid(script, heartbeat_interval=1.0)
+        system.root.max_attempts = 2
+        system.run(until=200.0)
+        assert len(attempts) == 2
+        assert self._dispatch_statuses(system) == [
+            (1, "evicted"), (2, "evicted")]
+        assert self._abandon_reasons(system) == ["max attempts on eviction"]
+        assert system.root.containers_evicted == 2
 
 
 class TestCrossWindow:

@@ -270,6 +270,21 @@ class TestForwarding:
         assert root.jobs_forwarded > 0
         assert all(state.finished for state in root.datasets.values())
 
+    def test_forwarded_attempts_are_not_local_load(self):
+        # A forwarded job is a live attempt at the origin root, but it
+        # occupies none of the origin's containers: placement and the
+        # site beacon must not count it.
+        system = self._saturated_mesh()
+        root = system.sites["site1"].root
+        until = 0.0
+        while not any(job.container.startswith("remote:") and not job.done
+                      for job in root.jobs.values()):
+            until += 1.0
+            assert until < 300.0, "no job was forwarded"
+            system.sim.run(until=until)
+        load = root.outstanding()
+        assert load and set(load) <= set(root.platform.containers)
+
     def test_forwarded_job_capped_at_one_hop(self):
         from repro.agents.acl import ACLMessage, Performative
         from repro.agents.ontology import FORWARDED_JOB
