@@ -36,7 +36,7 @@ from repro.core.negotiation import (
     ContractNetResponder,
 )
 from repro.core.reports import Finding, ManagementReport
-from repro.rules.facts import Fact, WorkingMemory
+from repro.rules.facts import WorkingMemory
 
 #: Cluster name used for level-3 cross-inference jobs.
 CROSS_CLUSTER = "correlation"
@@ -187,8 +187,12 @@ class ProcessorRootAgent(Agent):
         self._recent_problems = []  # [(closed at, problem)] of closed scopes
         #: D1: registered analyzer container -> its analyzer agent.
         self._analyzer_agent_by_container = {}
+        #: Job id -> every attempt ever dispatched (a late answer finds
+        #: its attempt here).
         self.jobs = {}
-        #: (dataset, cluster, level) -> its latest attempt, while unsettled.
+        #: (dataset, cluster, level) -> its latest attempt, while unsettled,
+        #: in dispatch order.  Every live attempt is here: the Reaper and
+        #: eviction visit only this table.
         self._attempts = {}
         self.datasets = {}
         self.jobs_dispatched = 0
@@ -547,8 +551,10 @@ class ProcessorRootAgent(Agent):
         job_state.excluded_containers = set(exclude)
         job_state.span = span
         self.jobs[job_state.job_id] = job_state
-        self._attempts[job_state.dataset_id, job_state.cluster,
-                       job_state.level] = job_state
+        # Re-inserted, not overwritten: the table stays in dispatch order.
+        task = (job_state.dataset_id, job_state.cluster, job_state.level)
+        self._attempts.pop(task, None)
+        self._attempts[task] = job_state
         self.jobs_dispatched += 1
         if job_state.attempt > 1:
             self.jobs_redispatched += 1
@@ -805,7 +811,7 @@ class ProcessorRootAgent(Agent):
         timeout.
         """
         self._analyzer_agent_by_container.pop(container_name, None)
-        for job in list(self.jobs.values()):
+        for job in list(self._attempts.values()):
             # A later job may settle while an earlier retry yields.
             if not job.done and job.container == container_name:
                 yield from self._retry(job, "evicted", "eviction")
@@ -813,7 +819,7 @@ class ProcessorRootAgent(Agent):
     def _reap_expired_jobs(self):
         now = self.sim.now
         expired = [
-            job for job in self.jobs.values()
+            job for job in self._attempts.values()
             if not job.done and now >= job.deadline
         ]
         for job in expired:
@@ -824,6 +830,24 @@ class ProcessorRootAgent(Agent):
         return "ProcessorRootAgent(%r, dispatched=%d, reports=%d)" % (
             self.name, self.jobs_dispatched, self.reports_issued,
         )
+
+
+def offer_cluster(engine, records, baselines):
+    """Offer a cluster job's facts to ``engine``: every sample of
+    ``records``, then every baseline.  Only the facts one of the engine's
+    patterns can match are built."""
+    offer = engine.offer
+    for record in records:
+        for sample in record.samples:
+            offer("sample", sample.fact_attrs())
+    for baseline in baselines:
+        offer("baseline", {
+            "device": baseline["device"],
+            "metric": baseline["metric"],
+            "instance": baseline["instance"],
+            "mean": baseline["mean"],
+            "maximum": baseline["maximum"],
+        })
 
 
 def _finding_to_problem_dict(finding):
@@ -1107,20 +1131,9 @@ class AnalyzerAgent(Agent):
             if infer_cost.cpu:
                 yield self.cpu.use(infer_cost.cpu, label=TaskKind.INFER)
         memory = WorkingMemory(clock=lambda: self.sim.now)
-        for record in records:
-            for fact in record.to_facts():
-                memory.assert_fact(fact)
-        for baseline in baselines:
-            memory.assert_fact(Fact(
-                "baseline",
-                device=baseline["device"],
-                metric=baseline["metric"],
-                instance=baseline["instance"],
-                mean=baseline["mean"],
-                maximum=baseline["maximum"],
-            ))
         groups = self._rule_groups_for(content["cluster"])
         engine = self.knowledge_base.engine_for(memory, groups=groups, max_level=2)
+        offer_cluster(engine, records, baselines)
         self.rules_fired += engine.run()
         findings = [
             Finding.from_fact(fact, level=2)
@@ -1134,11 +1147,11 @@ class AnalyzerAgent(Agent):
         if cross_cost.cpu:
             yield self.cpu.use(cross_cost.cpu, label=TaskKind.INFER_CROSS)
         memory = WorkingMemory(clock=lambda: self.sim.now)
-        for problem in content.get("problems", ()):
-            memory.assert_fact(Fact("problem", **problem))
         engine = self.knowledge_base.engine_for(
             memory, groups=("correlation",), max_level=3,
         )
+        for problem in content.get("problems", ()):
+            engine.offer("problem", dict(problem))
         self.rules_fired += engine.run()
         findings = [
             Finding.from_fact(fact, level=3)

@@ -61,8 +61,8 @@ class Sample:
         self.instance = instance
         self.time = time
 
-    def to_fact(self):
-        """The working-memory fact the rule engine consumes."""
+    def fact_attrs(self):
+        """The attributes of this sample's ``sample`` fact, in a new dict."""
         attrs = {
             "device": self.device,
             "site": self.site,
@@ -73,7 +73,11 @@ class Sample:
         }
         if self.instance is not None:
             attrs["instance"] = self.instance
-        return Fact("sample", **attrs)
+        return attrs
+
+    def to_fact(self):
+        """The working-memory fact the rule engine consumes."""
+        return Fact.owning("sample", self.fact_attrs())
 
     def __repr__(self):
         suffix = "[%s]" % self.instance if self.instance is not None else ""

@@ -200,6 +200,17 @@ class Pattern:
         self.fact_type = fact_type
         self.bind = bind
         self.constraints = constraints
+        #: ``(attr, literal)`` of the first hashable literal constraint, or
+        #: None: the constant test the engine gates and indexes facts on.
+        self.discriminator = None
+        for name, constraint in constraints.items():
+            if not isinstance(constraint, (Var, Predicate)):
+                try:
+                    hash(constraint)
+                except TypeError:
+                    continue
+                self.discriminator = (name, constraint)
+                break
 
     def match(self, fact, bindings):
         """Match one fact under existing bindings.
@@ -209,11 +220,12 @@ class Pattern:
         """
         if fact.type != self.fact_type:
             return None
+        attrs = fact.attrs
         new_bindings = None
         for name, constraint in self.constraints.items():
-            if name not in fact:
+            if name not in attrs:
                 return None
-            value = fact[name]
+            value = attrs[name]
             if isinstance(constraint, Var):
                 current = (new_bindings or bindings).get(constraint.name, _MISSING)
                 if current is _MISSING:

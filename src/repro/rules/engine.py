@@ -8,21 +8,35 @@ determinism), and fires them -- skipping activations whose exact
 may assert or retract facts; the engine loops until no new activations
 appear or ``max_cycles`` trips.
 
-Matching is an indexed join recomputed from scratch every cycle.  Each
-pattern's facts are filtered once per pass (its *alpha list*: the facts
-the pattern accepts with no bindings).  A later pattern's alpha list is
-bucketed in a dict keyed by the attributes its ``Var``s share with earlier
-patterns, so each partial match visits only the facts whose join values
-hash equal instead of every fact of the type.  ``Pattern.match`` still
-decides every match (the index only prunes candidates), buckets keep
-assertion order, and an unhashable join value falls back to scanning the
-alpha list -- so the matches come out exactly as a nested-loop join would
-produce them.  There is no cross-cycle state (no Rete network): at the
-reproduction's scale (thousands of facts, dozens of rules) recomputing is
+Working memory holds only what the rules can read.  The engine derives
+one constant test per pattern, its *discriminator*: the first hashable
+literal, such as ``metric="cpu_load"`` or ``kind="high-cpu"``.  Facts
+offered through :meth:`InferenceEngine.offer` pass a gate built from
+those tests.  A fact of a type no pattern names is never built.  Nor is a
+fact that fails every discriminator of its type.  A type with a pattern
+that has no discriminator admits every fact.  This is the constant-test
+half of Rete (Forgy 1982), hashed as in Doorenbos (1995).  Facts that
+actions assert skip the gate.
+
+Matching is an indexed join recomputed from scratch every cycle.  A
+pattern takes its candidates from the memory's shared alpha memory
+(:meth:`~repro.rules.facts.WorkingMemory.alpha`): the facts of its type
+bucketed by its discriminator's attribute, built once per memory version
+for every rule of the run.  A pattern without a discriminator, or an
+attribute with an unhashable value, scans every fact of the type.  A
+later pattern's candidates are bucketed again by the attributes its
+``Var``s share with earlier patterns, so each partial match visits only
+the facts whose join values hash equal; an unhashable join value falls
+back to scanning.  ``Pattern.match`` decides every candidate (the indexes
+only prune), and buckets keep assertion order, so the matches come out
+exactly as a nested-loop join over all facts would produce them.  There
+is no cross-cycle join state (no beta network): at the reproduction's
+scale (hundreds of facts, dozens of rules) recomputing the joins is
 cheap and keeps the engine easy to audit.
 """
 
 from repro.rules.conditions import Var
+from repro.rules.facts import Fact
 
 
 class Rule:
@@ -109,11 +123,27 @@ class InferenceEngine:
         self.fired = []          # list of (rule_name, bindings) in fire order
         self._fired_keys = set()
         self.cycles_run = 0
+        self._gate = _gate(self.rules)
 
     def add_rule(self, rule):
         if any(existing.name == rule.name for existing in self.rules):
             raise ValueError("duplicate rule name %r" % rule.name)
         self.rules.append(rule)
+        self._gate = _gate(self.rules)
+
+    def offer(self, fact_type, attrs):
+        """Assert a fact only if some rule's pattern could match it.
+
+        ``attrs`` becomes the fact's own attribute dict.  Returns the
+        stored fact, or None when no pattern of the type admits it (the
+        fact is then never built).
+        """
+        if fact_type not in self._gate:
+            return None
+        tests = self._gate[fact_type]
+        if tests is not None and not _passes(tests, attrs):
+            return None
+        return self.memory.assert_fact(Fact.owning(fact_type, attrs))
 
     def run(self):
         """Fire rules until quiescent; returns number of firings."""
@@ -157,12 +187,16 @@ class InferenceEngine:
         """Return [(facts_tuple, bindings)] for every full join of the rule,
         in nested-loop order (partial matches outer, facts in assertion
         order inner)."""
+        memory = self.memory
         partial = [((), {})]
         for pattern in rule.patterns:
-            alpha = [
-                fact for fact in self.memory.facts(pattern.fact_type)
-                if pattern.match(fact, {}) is not None
-            ]
+            literal = pattern.discriminator
+            alpha = None if literal is None else memory.alpha(
+                pattern.fact_type, literal[0])
+            if alpha is None:
+                candidates = memory.facts(pattern.fact_type)
+            else:
+                candidates = alpha.get(literal[1], ())
             # Every partial match has bound the same names: each earlier
             # pattern's Vars and bind= name.
             bound = partial[0][1]
@@ -171,17 +205,23 @@ class InferenceEngine:
                 for attr, constraint in pattern.constraints.items()
                 if isinstance(constraint, Var) and constraint.name in bound
             ]
-            index = _bucket(alpha, [attr for attr, _ in join]) if join else None
+            if join or len(partial) > 1:
+                # Facts the pattern accepts with no bindings: tested once,
+                # not once per partial match.
+                candidates = [fact for fact in candidates
+                              if pattern.match(fact, {}) is not None]
+            index = _bucket(candidates, [attr for attr, _ in join]) \
+                if join else None
             extended = []
             for facts, bindings in partial:
-                candidates = alpha
+                bucket = candidates
                 if index is not None:
                     try:
-                        candidates = index.get(
+                        bucket = index.get(
                             tuple([bindings[name] for _, name in join]), ())
                     except TypeError:
-                        pass  # unhashable bound value: scan the alpha list
-                for fact in candidates:
+                        pass  # unhashable bound value: scan the candidates
+                for fact in bucket:
                     if any(existing is fact for existing in facts):
                         continue  # a fact may satisfy only one pattern slot
                     new_bindings = pattern.match(fact, bindings)
@@ -194,6 +234,35 @@ class InferenceEngine:
 
     def __repr__(self):
         return "InferenceEngine(rules=%d, fired=%d)" % (len(self.rules), len(self.fired))
+
+
+def _gate(rules):
+    """The alpha gate of a rule set: fact type -> ``{attr: {literals}}``
+    (a fact needs one of its type's literals), or None when some pattern
+    of the type has no discriminator (every fact is admitted)."""
+    gate = {}
+    for rule in rules:
+        for pattern in rule.patterns:
+            literal = pattern.discriminator
+            if literal is None:
+                gate[pattern.fact_type] = None
+                continue
+            tests = gate.setdefault(pattern.fact_type, {})
+            if tests is not None:
+                tests.setdefault(literal[0], set()).add(literal[1])
+    return gate
+
+
+def _passes(tests, attrs):
+    """True when ``attrs`` carries one of the gate's literals."""
+    for attr, literals in tests.items():
+        if attr in attrs:
+            try:
+                if attrs[attr] in literals:
+                    return True
+            except TypeError:
+                return True  # an unhashable value may still equal a literal
+    return False
 
 
 def _bucket(facts, attrs):

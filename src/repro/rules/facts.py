@@ -15,11 +15,22 @@ class Fact:
     __slots__ = ("id", "type", "attrs", "asserted_at")
 
     def __init__(self, fact_type, **attrs):
+        self._own(fact_type, attrs)  # a fresh kwargs dict: no copy needed
+
+    @classmethod
+    def owning(cls, fact_type, attrs):
+        """A fact that takes ``attrs`` as its attribute dict, uncopied; the
+        caller hands the dict over and must not change it afterwards."""
+        fact = cls.__new__(cls)
+        fact._own(fact_type, attrs)
+        return fact
+
+    def _own(self, fact_type, attrs):
         if not fact_type:
             raise ValueError("fact type must be non-empty")
         object.__setattr__(self, "id", next(Fact._ids))
         object.__setattr__(self, "type", fact_type)
-        object.__setattr__(self, "attrs", dict(attrs))
+        object.__setattr__(self, "attrs", attrs)
         object.__setattr__(self, "asserted_at", None)
 
     def __setattr__(self, name, value):
@@ -46,10 +57,18 @@ class Fact:
         )
 
     def content_key(self):
-        """A hashable key of the fact's content (for dedup sets)."""
-        return (self.type, tuple(sorted(
-            (name, _freeze(value)) for name, value in self.attrs.items()
-        )))
+        """A hashable key of the fact's content (for dedup sets).
+
+        Unhashable values are frozen first (lists to tuples, sets to
+        frozensets, dicts to sorted item tuples), so ``[1, 2]`` keys like
+        ``(1, 2)``.
+        """
+        try:
+            return (self.type, frozenset(self.attrs.items()))
+        except TypeError:
+            return (self.type, frozenset(
+                (name, _freeze(value)) for name, value in self.attrs.items()
+            ))
 
     def __repr__(self):
         inner = ", ".join(
@@ -80,6 +99,8 @@ class WorkingMemory:
     def __init__(self, clock=None):
         self._by_type = {}
         self._by_key = {}
+        self._alpha = {}
+        self._alpha_version = 0
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.assertions = 0
         self.retractions = 0
@@ -102,7 +123,7 @@ class WorkingMemory:
         return fact
 
     def assert_new(self, fact_type, **attrs):
-        return self.assert_fact(Fact(fact_type, **attrs))
+        return self.assert_fact(Fact.owning(fact_type, attrs))
 
     def retract(self, fact):
         """Remove a fact (no-op when absent)."""
@@ -113,6 +134,8 @@ class WorkingMemory:
             facts.remove(fact)
         except ValueError:
             return False
+        if not facts:
+            del self._by_type[fact.type]
         self._by_key.pop(fact.content_key(), None)
         self.retractions += 1
         self.version += 1
@@ -136,6 +159,29 @@ class WorkingMemory:
         for fact_type_name in sorted(self._by_type):
             everything.extend(self._by_type[fact_type_name])
         return everything
+
+    def alpha(self, fact_type, attr):
+        """The facts of ``fact_type`` bucketed by their ``attr`` value:
+        ``{value: [facts in assertion order]}``, without the facts that
+        lack ``attr``.  None when a value cannot be hashed; the caller
+        then scans.  Built at most once per memory ``version`` (every
+        change bumps it) and shared by every reader.  Read-only."""
+        if self._alpha_version != self.version:
+            self._alpha = {}
+            self._alpha_version = self.version
+        key = (fact_type, attr)
+        if key in self._alpha:
+            return self._alpha[key]
+        index = {}
+        try:
+            for fact in self._by_type.get(fact_type, ()):
+                attrs = fact.attrs
+                if attr in attrs:
+                    index.setdefault(attrs[attr], []).append(fact)
+        except TypeError:
+            index = None
+        self._alpha[key] = index
+        return index
 
     def first(self, fact_type, **attr_equals):
         """First fact of a type whose attributes equal the given values."""

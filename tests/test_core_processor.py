@@ -158,6 +158,38 @@ class TestFaultTolerance:
         # all post-fault work ran on the survivor
         assert system.analyzers[1].jobs_completed > 0
 
+    def test_every_live_attempt_is_in_the_attempt_table(self):
+        # The Reaper and eviction visit only the attempt table, so every
+        # undone attempt must be there, in dispatch order, through
+        # timeouts, an eviction and re-dispatches.
+        spec = small_grid_spec(
+            job_timeout=4.0, dataset_threshold=3, policy="round-robin",
+            heartbeat_interval=1.0,
+            analysis_hosts=[
+                HostSpec("inf1", "site1", cpu_capacity=0.5),
+                HostSpec("inf2", "site1", cpu_capacity=2.0),
+            ],
+        )
+        system = GridManagementSystem(spec)
+        system.assign_goals(system.make_paper_goals(polls_per_type=4))
+        apply_fault_plan(system, FaultPlan([
+            FaultEvent(at=30.0, kind="container_down", target="analysis-1"),
+        ]))
+        root = system.root
+        live_seen = 0
+        for tick in range(1, 301):
+            system.run(until=float(tick))
+            table = list(root._attempts.values())
+            live = [job for job in root.jobs.values() if not job.done]
+            assert all(any(job is entry for entry in table) for job in live)
+            in_dispatch_order = [
+                job for job in root.jobs.values()
+                if any(job is entry for entry in table)]
+            assert in_dispatch_order == table
+            live_seen += len(live)
+        assert live_seen > 0
+        assert root.jobs_redispatched > 0 and root.containers_evicted == 1
+
     def test_unknown_fault_target_raises(self):
         system = GridManagementSystem(small_grid_spec())
         with pytest.raises(KeyError):

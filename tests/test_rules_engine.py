@@ -66,9 +66,24 @@ def _memory(specs):
     return memory
 
 
+class _EqualsOne(list):
+    """Unhashable, yet equal to 1: only a scan can find it for ``x=1``."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return list.__eq__(self, other)
+        return other == 1
+
+    def __ne__(self, other):
+        return not self == other
+
+
 _SHARED_NAN = float("nan")
 _VALUES = st.one_of(
-    st.sampled_from([0, 1, 1.0, True, 2, "a", None, _SHARED_NAN, [1], (1,)]),
+    st.sampled_from([0, 1, 1.0, True, 2, "a", None, _SHARED_NAN, [1], (1,),
+                     _EqualsOne()]),
     st.builds(float, st.just("nan")),  # a fresh NaN object
 )
 _ATTRS = st.sampled_from(("x", "y", "z"))
@@ -298,6 +313,118 @@ class TestIndexedJoin:
                 [(fact.asserted_at, repr(fact)) for fact in memory.facts()],
             ))
         assert outcomes[0] == outcomes[1]
+
+
+#: "c" facts match no pattern; actions derive "problem"/"incident" facts.
+_GATE_FACTS = st.lists(
+    st.tuples(st.sampled_from(("a", "b", "c")),
+              st.dictionaries(_ATTRS, _VALUES, max_size=3)),
+    max_size=14,
+)
+_GATE_RULES = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(("a", "b", "problem")),
+                  st.dictionaries(_ATTRS, _CONSTRAINTS, max_size=3)),
+        min_size=1, max_size=3),
+    min_size=1, max_size=3,
+)
+
+
+def _content(value):
+    """A memory-independent form of a binding value or derived fact."""
+    if isinstance(value, Fact):
+        return ("fact", value.type, repr(value))
+    return (type(value).__name__, repr(value))
+
+
+class TestAlphaGate:
+    """Facts offered through the gate reach memory only if some pattern's
+    discriminator admits them; the fired rules come out as without it."""
+
+    def _engine(self, *patterns):
+        rules = [Rule("r%d" % index, [pattern], lambda context: None)
+                 for index, pattern in enumerate(patterns)]
+        return InferenceEngine(WorkingMemory(), rules)
+
+    def test_unnamed_type_and_failed_literal_are_never_built(self):
+        engine = self._engine(Pattern("sample", metric="cpu", value=GT(1)))
+        assert engine.offer("baseline", {"metric": "cpu"}) is None
+        assert engine.offer("sample", {"metric": "octets"}) is None
+        assert engine.offer("sample", {"value": 5}) is None  # no metric
+        kept = engine.offer("sample", {"metric": "cpu", "value": 0})
+        assert kept is not None  # the literal admits; match decides later
+        assert engine.memory.facts() == [kept]
+
+    def test_literal_free_pattern_admits_its_whole_type(self):
+        engine = self._engine(Pattern("a", x=1), Pattern("a", y=Var("v")))
+        assert engine.offer("a", {"z": 3}) is not None
+        assert engine.offer("b", {"x": 1}) is None
+
+    def test_any_discriminator_of_the_type_admits(self):
+        engine = self._engine(Pattern("a", x=1), Pattern("a", y="k"),
+                              Pattern("a", x=2))
+        assert engine.offer("a", {"x": 2.0}) is not None
+        assert engine.offer("a", {"x": 3, "y": "k"}) is not None
+        assert engine.offer("a", {"x": 3, "y": "j"}) is None
+        assert engine.offer("a", {"x": True}) is not None
+
+    def test_unhashable_value_is_admitted_and_scanned(self):
+        engine = self._engine(Pattern("a", x=1))
+        assert engine.offer("a", {"x": [1]}) is not None
+        equal = engine.offer("a", {"x": _EqualsOne()})
+        assert engine.offer("a", {"x": 1}) is not None
+        rule = engine.rules[0]
+        assert [facts[0] for facts, _ in engine._match_rule(rule)] == [
+            equal, engine.memory.facts("a")[2]]
+
+    def test_offer_keeps_content_dedup(self):
+        engine = self._engine(Pattern("a", x=1))
+        first = engine.offer("a", {"x": 1})
+        assert engine.offer("a", {"x": 1}) is first
+        assert len(engine.memory) == 1
+
+    def test_add_rule_widens_the_gate(self):
+        engine = self._engine(Pattern("a", x=1))
+        assert engine.offer("b", {"x": 1}) is None
+        engine.add_rule(Rule("late", [Pattern("b")], lambda context: None))
+        assert engine.offer("b", {"x": 1}) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs=_GATE_FACTS, rule_specs=_GATE_RULES)
+    def test_gated_run_fires_like_nested_loop_over_all_facts(
+            self, specs, rule_specs):
+        def derive(index):
+            def action(context):
+                context.assert_fact("problem", x=context.get("v", 0), y=index)
+                context.assert_fact("incident", rule=index,
+                                    facts=len(context.facts))
+            return action
+
+        def rules():
+            return [
+                Rule("r%d" % index,
+                     [Pattern(fact_type, **constraints)
+                      for fact_type, constraints in patterns],
+                     derive(index))
+                for index, patterns in enumerate(rule_specs)
+            ]
+
+        gated = InferenceEngine(WorkingMemory(), rules())
+        for fact_type, attrs in specs:
+            gated.offer(fact_type, dict(attrs))
+        oracle = NestedLoopEngine(_memory(specs), rules())
+        outcomes = []
+        for engine in (gated, oracle):
+            engine.run()
+            outcomes.append((
+                [(name, [(var, _content(value))
+                         for var, value in bindings.items()])
+                 for name, bindings in engine.fired],
+                [_content(fact) for fact in engine.memory.facts("problem")],
+                [_content(fact) for fact in engine.memory.facts("incident")],
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert len(gated.memory) <= len(oracle.memory)
 
 
 class TestKnowledgeBase:

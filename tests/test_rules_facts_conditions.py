@@ -1,11 +1,28 @@
 """Unit tests for facts, working memory and the condition DSL."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.rules.conditions import (
     BETWEEN, CONTAINS, EQ, GE, GT, IN, LE, LT, NE, PRED, Pattern, Var,
 )
-from repro.rules.facts import Fact, WorkingMemory
+from repro.rules.facts import Fact, WorkingMemory, _freeze
+
+
+def sorted_freeze_key(fact):
+    """The content key as a sorted tuple of frozen items: the reference
+    ``Fact.content_key`` must agree with on which keys are equal."""
+    return (fact.type, tuple(sorted(
+        (name, _freeze(value)) for name, value in fact.attrs.items())))
+
+
+_SHARED_NAN = float("nan")
+_KEY_VALUES = st.sampled_from([
+    1, 1.0, True, 0, 2, "a", None, _SHARED_NAN, float("nan"),
+    (1, 2), [1, 2], [2, 1], (1, [2]), ((1, 2),), [[1, 2]],
+    frozenset({1}), {1}, {1.0}, {"k": 1}, (("k", 1),), {"k": [1]},
+])
 
 
 class TestFact:
@@ -28,6 +45,41 @@ class TestFact:
     def test_content_key_handles_unhashable_values(self):
         fact = Fact("a", items=[1, 2], mapping={"k": [3]}, tags={"x"})
         assert isinstance(hash(fact.content_key()), int)
+
+    @pytest.mark.parametrize("left,right,equal", [
+        ((1, 2), [1, 2], True),
+        ([1, 2], [2, 1], False),
+        (frozenset({1, 2}), {1, 2}, True),
+        ({"k": 1}, (("k", 1),), True),
+        (1, 1.0, True),
+        (1, True, True),
+        ((1, [2]), [1, (2,)], True),
+        ("a", ["a"], False),
+    ])
+    def test_content_key_fast_path_agrees_with_freezing(
+            self, left, right, equal):
+        # A hashable value keys as itself, an unhashable one frozen; the
+        # two must meet exactly where the frozen forms are equal.
+        first, second = Fact("a", x=left, y=0), Fact("a", x=right, y=0)
+        assert (first.content_key() == second.content_key()) is equal
+        assert (sorted_freeze_key(first) == sorted_freeze_key(second)) \
+            is equal
+
+    @given(st.dictionaries(st.sampled_from("xyz"), _KEY_VALUES, max_size=3),
+           st.dictionaries(st.sampled_from("xyz"), _KEY_VALUES, max_size=3))
+    def test_content_keys_equal_exactly_when_frozen_items_are(
+            self, attrs_a, attrs_b):
+        first, second = Fact("t", **attrs_a), Fact("t", **attrs_b)
+        assert (first.content_key() == second.content_key()) == (
+            sorted_freeze_key(first) == sorted_freeze_key(second))
+
+    def test_owning_takes_the_dict_uncopied(self):
+        attrs = {"x": 1}
+        fact = Fact.owning("a", attrs)
+        assert fact.attrs is attrs and fact.type == "a"
+        assert fact.id != Fact.owning("a", {"x": 1}).id
+        with pytest.raises(ValueError):
+            Fact.owning("", {})
 
     def test_ids_are_unique(self):
         assert Fact("a").id != Fact("a").id
@@ -73,6 +125,52 @@ class TestWorkingMemory:
         assert memory.retract_type("sample") == 2
         assert memory.count("sample") == 0
         assert memory.count("problem") == 1
+
+    def test_retracting_the_last_fact_drops_its_type(self):
+        memory = WorkingMemory()
+        fact = memory.assert_new("a", x=1)
+        memory.assert_new("b", x=1)
+        assert memory.retract(fact)
+        assert memory.types() == ["b"]
+        assert memory.facts("a") == [] and memory.count("a") == 0
+        assert memory.retract_type("b") == 1
+        assert memory.types() == []
+        assert not memory.retract(fact)  # an absent type is a no-op
+
+    def test_alpha_buckets_by_value_in_assertion_order(self):
+        memory = WorkingMemory()
+        one = memory.assert_new("a", x=1, n=0)
+        two = memory.assert_new("a", x=2, n=1)
+        also_one = memory.assert_new("a", x=1.0, n=2)
+        memory.assert_new("a", n=3)  # no x: in no bucket
+        memory.assert_new("b", x=1)
+        index = memory.alpha("a", "x")
+        assert index == {1: [one, also_one], 2: [two]}
+        assert memory.alpha("a", "x") is index  # one build per version
+        assert memory.alpha("c", "x") == {}
+
+    def test_alpha_is_none_for_an_unhashable_value(self):
+        memory = WorkingMemory()
+        memory.assert_new("a", x=1)
+        memory.assert_new("a", x=[1])
+        assert memory.alpha("a", "x") is None
+
+    def test_alpha_follows_retracts(self):
+        memory = WorkingMemory()
+        first = memory.assert_new("a", x=1, n=0)
+        second = memory.assert_new("a", x=1, n=1)
+        third = memory.assert_new("a", x=2, n=2)
+        assert memory.alpha("a", "x") == {1: [first, second], 2: [third]}
+        memory.retract(first)
+        assert memory.alpha("a", "x") == {1: [second], 2: [third]}
+        memory.retract(third)
+        assert memory.alpha("a", "x") == {1: [second]}
+        memory.retract(second)
+        assert memory.alpha("a", "x") == {}
+        again = memory.assert_new("a", x=2, n=3)
+        assert memory.alpha("a", "x") == {2: [again]}
+        memory.retract_type("a")
+        assert memory.alpha("a", "x") == {}
 
     def test_first_with_attribute_filter(self):
         memory = WorkingMemory()
@@ -169,3 +267,10 @@ class TestPattern:
     def test_empty_fact_type_rejected(self):
         with pytest.raises(ValueError):
             Pattern("")
+
+    def test_discriminator_is_the_first_hashable_literal(self):
+        assert Pattern("a", x=Var("v"), y=GT(1), z="k", w=2) \
+            .discriminator == ("z", "k")
+        assert Pattern("a", x=[1], y=EQ(1), z=1).discriminator == ("z", 1)
+        assert Pattern("a", x=[1], y=Var("v")).discriminator is None
+        assert Pattern("a").discriminator is None
