@@ -184,13 +184,18 @@ class Agent:
         event = self.sim.event("recv@" + self.name)
         entry = (template, event)
         self._waiters.append(entry)
+        timer = None
         if timeout is not None:
-            self.sim.schedule(timeout, self._expire_waiter, (template, event))
+            timer = self.sim.schedule(timeout, self._expire_waiter,
+                                      (template, event))
         try:
             result = yield event
         finally:
             # If the waiting process was killed (agent stop), drop the
-            # stale waiter so it cannot swallow a future message.
+            # stale waiter so it cannot swallow a future message; a timer
+            # that lost the race to a message has nothing left to do.
+            if timer is not None:
+                timer.cancel()
             try:
                 self._waiters.remove(entry)
             except ValueError:

@@ -2,8 +2,8 @@
 
 Semantics (see DESIGN.md section 5):
 
-* the sender's NIC *queues* the payload -- a busy NIC delays further
-  sends, which is how network bottlenecks emerge;
+* the sender's NIC serves the payload in send order -- a busy NIC delays
+  further sends, which is how network bottlenecks emerge;
 * the link adds latency plus size/bandwidth transit time;
 * the receiver's NIC is *charged* the payload units (accounting without
   queueing -- receive-side contention is negligible at the paper's scale);
@@ -12,9 +12,11 @@ Semantics (see DESIGN.md section 5):
 One delivery rule (DESIGN.md section 5.1 "Transport transfers"): a
 *transfer* is the messages of one flow -- ``(sender host, destination
 host, destination port, ledger label)`` -- that cross the wire together.
-It makes one NIC request for the summed units and, from the start of NIC
-service, arrives after ``total / capacity + link.transit_time(total)``.
-A zero-unit transfer skips the NIC and arrives after the link latency.
+It reserves the sender's NIC for the summed units
+(:meth:`~repro.simkernel.resources.Resource.reserve`) and arrives
+``total / capacity + link.transit_time(total)`` after that service
+starts: one kernel event per transfer.  A zero-unit transfer skips the
+NIC and arrives after the link latency.
 :meth:`Transport.send` and :meth:`~Transport.post` make a transfer of one
 message; :meth:`~Transport.send_batch` and :meth:`~Transport.post_batch`
 make one transfer per flow of the call (the paper's "aggregate before
@@ -77,29 +79,6 @@ class Message:
             self.protocol,
             self.size_units,
         )
-
-
-class _Transfer:
-    """The messages of one flow that cross the wire together.
-
-    ``sinks[i]`` records where message *i*'s outcome goes: ``None``
-    (fire-and-forget), a :class:`SimEvent` to trigger, or an
-    ``(_OutcomeCollector, index)`` pair from :meth:`Transport.send_batch`.
-    """
-
-    __slots__ = ("transport", "messages", "sinks", "src", "dst", "link", "total")
-
-    def __init__(self, transport, messages, sinks, src, dst, link, total):
-        self.transport = transport
-        self.messages = messages
-        self.sinks = sinks
-        self.src = src
-        self.dst = dst
-        self.link = link
-        self.total = total
-
-    def _nic_started(self, request):
-        self.transport._depart(self)
 
 
 class _OutcomeCollector:
@@ -210,7 +189,7 @@ class Transport:
             self._launch(flow_messages, flow_sinks)
 
     def _launch(self, messages, sinks):
-        """Put one transfer on the sender's NIC queue."""
+        """Reserve the sender's NIC for one transfer and schedule its arrival."""
         now = self.sim.now
         total = 0.0
         for message in messages:
@@ -234,31 +213,27 @@ class Transport:
         if not src.up:
             self._abort(messages, sinks, "sender host down")
             return
-        transfer = _Transfer(self, messages, sinks, src, dst,
-                             self.network.link_between(src, dst), total)
+        link = self.network.link_between(src, dst)
+        flight = (messages, sinks, src, dst, link)
         if total > 0:
-            src.nic.acquire(total, label=first.label,
-                            on_start=transfer._nic_started)
+            nic = src.nic
+            start = nic.reserve(total, first.label)
+            self.sim.schedule_at(
+                start + (total / nic.capacity + link.transit_time(total)),
+                self._arrive, flight)
+            return
+        latency = link.transit_time(0.0)
+        if latency > 0:
+            self.sim.schedule(latency, self._arrive, flight)
         else:
-            self._depart(transfer)
+            self._arrive(*flight)
 
-    def _depart(self, transfer):
-        """NIC service started: arrive after serialization plus transit."""
-        total = transfer.total
-        delay = (total / transfer.src.nic.capacity
-                 + transfer.link.transit_time(total))
-        if delay > 0:
-            self.sim.schedule(delay, self._arrive, (transfer,))
-        else:
-            self._arrive(transfer)
+    def _arrive(self, messages, sinks, src, dst, link):
+        for message, sink in zip(messages, sinks):
+            self._arrive_one(message, sink, src, dst, link)
 
-    def _arrive(self, transfer):
-        for message, sink in zip(transfer.messages, transfer.sinks):
-            self._arrive_one(transfer, message, sink)
-
-    def _arrive_one(self, transfer, message, sink):
+    def _arrive_one(self, message, sink, src, dst, link):
         """One message reaches the destination edge: loss, checks, handoff."""
-        link = transfer.link
         if link.loss_rate > 0:
             loss_random = self._loss_random
             if loss_random is None:
@@ -267,19 +242,18 @@ class Transport:
             if loss_random() < link.loss_rate:
                 self._drop(message, sink, "lost in transit")
                 return
-        dst = transfer.dst
         # Site partitions sever traffic at the destination edge: messages
         # already in flight when the partition starts are lost too, like a
         # real cut fibre.  The set membership guard keeps the healthy path
         # free of any per-message cost (partitioned_sites is normally empty).
         if self.network.partitioned_sites and \
-                self.network.severed(transfer.src, dst):
+                self.network.severed(src, dst):
             self._drop(message, sink, "site partitioned")
             return
         # Host-island partitions (split-brain) sever at the same edge,
         # under the same empty-set gating.
         if self.network.partitioned_hosts and \
-                self.network.host_severed(transfer.src, dst):
+                self.network.host_severed(src, dst):
             self._drop(message, sink, "host partitioned")
             return
         if not dst.up:

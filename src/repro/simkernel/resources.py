@@ -1,12 +1,26 @@
 """Capacity-limited resources with busy-time accounting.
 
 A :class:`Resource` models one of a host's serving elements -- CPU, disk
-subsystem, or network interface.  Work arrives as :class:`Use` requests
-carrying an abstract amount of *units* (the paper's Table 1 values).  The
-resource serves requests one at a time in FIFO-within-priority order;
-service time is ``units / capacity``.  Every served unit is recorded in a
-ledger broken down by label, which is exactly what the Figure 6 bench reads
-back out.
+subsystem, or network interface.  Work carries an abstract amount of
+*units* (the paper's Table 1 values); service time is
+``units / capacity`` and the resource serves one piece of work at a time.
+Every served unit is recorded in a ledger broken down by label, which is
+exactly what the Figure 6 bench reads back out.
+
+A resource has two kinds of users, and each pays only for what it uses:
+
+* **processes queue**: a process yields a :class:`Use` request and resumes
+  when it has been served, FIFO within priority.  The wait queue is
+  allocated when a process first has to wait.
+* **engines reserve**: :meth:`Resource.reserve` books the next service
+  interval -- from ``max(now, end of the previous reservation)`` for
+  ``units / capacity`` -- and returns its start, so the caller (the
+  transport, the SNMP agent) schedules its own single event when the work
+  is done.  The ledger books a reservation when its service ends.
+
+One resource never mixes the two at once: reserving while a process is
+queued or served, or queueing a process while a reservation is in
+service, raises.
 """
 
 import collections
@@ -43,8 +57,6 @@ class Use:
         "wait_time",
         "service_time",
         "abandoned",
-        "on_start",
-        "on_complete",
     )
 
     def __init__(self, resource, units, label, priority):
@@ -58,8 +70,6 @@ class Use:
         self.wait_time = None
         self.service_time = None
         self.abandoned = False
-        self.on_start = None
-        self.on_complete = None
 
     def __repr__(self):
         return "Use(%s, units=%g, label=%r)" % (
@@ -80,6 +90,11 @@ class Resource:
         owner: optional owning object (a Host); used in ``full_name``.
     """
 
+    __slots__ = ("sim", "name", "kind", "capacity", "owner", "_busy_time",
+                 "_total_units", "_units_by_label", "_completed",
+                 "_fifo", "_heap", "_seq", "_serving", "_reserved_until",
+                 "_bookings")
+
     def __init__(self, sim, name, kind, capacity, owner=None):
         if capacity <= 0:
             raise ValueError("capacity must be positive, got %r" % capacity)
@@ -88,19 +103,22 @@ class Resource:
         self.kind = kind
         self.capacity = float(capacity)
         self.owner = owner
-        self.busy_time = 0.0
-        self.total_units = 0.0
-        self.units_by_label = collections.Counter()
-        self.completed_requests = 0
-        # Fast path: all real workloads enqueue at the default priority 0,
-        # so waiting requests live in a plain FIFO deque (no per-request
-        # tuple, no seq, no heap sift).  The first non-zero priority seen
-        # migrates the queue into a heap and the resource stays in heap
-        # mode from then on.
-        self._fifo = collections.deque()
+        self._busy_time = 0.0
+        self._total_units = 0.0
+        self._units_by_label = collections.Counter()
+        self._completed = 0
+        # Waiting processes live in a plain FIFO deque while every queued
+        # priority is the default 0, and in a heap of (priority, seq,
+        # request) from the first non-zero one on.  Both are allocated
+        # when a process first has to wait.
+        self._fifo = None
         self._heap = None
-        self._seq = itertools.count()
+        self._seq = None
         self._serving = None
+        # Reservations: the end of the last one, and the (end, units,
+        # label) of those whose service has not yet been booked.
+        self._reserved_until = 0.0
+        self._bookings = None
 
     @property
     def full_name(self):
@@ -108,16 +126,45 @@ class Resource:
             return "%s.%s" % (getattr(self.owner, "name", self.owner), self.name)
         return self.name
 
+    # -- the ledger (reservations are booked when their service ends) ------
+
+    @property
+    def busy_time(self):
+        if self._bookings:
+            self._settle()
+        return self._busy_time
+
+    @property
+    def total_units(self):
+        if self._bookings:
+            self._settle()
+        return self._total_units
+
+    @property
+    def units_by_label(self):
+        if self._bookings:
+            self._settle()
+        return self._units_by_label
+
+    @property
+    def completed_requests(self):
+        if self._bookings:
+            self._settle()
+        return self._completed
+
     @property
     def queue_length(self):
-        """Requests waiting (not counting the one in service)."""
+        """Processes waiting (not counting the one in service)."""
         if self._heap is not None:
             return len(self._heap)
-        return len(self._fifo)
+        if self._fifo is not None:
+            return len(self._fifo)
+        return 0
 
     @property
     def busy(self):
-        return self._serving is not None
+        """True while a process or a reservation is in service."""
+        return self._serving is not None or self._reserved_until > self.sim.now
 
     def utilization(self, horizon=None):
         """Busy fraction over ``horizon`` (defaults to current sim time)."""
@@ -133,27 +180,34 @@ class Resource:
             raise ValueError("units must be >= 0, got %r" % units)
         return Use(self, float(units), label, priority)
 
-    def acquire(self, units, label="work", priority=0, on_start=None, on_complete=None):
-        """Queue a request driven by callbacks instead of a process.
+    def reserve(self, units, label="work"):
+        """Book the next service interval for ``units``; return its start.
 
-        The request joins the same FIFO/priority queue as yielded
-        :class:`Use` requests and is served identically; ``on_start`` fires
-        when service begins and ``on_complete`` when it ends, each receiving
-        the request.  This lets engine-style callers (the transport)
-        occupy the server without spawning a process per request.
+        Service starts at ``max(now, end of the previous reservation)`` and
+        lasts ``units / capacity``.  Nothing is scheduled: the caller
+        schedules whatever happens when the work is done.  The ledger
+        books the units when the service ends.
         """
         if units < 0:
             raise ValueError("units must be >= 0, got %r" % units)
-        request = Use(self, float(units), label, priority)
-        request.on_start = on_start
-        request.on_complete = on_complete
-        request.enqueued_at = self.sim.now
-        if self._heap is None and priority == 0:
-            self._fifo.append(request)
-        else:
-            self._enqueue_slow(request)
-        self._try_start()
-        return request
+        if self._serving is not None or self._fifo or self._heap:
+            raise RuntimeError(
+                "%s: cannot reserve while a process is queued or served"
+                % self.full_name)
+        bookings = self._bookings
+        if bookings:
+            self._settle()
+        elif bookings is None:
+            bookings = self._bookings = []
+        now = self.sim.now
+        start = self._reserved_until
+        if start < now:
+            start = now
+        units = float(units)
+        end = start + units / self.capacity
+        self._reserved_until = end
+        bookings.append((end, units, label))
+        return start
 
     def charge(self, units, label="direct"):
         """Account units without occupying the server.
@@ -164,17 +218,45 @@ class Resource:
         """
         if units < 0:
             raise ValueError("units must be >= 0, got %r" % units)
-        self.total_units += units
-        self.units_by_label[label] += units
-        self.busy_time += units / self.capacity
+        if self._bookings:
+            self._settle()
+        self._total_units += units
+        self._units_by_label[label] += units
+        self._busy_time += units / self.capacity
 
     # -- kernel internals -------------------------------------------------
 
+    def _settle(self):
+        """Book, in FIFO order, every reservation whose service has ended."""
+        bookings = self._bookings
+        now = self.sim.now
+        ended = 0
+        for end, units, label in bookings:
+            if end > now:
+                break
+            self._busy_time += units / self.capacity
+            self._total_units += units
+            self._units_by_label[label] += units
+            self._completed += 1
+            ended += 1
+        del bookings[:ended]
+
     def _enqueue(self, process, request):
+        if self._reserved_until > self.sim.now:
+            raise RuntimeError(
+                "%s: a process cannot queue while a reservation is in service"
+                % self.full_name)
         request.process = process
         request.enqueued_at = self.sim.now
+        if self._serving is None and not self._fifo and not self._heap:
+            # Nobody to wait behind: start without allocating a queue.
+            self._start(request)
+            return
         if self._heap is None and request.priority == 0:
-            self._fifo.append(request)
+            fifo = self._fifo
+            if fifo is None:
+                fifo = self._fifo = collections.deque()
+            fifo.append(request)
         else:
             self._enqueue_slow(request)
         self._try_start()
@@ -184,9 +266,11 @@ class Resource:
             # First non-default priority: migrate the FIFO into a heap,
             # preserving arrival order via fresh monotonic seqs.
             self._heap = []
-            for queued in self._fifo:
-                self._heap.append((queued.priority, next(self._seq), queued))
-            self._fifo.clear()
+            self._seq = itertools.count()
+            if self._fifo:
+                for queued in self._fifo:
+                    self._heap.append((queued.priority, next(self._seq), queued))
+                self._fifo.clear()
         heapq.heappush(self._heap, (request.priority, next(self._seq), request))
 
     def _abandon(self, request):
@@ -211,12 +295,11 @@ class Resource:
                 self._start(request)
                 return
         heap = self._heap
-        if heap:
-            while heap:
-                request = heapq.heappop(heap)[2]
-                if not request.abandoned:
-                    self._start(request)
-                    return
+        while heap:
+            request = heapq.heappop(heap)[2]
+            if not request.abandoned:
+                self._start(request)
+                return
 
     def _start(self, request):
         self._serving = request
@@ -225,21 +308,15 @@ class Resource:
         duration = request.units / self.capacity
         request.service_time = duration
         self.sim.schedule(duration, self._complete, (request,))
-        if request.on_start is not None:
-            request.on_start(request)
 
     def _complete(self, request):
-        if self._serving is request:
-            self._serving = None
+        self._serving = None
         if not request.abandoned:
-            self.busy_time += request.service_time
-            self.total_units += request.units
-            self.units_by_label[request.label] += request.units
-            self.completed_requests += 1
-            if request.process is not None:
-                self.sim._step(request.process, send=request)
-            elif request.on_complete is not None:
-                request.on_complete(request)
+            self._busy_time += request.service_time
+            self._total_units += request.units
+            self._units_by_label[request.label] += request.units
+            self._completed += 1
+            self.sim._step(request.process, send=request)
         self._try_start()
 
     def snapshot(self):

@@ -234,6 +234,14 @@ class Simulator:
             raise SimulationError("cannot schedule in the past (delay=%r)" % delay)
         return self.queue.push(self.now + delay, callback, args, priority)
 
+    def schedule_at(self, time, callback, args=()):
+        """Run ``callback(*args)`` at the absolute simulated ``time``."""
+        if time < self.now:
+            raise SimulationError(
+                "cannot schedule in the past (time=%r, now=%r)"
+                % (time, self.now))
+        return self.queue.push(time, callback, args)
+
     def _schedule_now(self, callback, args=()):
         """Internal zero-delay schedule used on the kernel's hot paths."""
         return self.queue.push_fifo(self.now, callback, args)

@@ -1,13 +1,14 @@
 """Device-side SNMP engine: answers GET / GETNEXT / GETBULK / SET.
 
 The engine binds the ``"snmp"`` port on the device's host.  Handling a PDU
-charges the device's CPU a small per-varbind cost (devices are cheap to
-poll; the *management-side* costs come from the paper's Table 1 and are
-charged by the collectors).  Responses travel back over the simulated
-network to the requester's reply port.
+reserves the device's CPU for a small per-varbind cost (devices are cheap
+to poll; the *management-side* costs come from the paper's Table 1 and are
+charged by the collectors).  When that service ends -- one kernel event,
+no process -- the engine reads the MIB and posts the response over the
+simulated network to the requester's reply port.
 """
 
-from repro.network.transport import DeliveryError, Message
+from repro.network.transport import Message
 from repro.snmp.oids import OID
 
 
@@ -131,14 +132,14 @@ class SnmpEngine:
         request = message.payload
         if not isinstance(request, SnmpRequest):
             return  # ignore junk traffic
-        self.sim.spawn(
-            self._handle(request),
-            name="snmp@%s#%s" % (self.device.name, request.request_id),
-        )
+        cpu = self.device.host.cpu
+        units = self.cpu_cost_per_varbind * max(1, len(request.varbinds))
+        start = cpu.reserve(units, label="snmp-agent")
+        self.sim.schedule_at(start + units / cpu.capacity, self._answer,
+                             (request,))
 
-    def _handle(self, request):
-        cpu_units = self.cpu_cost_per_varbind * max(1, len(request.varbinds))
-        yield self.device.host.cpu.use(cpu_units, label="snmp-agent")
+    def _answer(self, request):
+        """The device CPU has served ``request``: respond over the wire."""
         # Sample the state the device has reached by now (one draw per
         # field, however many ticks it missed), so the response sees it.
         self.device.catch_up()
@@ -147,17 +148,14 @@ class SnmpEngine:
         size = request.response_size_units
         if size is None:
             size = 0.5 * len(varbinds)
-        response = Message(
+        # UDP semantics: a lost response is the client's problem.
+        self.transport.post(Message(
             sender=self.transport.address(self.device.host.name, self.port),
             dest=request.reply_to,
             payload=SnmpResponse(request.request_id, varbinds, self.device.name),
             size_units=size,
             protocol="snmp",
-        )
-        try:
-            yield from self.transport.send_and_wait(response)
-        except DeliveryError:
-            pass  # UDP semantics: a lost response is the client's problem
+        ))
 
     def _evaluate(self, request):
         mib = self.device.mib

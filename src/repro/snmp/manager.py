@@ -61,14 +61,16 @@ class SnmpClient:
 
     def _on_reply(self, message):
         response = message.payload
-        event = self._pending.pop(response.request_id, None)
-        if event is not None and not event.triggered:
+        pending = self._pending.pop(response.request_id, None)
+        if pending is not None:
+            event, timer = pending
+            timer.cancel()
             event.trigger(response)
 
     def _expire(self, request_id):
-        event = self._pending.pop(request_id, None)
-        if event is not None and not event.triggered:
-            event.trigger(_TIMEOUT)
+        pending = self._pending.pop(request_id, None)
+        if pending is not None:
+            pending[0].trigger(_TIMEOUT)
 
     def request(
         self,
@@ -96,16 +98,16 @@ class SnmpClient:
         if request_size_units is None:
             request_size_units = 0.2 * max(1, len(request.varbinds))
         message = Message(
-            sender=self.transport.address(self.host.name, self.port),
+            sender=self.reply_address,
             dest=self.transport.address(device_name, "snmp"),
             payload=request,
             size_units=request_size_units,
             protocol="snmp",
         )
         event = self.sim.event("snmp-pending/" + request_id)
-        self._pending[request_id] = event
+        timer = self.sim.schedule(self.timeout, self._expire, (request_id,))
+        self._pending[request_id] = (event, timer)
         self.requests_sent += 1
-        self.sim.schedule(self.timeout, self._expire, (request_id,))
         self.transport.post(message)  # delivery failures surface as timeout
         outcome = yield event
         if isinstance(outcome, _Timeout):

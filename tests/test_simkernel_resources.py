@@ -229,3 +229,121 @@ def test_priority_request_after_fifo_queue_still_ordered(sim, cpu):
     sim.spawn(spawn_all())
     sim.run()
     assert order == ["head", "urgent", "fifo-a", "fifo-b", "lazy"]
+
+
+# -- reservations: engines reserve, processes queue ----------------------
+
+
+def test_back_to_back_reservations_start_at_the_previous_end(sim, cpu):
+    assert cpu.reserve(10.0, label="a") == 0.0
+    assert cpu.reserve(5.0, label="b") == 1.0
+    assert cpu.reserve(5.0, label="c") == 1.5
+    sim.schedule(4.0, lambda: None)
+    sim.run()
+    # an idle server starts the next reservation now, not at the old end
+    assert cpu.reserve(10.0) == 4.0
+
+
+def test_reservation_is_booked_when_its_service_ends(sim, cpu):
+    cpu.reserve(10.0, label="tx")
+    reads = []
+
+    def read():
+        reads.append((sim.now, cpu.busy_time, cpu.total_units,
+                      dict(cpu.units_by_label), cpu.completed_requests))
+
+    sim.schedule(0.5, read)
+    sim.schedule(1.0, read)
+    sim.run()
+    assert reads == [(0.5, 0.0, 0.0, {}, 0),
+                     (1.0, 1.0, 10.0, {"tx": 10.0}, 1)]
+
+
+def test_run_cut_off_mid_service_leaves_the_reservation_unbooked(sim, cpu):
+    cpu.reserve(10.0, label="early")
+    cpu.reserve(10.0, label="late")
+    sim.run(until=1.5)
+    assert cpu.total_units == 10.0
+    assert cpu.units_by_label == {"early": 10.0}
+    assert cpu.busy_time == 1.0
+    sim.run(until=2.0)
+    assert cpu.total_units == 20.0
+    assert cpu.completed_requests == 2
+
+
+def test_pending_reservations_settle_before_a_charge(sim, cpu):
+    cpu.reserve(10.0, label="tx")
+    sim.run(until=1.0)
+    cpu.charge(5.0, label="rx")
+    assert cpu.units_by_label == {"tx": 10.0, "rx": 5.0}
+    assert cpu.busy_time == 1.5
+
+
+def test_busy_while_a_reservation_is_in_service(sim, cpu):
+    observations = []
+    cpu.reserve(10.0)
+    cpu.reserve(10.0)
+    for at in (0.5, 1.5, 2.0, 2.5):
+        sim.schedule(at, lambda: observations.append((sim.now, cpu.busy)))
+    assert cpu.busy
+    sim.run()
+    assert observations == [(0.5, True), (1.5, True), (2.0, False),
+                            (2.5, False)]
+
+
+def test_reserve_refuses_while_a_process_is_served(sim, cpu):
+    errors = []
+
+    def hog():
+        yield cpu.use(10.0)
+
+    def engine():
+        try:
+            cpu.reserve(1.0)
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    sim.spawn(hog())
+    sim.schedule(0.5, engine)
+    sim.run()
+    assert len(errors) == 1
+    assert cpu.completed_requests == 1
+
+
+def test_process_use_refuses_while_a_reservation_is_in_service(sim, cpu):
+    cpu.reserve(10.0)
+
+    def proc():
+        yield cpu.use(1.0)
+
+    sim.spawn(proc())
+    with pytest.raises(RuntimeError, match="reservation is in service"):
+        sim.run()
+
+
+def test_an_unused_resource_has_no_queue(sim, cpu):
+    assert cpu.queue_length == 0
+    assert not cpu.busy
+    assert not hasattr(cpu, "__dict__")
+
+
+def test_heap_migration_when_the_first_waiter_has_a_priority(sim, cpu):
+    """The first queued request is already non-default: the heap is made
+    with no FIFO behind it, and equal priorities keep arrival order."""
+    order = []
+
+    def proc(tag, priority):
+        yield cpu.use(10.0, priority=priority)
+        order.append(tag)
+
+    def spawn_all():
+        sim.spawn(proc("head", 0))
+        sim.spawn(proc("lazy-a", 4))
+        sim.spawn(proc("fifo", 0))
+        sim.spawn(proc("lazy-b", 4))
+        sim.spawn(proc("lazy-c", 4))
+        yield 0.0
+
+    sim.spawn(spawn_all())
+    sim.run()
+    assert order == ["head", "fifo", "lazy-a", "lazy-b", "lazy-c"]
