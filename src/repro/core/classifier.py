@@ -18,6 +18,7 @@ from repro.agents.agent import Agent
 from repro.agents.behaviours import CyclicBehaviour
 from repro.agents.ontology import DATA_READY
 from repro.core.costs import DEFAULT_COST_MODEL, TaskKind
+from repro.core.records import Sample
 
 #: CPU units charged per record for classification/indexing proper (on top
 #: of the Table 1 Storing cost, which covers persistence).  Documented
@@ -204,8 +205,6 @@ class ClassifierAgent(Agent):
         needs per-second rates, so the classifier derives them from
         successive observations (and re-seeds on counter wrap/reset).
         """
-        from repro.core.records import Sample
-
         derived = []
         for sample in record.samples:
             rate_metric = self.COUNTER_METRICS.get(sample.metric)

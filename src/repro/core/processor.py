@@ -36,6 +36,7 @@ from repro.core.negotiation import (
     ContractNetResponder,
 )
 from repro.core.reports import Finding, ManagementReport
+from repro.core.storage import series_filter
 from repro.rules.facts import WorkingMemory
 
 #: Cluster name used for level-3 cross-inference jobs.
@@ -832,6 +833,22 @@ class ProcessorRootAgent(Agent):
         )
 
 
+def cluster_query(content, engine):
+    """The ``fetch-cluster`` query of a cluster job run by ``engine``.
+
+    It names the baselines the engine's gate admits (``{}``, none, when no
+    pattern reads a baseline) whenever storage can test them on the series
+    key (:func:`~repro.core.storage.series_filter`); otherwise it leaves
+    the key out, and storage returns every baseline.
+    """
+    query = {"op": "fetch-cluster", "dataset": content["dataset"],
+             "cluster": content["cluster"]}
+    admit = engine.admits("baseline")
+    if series_filter(admit) is not None:
+        query["admit_baselines"] = admit
+    return query
+
+
 def offer_cluster(engine, records, baselines):
     """Offer a cluster job's facts to ``engine``: every sample of
     ``records``, then every baseline.  Only the facts one of the engine's
@@ -1111,10 +1128,12 @@ class AnalyzerAgent(Agent):
         return reply
 
     def _run_cluster_job(self, content):
+        memory = WorkingMemory(clock=lambda: self.sim.now)
+        groups = self._rule_groups_for(content["cluster"])
+        engine = self.knowledge_base.engine_for(memory, groups=groups, max_level=2)
         fetched = yield from self._fetch(
             "storage@" + content["storage_host"],
-            {"op": "fetch-cluster", "dataset": content["dataset"],
-             "cluster": content["cluster"]},
+            cluster_query(content, engine),
             size_units=self.cost_model.fetch_query_size
             * max(1, content["record_count"]),
             conversation_tag=content["job_id"],
@@ -1130,9 +1149,6 @@ class AnalyzerAgent(Agent):
             infer_cost = infer_costs[record.request_type]
             if infer_cost.cpu:
                 yield self.cpu.use(infer_cost.cpu, label=TaskKind.INFER)
-        memory = WorkingMemory(clock=lambda: self.sim.now)
-        groups = self._rule_groups_for(content["cluster"])
-        engine = self.knowledge_base.engine_for(memory, groups=groups, max_level=2)
         offer_cluster(engine, records, baselines)
         self.rules_fired += engine.run()
         findings = [

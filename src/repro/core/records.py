@@ -9,6 +9,7 @@ raw SNMP varbinds, with an explicit wire-size model (raw records are large;
 parsing extracts the relevant samples and shrinks them).
 """
 
+import functools
 import itertools
 
 from repro.rules.facts import Fact
@@ -37,6 +38,7 @@ RELEVANT_METRICS = frozenset(
 )
 
 
+@functools.cache
 def metric_from_mib_name(mib_name):
     """Normalize a MIB object name ("ifInOctets.2") to (metric, instance)."""
     base, dot, suffix = mib_name.partition(".")
@@ -124,15 +126,13 @@ class ManagementRecord:
         """Normalize SNMP varbinds into a raw record."""
         samples = []
         for varbind in varbinds:
-            if not varbind.ok:
+            if varbind.error is not None:
                 continue
             metric, instance = metric_from_mib_name(varbind.name)
             if metric is None:
                 continue
-            samples.append(Sample(
-                device=device, site=site, group=group, metric=metric,
-                value=varbind.value, time=collected_at, instance=instance,
-            ))
+            samples.append(Sample(device, site, group, metric, varbind.value,
+                                  collected_at, instance))
         return cls(
             device, site, request_type, group, samples, collected_at,
             size_units, parsed=False,

@@ -18,6 +18,33 @@ from repro.agents.agent import Agent
 from repro.agents.behaviours import CyclicBehaviour
 from repro.core.costs import DEFAULT_COST_MODEL, TaskKind
 
+#: The attributes that name a series, in the order of its history key.
+SERIES_KEY = ("device", "metric", "instance")
+
+
+def series_filter(admit):
+    """The test a series key must pass to get a baseline, or None when
+    every series gets one.
+
+    ``admit`` is what :meth:`~repro.rules.engine.InferenceEngine.admits`
+    returns for ``"baseline"``: None (every baseline passes the gate) or
+    ``{attr: literals}``, of which a baseline needs one.  A literal on an
+    attribute outside :data:`SERIES_KEY` cannot be tested on the key, so
+    it also builds every series.
+    """
+    if admit is None or not admit.keys() <= set(SERIES_KEY):
+        return None
+    tests = [(SERIES_KEY.index(attr), literals)
+             for attr, literals in admit.items()]
+
+    def admitted(key):
+        for index, literals in tests:
+            if key[index] in literals:
+                return True
+        return False
+
+    return admitted
+
 
 class ManagementDataStore:
     """Record persistence + history index + dataset registry on one host."""
@@ -121,8 +148,14 @@ class ManagementDataStore:
             "count": len(values),
         }
 
-    def baselines_for_records(self, records, exclude_after=None):
-        """Baselines for every (device, metric, instance) in ``records``."""
+    def baselines_for_records(self, records, exclude_after=None, admit=None):
+        """Baselines for every (device, metric, instance) in ``records``.
+
+        ``admit`` (the gate's literals, see :func:`series_filter`) builds
+        only the series it admits; None builds every series.  Series keep
+        the order of their first sample.
+        """
+        admitted = series_filter(admit)
         seen = set()
         baselines = []
         for record in records:
@@ -131,6 +164,8 @@ class ManagementDataStore:
                 if key in seen:
                     continue
                 seen.add(key)
+                if admitted is not None and not admitted(key):
+                    continue
                 baseline = self.baseline(*key, exclude_after=exclude_after)
                 if baseline is not None:
                     baselines.append(baseline)
@@ -229,7 +264,10 @@ class StorageAgent(Agent):
 
     * ``{"op": "fetch-cluster", "dataset": ..., "cluster": ...}`` --
       replies INFORM with ``{"records": [...], "baselines": [...]}``,
-      reply sized ``fetch_reply_size`` per record.
+      reply sized ``fetch_reply_size`` per record.  An optional
+      ``"admit_baselines"`` (the analyzer's alpha-gate literals over the
+      series key) limits the baselines to the series the rules can read;
+      without it every series of the cluster gets one.
     * ``{"op": "fetch-summary", "dataset": ...}`` -- replies INFORM with
       the per-device problem-relevant summary for cross-inference, sized
       ``cross_reply_size``.
@@ -293,7 +331,8 @@ class StorageAgent(Agent):
             if records:
                 cutoff = min(record.collected_at for record in records) - 1e-9
             baselines = self.store.baselines_for_records(
-                records, exclude_after=cutoff)
+                records, exclude_after=cutoff,
+                admit=content.get("admit_baselines"))
             small_read = 0.5 * max(1, len(records))
             yield self.host.disk.use(small_read, label="fetch")
             self.queries_answered += 1

@@ -16,7 +16,8 @@ those tests.  A fact of a type no pattern names is never built.  Nor is a
 fact that fails every discriminator of its type.  A type with a pattern
 that has no discriminator admits every fact.  This is the constant-test
 half of Rete (Forgy 1982), hashed as in Doorenbos (1995).  Facts that
-actions assert skip the gate.
+actions assert skip the gate.  :meth:`InferenceEngine.admits` reads the
+gate, so a caller can skip fetching what it would drop.
 
 Matching is an indexed join recomputed from scratch every cycle.  A
 pattern takes its candidates from the memory's shared alpha memory
@@ -130,6 +131,17 @@ class InferenceEngine:
             raise ValueError("duplicate rule name %r" % rule.name)
         self.rules.append(rule)
         self._gate = _gate(self.rules)
+
+    def admits(self, fact_type):
+        """What the gate admits of ``fact_type``: ``{attr: frozenset}`` of
+        literals (a fact needs one of them; ``{}`` when no pattern names
+        the type, so nothing passes), or None when every fact passes."""
+        if fact_type not in self._gate:
+            return {}
+        tests = self._gate[fact_type]
+        if tests is None:
+            return None
+        return {attr: frozenset(literals) for attr, literals in tests.items()}
 
     def offer(self, fact_type, attrs):
         """Assert a fact only if some rule's pattern could match it.

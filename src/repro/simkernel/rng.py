@@ -29,6 +29,9 @@ class RngStream:
         self.name = name
         self.seed = derive_seed(master_seed, name)
         self._random = random.Random(self.seed)
+        #: ``gauss(mu, sigma)``: the generator's own method, called with no
+        #: wrapper frame (devices draw it on every read).
+        self.gauss = self._random.gauss
 
     def uniform(self, low, high):
         return self._random.uniform(low, high)
@@ -41,9 +44,6 @@ class RngStream:
         if rate <= 0:
             raise ValueError("rate must be positive, got %r" % rate)
         return self._random.expovariate(rate)
-
-    def gauss(self, mu, sigma):
-        return self._random.gauss(mu, sigma)
 
     def bounded_gauss(self, mu, sigma, low, high):
         """Gaussian sample clamped into [low, high]."""

@@ -230,13 +230,14 @@ class ManagedDevice:
         profile = self._profile
         faults = self.faults
         rng = self.rng
+        gauss = rng.gauss
 
         if faults.cpu_runaway:
             self.cpu_load = rng.bounded_gauss(97.0, 2.0, 90.0, 100.0)
         else:
             self.cpu_load = rng.bounded_gauss(
                 profile.cpu_mean, profile.cpu_sigma, 0.0, 100.0)
-        self.load_avg = max(0.0, self.cpu_load / 25.0 + rng.gauss(0, 0.1))
+        self.load_avg = max(0.0, self.cpu_load / 25.0 + gauss(0, 0.1))
         mem_total = profile.mem_total_kb
         if faults.memory_leak:
             self.mem_available_kb = max(
@@ -251,7 +252,7 @@ class ManagedDevice:
         # randint(-3, 3) has variance 4 per tick; the walk is matched while
         # it stays clear of its floor at 1.
         self.proc_count = max(
-            1, self.proc_count + round(rng.gauss(0, 2.0 * sqrt(missed))))
+            1, self.proc_count + round(gauss(0, 2.0 * sqrt(missed))))
         # One tick adds d = clamp(N(r, 0.3r), 0, 3r) in and d * U(0.5, 1)
         # out: Var d = 0.09 r^2, E[du] = 0.75 r, Var du = 0.0733 r^2 and
         # Cov(d, du) = 0.0675 r^2.  Two normals give n ticks' sums those
@@ -266,8 +267,8 @@ class ManagedDevice:
         for index in range(profile.interface_count):
             if index in down:
                 continue
-            z1 = rng.gauss(0.0, 1.0)
-            z2 = rng.gauss(0.0, 1.0)
+            z1 = gauss(0.0, 1.0)
+            z2 = gauss(0.0, 1.0)
             in_octets[index] += max(0, int(mean + spread * 0.3 * z1))
             out_octets[index] += max(0, int(
                 0.75 * mean + spread * (0.225 * z1 + 0.1507 * z2)))

@@ -175,17 +175,27 @@ class SnmpEngine:
                     results.append(VarBind(obj.oid, obj.read(), obj.name))
                     cursor = obj.oid
             return results
-        for varbind in request.varbinds:  # GET or SET
+        if pdu_type == PduType.GET:
+            read_at = mib.read_at
+            for varbind in request.varbinds:
+                read = read_at(varbind.oid)
+                if read is None:
+                    results.append(VarBind(varbind.oid,
+                                           error=SnmpError.NO_SUCH_OBJECT))
+                    continue
+                obj, value = read
+                results.append(VarBind(obj.oid, value, obj.name))
+            return results
+        for varbind in request.varbinds:  # SET
             obj = mib.get(varbind.oid)
             if obj is None:
                 results.append(VarBind(varbind.oid, error=SnmpError.NO_SUCH_OBJECT))
                 continue
-            if pdu_type == PduType.SET:
-                try:
-                    obj.write(varbind.value)
-                except PermissionError:
-                    results.append(VarBind(varbind.oid, error=SnmpError.NOT_WRITABLE))
-                    continue
+            try:
+                obj.write(varbind.value)
+            except PermissionError:
+                results.append(VarBind(varbind.oid, error=SnmpError.NOT_WRITABLE))
+                continue
             results.append(VarBind(obj.oid, obj.read(), obj.name))
         return results
 

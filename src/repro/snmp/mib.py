@@ -92,6 +92,17 @@ class MibTree:
             return obj
         return _Bound(obj, self._subject)
 
+    def read_at(self, oid):
+        """``(object, value)`` at exactly ``oid``, or None: a GET's read.
+        It takes no view: a bound tree reads the template's object against
+        its subject, and hands out that shared object."""
+        obj = self._objects.get(oid if isinstance(oid, OID) else OID(oid))
+        if obj is None:
+            return None
+        if self._subject is None:
+            return obj, obj.read()
+        return obj, obj._value(self._subject)
+
     def get_next(self, oid):
         """The first object with OID strictly greater than ``oid``, or None."""
         order = self._order
