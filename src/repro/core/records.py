@@ -158,7 +158,7 @@ class ManagementRecord:
 
         Records shard by *device* so one shard owns every record (and the
         whole metric history) of a device -- level-2 consolidation stays
-        shard-local and rebalance moves whole devices.
+        shard-local.
         """
         return self.device
 

@@ -5,10 +5,11 @@ partitions the classifier/storage lane by *device key* so each shard owns
 a stable subset of the managed devices.  The partition function is a
 classic consistent-hash ring (Karger et al.): every shard contributes
 ``vnodes`` virtual points on a 64-bit ring, a key is owned by the first
-point clockwise from its hash, and adding or removing one shard only
-moves the keys that fall between the new/old points and their
-predecessors -- about ``1/n`` of the key space instead of nearly all of
-it (the failure mode of ``hash(key) % n``).
+point clockwise from its hash, and adding a shard only moves the keys
+that fall between the new points and their predecessors -- about
+``1/n`` of the key space instead of nearly all of it (the failure mode
+of ``hash(key) % n``).  A deployment builds its ring once, from its
+shard count; shards never join or leave mid-run.
 
 Design notes:
 
@@ -18,10 +19,7 @@ Design notes:
   runs for the reproduction's byte-identity discipline.
 * ``lookup`` memoizes key -> node in a flat dict (O(1) for the steady
   state where the same device keys recur every poll cycle); the memo is
-  invalidated on ring membership changes.
-* :meth:`HashRing.owners` / :func:`moved_keys` support the rebalance
-  protocol: before changing membership, snapshot ownership, apply the
-  change, and transfer exactly the keys whose owner changed.
+  invalidated when a node is added.
 """
 
 import bisect
@@ -58,14 +56,8 @@ class HashRing:
 
     # -- membership -------------------------------------------------------
 
-    def nodes(self):
-        return list(self._nodes)
-
     def __len__(self):
         return len(self._nodes)
-
-    def __contains__(self, node):
-        return node in self._nodes
 
     def _node_points(self, node):
         return [stable_hash("%s#%d" % (node, index))
@@ -80,16 +72,6 @@ class HashRing:
             self._points.insert(index, point)
             self._owners.insert(index, node)
         bisect.insort(self._nodes, node)
-        self._lookup_memo = {}
-
-    def remove_node(self, node):
-        """Remove a node; its key range falls to the clockwise successors."""
-        if node not in self._nodes:
-            raise ValueError("node %r not on the ring" % node)
-        keep = [i for i, owner in enumerate(self._owners) if owner != node]
-        self._points = [self._points[i] for i in keep]
-        self._owners = [self._owners[i] for i in keep]
-        self._nodes.remove(node)
         self._lookup_memo = {}
 
     # -- lookup -----------------------------------------------------------
@@ -107,28 +89,8 @@ class HashRing:
             self._lookup_memo[key] = node
         return node
 
-    def owners(self, keys):
-        """Ownership snapshot: ``{key: node}`` for every key."""
-        return {key: self.lookup(key) for key in keys}
-
     def __repr__(self):
         return "HashRing(nodes=%d, vnodes=%d, points=%d)" % (
             len(self._nodes), self.vnodes, len(self._points),
         )
 
-
-def moved_keys(before, after):
-    """Keys whose owner changed between two ownership snapshots.
-
-    Args:
-        before / after: ``{key: node}`` maps (see :meth:`HashRing.owners`)
-            over the same key set.
-
-    Returns:
-        ``{key: (old_node, new_node)}`` for every moved key.
-    """
-    return {
-        key: (owner, after[key])
-        for key, owner in before.items()
-        if after.get(key) != owner
-    }

@@ -11,9 +11,7 @@ hosts; fetch messages are sized so an analyzer's network ledger matches
 Table 1's inference network cost (see :class:`~repro.core.costs.CostModel`).
 """
 
-import itertools
-
-from repro.agents.acl import ACLMessage, MessageTemplate, Performative
+from repro.agents.acl import MessageTemplate, Performative
 from repro.agents.agent import Agent
 from repro.agents.behaviours import CyclicBehaviour
 from repro.core.costs import DEFAULT_COST_MODEL, TaskKind
@@ -179,78 +177,6 @@ class ManagementDataStore:
             "fetches_served": self.fetches_served,
         }
 
-    # -- shard rebalance (consistent-hash grid) -----------------------------
-
-    def devices_held(self):
-        """Device names with any data (history or dataset records) here."""
-        devices = {key[0] for key in self._history}
-        for clusters in self._datasets.values():
-            for records in clusters.values():
-                devices.update(record.device for record in records)
-        return devices
-
-    def extract_device_data(self, devices):
-        """Copy out everything owned by ``devices`` for a shard transfer.
-
-        Returns ``(history, datasets)`` where history maps series key ->
-        point list and datasets maps dataset_id -> {cluster: [records]}.
-        Nothing is removed here: the no-silent-loss rebalance protocol is
-        copy, wait for the destination's CONFIRM, then
-        :meth:`drop_device_data` -- an unconfirmed transfer leaves the
-        source copy authoritative.
-        """
-        devices = set(devices)
-        history = {
-            key: list(points) for key, points in self._history.items()
-            if key[0] in devices
-        }
-        datasets = {}
-        for dataset_id, clusters in self._datasets.items():
-            for cluster, records in clusters.items():
-                moved = [r for r in records if r.device in devices]
-                if moved:
-                    datasets.setdefault(dataset_id, {})[cluster] = moved
-        return history, datasets
-
-    def absorb_migration(self, history, datasets):
-        """Merge a shard transfer in; returns items absorbed (points+records)."""
-        absorbed = 0
-        for key, points in history.items():
-            series = self._history.setdefault(key, [])
-            series.extend(points)
-            series.sort()  # interleave with any locally collected points
-            absorbed += len(points)
-        for dataset_id, clusters in datasets.items():
-            local = self._datasets.setdefault(dataset_id, {})
-            for cluster, records in clusters.items():
-                local.setdefault(cluster, []).extend(records)
-                absorbed += len(records)
-                self.records_stored += len(records)
-        return absorbed
-
-    def drop_device_data(self, devices):
-        """Remove data owned by ``devices`` (post-CONFIRM side of a move)."""
-        devices = set(devices)
-        dropped = 0
-        for key in [key for key in self._history if key[0] in devices]:
-            dropped += len(self._history.pop(key))
-        for dataset_id in list(self._datasets):
-            clusters = self._datasets[dataset_id]
-            for cluster in list(clusters):
-                records = clusters[cluster]
-                kept = [r for r in records if r.device not in devices]
-                removed = len(records) - len(kept)
-                if removed:
-                    dropped += removed
-                    self.records_stored -= removed
-                    if kept:
-                        clusters[cluster] = kept
-                    else:
-                        del clusters[cluster]
-            if not clusters:
-                del self._datasets[dataset_id]
-        return dropped
-
     def __repr__(self):
         return "ManagementDataStore(@%s, records=%d)" % (
             self.host.name, self.records_stored,
@@ -279,19 +205,12 @@ class StorageAgent(Agent):
     * ``{"op": "replicate", "records": [...], "dataset": ...}`` -- persists
       a replicated batch without a reply (one-way; the reliable channel,
       when installed, acks the wire message).
-    * ``{"op": "migrate-in", "history": ..., "datasets": ...}`` -- absorbs
-      a shard-rebalance transfer (see :meth:`migrate_devices`), replies
-      CONFIRM with the absorbed item count.
     """
 
     def __init__(self, name, store):
         super().__init__(name)
         self.store = store
         self.queries_answered = 0
-        self.migrations_out = 0
-        self.items_migrated_out = 0
-        self.items_migrated_in = 0
-        self._migration_seq = itertools.count(1)
 
     @property
     def cost_model(self):
@@ -369,23 +288,6 @@ class StorageAgent(Agent):
     def _store_batch(self, message):
         content = message.content
         operation = content.get("op")
-        if operation == "migrate-in":
-            absorbed = self.store.absorb_migration(
-                content["history"], content["datasets"],
-            )
-            self.items_migrated_in += absorbed
-            if absorbed:
-                yield self.host.disk.use(
-                    0.5 * absorbed, label="rebalance",
-                )
-            # The CONFIRM authorizes the source to drop its copy; it rides
-            # the reliable channel (when installed) because losing it would
-            # strand the data on the old owner, not lose it.
-            self.reply_to(
-                message, Performative.CONFIRM,
-                content={"absorbed": absorbed}, reliable=True,
-            )
-            return
         if operation not in ("store-batch", "replicate"):
             self.reply_to(
                 message, Performative.NOT_UNDERSTOOD,
@@ -401,47 +303,3 @@ class StorageAgent(Agent):
             self.reply_to(
                 message, Performative.CONFIRM, content={"stored": stored},
             )
-
-    # -- shard rebalance ----------------------------------------------------
-
-    def migrate_devices(self, devices, target_agent_name, timeout=60.0):
-        """Transfer this store's data for ``devices`` to another shard.
-
-        Process generator implementing the copy -> CONFIRM -> drop
-        protocol: the local copy is only removed after the destination
-        confirms absorption, so a lost transfer (or a dead destination)
-        degrades to data staying on the old owner -- never to silent
-        loss.  Returns the number of items moved (0 when nothing was
-        owned or the destination never confirmed).
-        """
-        history, datasets = self.store.extract_device_data(devices)
-        items = sum(len(points) for points in history.values()) + sum(
-            len(records)
-            for clusters in datasets.values()
-            for records in clusters.values()
-        )
-        if items == 0:
-            return 0
-        conversation = "migrate-%s-%d" % (self.name, next(self._migration_seq))
-        yield self.host.disk.use(0.5 * items, label="rebalance")
-        self.send_reliable(ACLMessage(
-            Performative.REQUEST,
-            sender=self.name,
-            receiver=target_agent_name,
-            content={"op": "migrate-in", "history": history,
-                     "datasets": datasets},
-            conversation_id=conversation,
-            size_units=0.5 * items,
-        ))
-        reply = yield from self.receive(
-            MessageTemplate(performative=Performative.CONFIRM,
-                            conversation_id=conversation),
-            timeout=timeout,
-        )
-        if reply is None:
-            return 0  # unconfirmed: keep our copy (no silent loss)
-        self.store.drop_device_data(devices)
-        self.migrations_out += 1
-        self.items_migrated_out += items
-        return items
-

@@ -18,7 +18,6 @@ from repro.core.interface import InterfaceAgent
 from repro.core.loadbalance import make_policy
 from repro.core.processor import AnalyzerAgent, ProcessorRootAgent
 from repro.core.records import CollectionGoal
-from repro.core.sharding import moved_keys as _moved_keys
 from repro.core.storage import ManagementDataStore, StorageAgent
 from repro.network.topology import Network
 from repro.network.transport import Transport
@@ -362,8 +361,6 @@ class GridManagementSystem:
         self.device_engines = {}
         self.collectors = []
         self.analyzers = []
-        self.rebalances = 0
-        self.records_rebalanced = 0
         self._build_devices()
         self._build_storage_and_classifier()
         if processor is None:
@@ -443,9 +440,10 @@ class GridManagementSystem:
             net_capacity=base.net_capacity, knowledge=base.knowledge,
         )
 
-    def _build_shard(self, index, host_spec):
+    def _build_shard(self, index):
         """Build one classifier/storage lane (container + store + agents)."""
-        host = self._add_management_host(host_spec, "storage")
+        host = self._add_management_host(self._shard_host_spec(index),
+                                         "storage")
         lane = "" if index == 0 else "-s%d" % index
         container = self.platform.create_container(
             self._named("storage-container" + lane), host,
@@ -469,10 +467,7 @@ class GridManagementSystem:
         self.stores.append(store)
         self.storage_agents.append(storage_agent)
         self.classifiers.append(classifier)
-        self._store_by_host[host.name] = store
-        self._storage_agent_by_host[host.name] = storage_agent
         self._classifier_by_host[host.name] = classifier.name
-        return host, container, store, storage_agent, classifier
 
     def _build_storage_and_classifier(self):
         self.shard_hosts = []
@@ -480,11 +475,9 @@ class GridManagementSystem:
         self.stores = []
         self.storage_agents = []
         self.classifiers = []
-        self._store_by_host = {}
-        self._storage_agent_by_host = {}
         self._classifier_by_host = {}
         for index in range(self.spec.shards):
-            self._build_shard(index, self._shard_host_spec(index))
+            self._build_shard(index)
         # Shard-0 aliases keep the historical single-lane API (and every
         # test/example written against it) working unchanged.
         self.storage_container = self.storage_containers[0]
@@ -492,7 +485,6 @@ class GridManagementSystem:
         self.storage_agent = self.storage_agents[0]
         self.classifier = self.classifiers[0]
         self.ring = None
-        self._flush_mux = None
         if self.spec.shards > 1:
             from repro.agents.behaviours import MultiplexedTickerBehaviour
             from repro.core.sharding import HashRing
@@ -501,12 +493,12 @@ class GridManagementSystem:
             # One coalesced watchdog flushes every shard classifier's
             # stale dataset: N shards cost one timer event per period
             # instead of N mailbox-timeout wakeups.
-            self._flush_mux = MultiplexedTickerBehaviour(
+            flush_mux = MultiplexedTickerBehaviour(
                 period=self.classifier.flush_timeout, name="shard-flush",
             )
             for classifier in self.classifiers:
-                self._flush_mux.add_callback(classifier._flush_if_stale)
-            self.classifier.add_behaviour(self._flush_mux)
+                flush_mux.add_callback(classifier._flush_if_stale)
+            self.classifier.add_behaviour(flush_mux)
 
     def _build_interface(self):
         host = self._add_management_host(self.spec.interface_host, "interface")
@@ -552,11 +544,7 @@ class GridManagementSystem:
             self.analyzers.append(analyzer)
 
     def _classifier_router(self):
-        """Record -> shard classifier routing closure (None unsharded).
-
-        Reads the *live* ring on every lookup, so shard join/leave
-        reroutes new records without touching the collectors.
-        """
+        """Record -> shard classifier routing closure (None unsharded)."""
         if self.ring is None:
             return None
         ring = self.ring
@@ -682,8 +670,6 @@ class GridManagementSystem:
                     scatter_rounds=self.root.scatter_rounds,
                     scatter_fanout=self.root.last_scatter_fanout,
                     scatter_fanout_total=self.root.scatter_fanout_total,
-                    rebalances=self.rebalances,
-                    records_rebalanced=self.records_rebalanced,
                 )
                 return metrics
 
@@ -692,88 +678,6 @@ class GridManagementSystem:
             telemetry.register_source(
                 _shard_metrics, grid="storage",
                 host=self.shard_hosts[0].name)
-
-    # -- shard membership (sharded deployments only) -----------------------
-
-    def add_storage_shard(self, host_spec=None):
-        """Join a new shard: build its lane, extend the ring, rebalance.
-
-        Minimal-remap rebalance: ownership is snapshotted over every
-        device before and after the ring change and only the devices
-        whose owner changed migrate (about ``1/n`` of them).  New records
-        route to the new shard immediately (the collectors' router reads
-        the live ring); existing records transfer in the background via
-        the copy -> CONFIRM -> drop protocol, so an interrupted transfer
-        leaves the source copy authoritative -- never a silent loss.
-
-        Returns the new shard's classifier/storage lane as a
-        ``(host, storage_agent, classifier)`` tuple.
-        """
-        if self.ring is None:
-            raise RuntimeError(
-                "sharding is off (spec.shards == 1); build with shards >= 2 "
-                "before growing the ring")
-        index = len(self.shard_hosts)
-        if host_spec is None:
-            host_spec = self._shard_host_spec(index)
-        device_names = sorted(self.devices)
-        before = self.ring.owners(device_names)
-        host, _, _, storage_agent, classifier = self._build_shard(
-            index, host_spec)
-        self.ring.add_node(host.name)
-        self._flush_mux.add_callback(classifier._flush_if_stale)
-        # The level-3 barrier now waits for the new shard's datasets too.
-        self.root.scatter_shards += 1
-        after = self.ring.owners(device_names)
-        self._start_rebalance(_moved_keys(before, after))
-        return host, storage_agent, classifier
-
-    def remove_storage_shard(self, host_name):
-        """Gracefully leave the ring: reroute new records, migrate out.
-
-        The lane's container and agents stay alive to drain -- in-flight
-        batches still classify and its datasets still serve fetches --
-        but the router stops sending it new records and the rebalance
-        migrates its owned devices to their new ring owners.
-        """
-        if self.ring is None:
-            raise RuntimeError("sharding is off (spec.shards == 1)")
-        if host_name not in self.ring:
-            raise ValueError("host %r is not a shard" % host_name)
-        if len(self.ring) <= 1:
-            raise ValueError("cannot remove the last shard")
-        device_names = sorted(self.devices)
-        before = self.ring.owners(device_names)
-        self.ring.remove_node(host_name)
-        self.root.scatter_shards = max(1, self.root.scatter_shards - 1)
-        after = self.ring.owners(device_names)
-        self._start_rebalance(_moved_keys(before, after))
-
-    def _start_rebalance(self, moved):
-        if moved:
-            self.sim.spawn(self._rebalance(moved), name="shard-rebalance")
-
-    def _rebalance(self, moved):
-        """Transfer moved devices' records shard-to-shard (process).
-
-        Transfers group by (source, destination) pair so each pair moves
-        in one reliable REQUEST; every batch follows the storage agents'
-        copy -> CONFIRM -> drop protocol (see
-        :meth:`repro.core.storage.StorageAgent.migrate_devices`).
-        """
-        transfers = {}
-        for device, (old_owner, new_owner) in sorted(moved.items()):
-            transfers.setdefault((old_owner, new_owner), []).append(device)
-        total = 0
-        for (old_owner, new_owner), device_names in sorted(transfers.items()):
-            source = self._storage_agent_by_host.get(old_owner)
-            target = self._storage_agent_by_host.get(new_owner)
-            if source is None or target is None:
-                continue
-            total += yield from source.migrate_devices(
-                device_names, target.name)
-        self.rebalances += 1
-        self.records_rebalanced += total
 
     # -- goal assignment -------------------------------------------------------
 

@@ -39,38 +39,12 @@ class RngStream:
     def random(self):
         return self._random.random()
 
-    def expovariate(self, rate):
-        """Exponential inter-arrival sample; rate must be positive."""
-        if rate <= 0:
-            raise ValueError("rate must be positive, got %r" % rate)
-        return self._random.expovariate(rate)
-
     def bounded_gauss(self, mu, sigma, low, high):
         """Gaussian sample clamped into [low, high]."""
         return min(high, max(low, self._random.gauss(mu, sigma)))
 
     def randint(self, low, high):
         return self._random.randint(low, high)
-
-    def choice(self, sequence):
-        if not sequence:
-            raise ValueError("cannot choose from an empty sequence")
-        return self._random.choice(sequence)
-
-    def sample(self, population, k):
-        return self._random.sample(population, k)
-
-    def shuffle(self, items):
-        """Shuffle ``items`` in place and also return it for convenience."""
-        self._random.shuffle(items)
-        return items
-
-    def jitter(self, value, fraction):
-        """``value`` perturbed uniformly by up to +/- ``fraction`` of itself."""
-        if fraction < 0:
-            raise ValueError("fraction must be >= 0")
-        spread = value * fraction
-        return value + self._random.uniform(-spread, spread)
 
     def __repr__(self):
         return "RngStream(%r)" % (self.name,)

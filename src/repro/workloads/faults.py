@@ -181,30 +181,6 @@ def _window_end(end):
     return "inf" if end is None else "%g" % end
 
 
-def chaos_plan(container="analysis-1", collector_host=None,
-               burst_target="wan", burst_loss=0.05, burst_at=5.0,
-               burst_duration=20.0, kill_at=8.0, host_down_at=12.0,
-               host_down_duration=10.0):
-    """The standard chaos mix: loss burst + container kill + host bounce.
-
-    Exercises all three tolerance mechanisms at once: the reliable channel
-    (burst), heartbeat eviction (container kill) and retransmission across
-    an outage window (collector host down + recovery).  ``collector_host``
-    is optional; without it the plan contains only the burst and the kill.
-    """
-    events = [
-        FaultEvent(burst_at, FaultEvent.LINK_LOSS_BURST, burst_target,
-                   loss_rate=burst_loss, clear_after=burst_duration),
-        FaultEvent(kill_at, FaultEvent.CONTAINER_DOWN, container),
-    ]
-    if collector_host is not None:
-        events.append(FaultEvent(
-            host_down_at, FaultEvent.HOST_DOWN, collector_host,
-            clear_after=host_down_duration,
-        ))
-    return FaultPlan(events)
-
-
 def storage_blip_plan(storage_host, blip_at=20.0, blip_duration=4.0):
     """A transient storage-host outage aimed at the analyzer fetch window.
 

@@ -4,7 +4,7 @@ A workload is a set of :class:`~repro.core.records.CollectionGoal` objects.
 :class:`RequestMix` describes *how many* requests of each type to issue;
 :class:`WorkloadGenerator` turns a mix plus a device population into goals,
 either deterministic (evenly spread, as the paper's evaluation) or
-stochastic (Poisson-spaced polls for long-running monitoring scenarios).
+stochastic (periodic monitoring with random phase, diurnal load).
 """
 
 from repro.core.records import CollectionGoal
@@ -68,38 +68,6 @@ class WorkloadGenerator:
 
     def __init__(self, seed=0, stream_name="workload"):
         self.rng = RngStream(seed, stream_name)
-
-    def poisson_goals(self, mix, device_names, horizon, rate=None):
-        """Goals whose start times are exponentially spaced over a horizon.
-
-        Args:
-            mix: :class:`RequestMix` -- total requests per type.
-            device_names: polled devices (chosen uniformly per request).
-            horizon: all goals start within [0, horizon).
-            rate: arrival rate; default chosen so the expected arrivals in
-                the horizon match the mix totals.
-        """
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        device_names = sorted(device_names)
-        goals = []
-        for request_type in ("A", "B", "C"):
-            count = mix[request_type]
-            if count == 0:
-                continue
-            type_rate = rate if rate is not None else count / horizon
-            clock = 0.0
-            for _ in range(count):
-                clock += self.rng.expovariate(type_rate)
-                goals.append(CollectionGoal(
-                    self.rng.choice(device_names),
-                    request_type,
-                    count=1,
-                    interval=1.0,
-                    start_after=min(clock, horizon),
-                ))
-        goals.sort(key=lambda goal: goal.start_after)
-        return goals
 
     def periodic_goals(self, device_names, polls_per_device, interval,
                        types=("A", "B", "C")):

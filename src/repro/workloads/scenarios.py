@@ -241,62 +241,6 @@ def scaling_scenario(device_count, requests_per_type, site_count=1):
     )
 
 
-def chaos_scenario(requests_per_type=8, device_count=4, site_count=2):
-    """A two-site workload for the chaos-fault harness.
-
-    Cross-site WAN traffic is what loss bursts and the reliable channel
-    act on; pair with a :class:`~repro.workloads.faults.FaultPlan` (e.g.
-    :func:`~repro.workloads.faults.chaos_plan`) and
-    ``GridTopologySpec(reliability=True, heartbeat_interval=...)``.
-    """
-    return Scenario(
-        "chaos-d%d-r%d" % (device_count, requests_per_type),
-        devices=_device_population(device_count, site_count),
-        mix=RequestMix(requests_per_type, requests_per_type,
-                       requests_per_type),
-        description="%d devices over %d sites under injected faults" % (
-            device_count, site_count,
-        ),
-    )
-
-
-def partition_scenario(site_count=4, devices_per_site=2,
-                       requests_per_type=8, partitioned_site=None,
-                       partition_at=15.0, heal_after=25.0):
-    """A multi-site mesh workload with one site partitioned mid-run.
-
-    The first entry in the scenario catalog of compound failures (ROADMAP
-    item 4): ``site_count`` sites of ``devices_per_site`` devices each,
-    with ``partitioned_site`` (default: the last site) severed at
-    ``partition_at`` and healed ``heal_after`` later via the attached
-    :attr:`Scenario.fault_plan`.  Pair with
-    ``FederatedTopologySpec(mode=MESH, federation_reliability=True)`` --
-    the mesh must detect the partition within its heartbeat timeout,
-    degrade the severed site's devices to offline, and drain back to
-    heal-complete afterwards.
-    """
-    from repro.workloads.faults import site_partition_plan
-
-    if site_count < 2:
-        raise ValueError("a partition needs at least 2 sites")
-    if partitioned_site is None:
-        partitioned_site = "site%d" % site_count
-    return Scenario(
-        "partition-s%d-d%d" % (site_count, devices_per_site),
-        devices=_device_population(site_count * devices_per_site,
-                                   site_count),
-        mix=RequestMix(requests_per_type, requests_per_type,
-                       requests_per_type),
-        description="%d sites, %s partitioned at t=%g for %gs" % (
-            site_count, partitioned_site, partition_at, heal_after,
-        ),
-        fault_plan=site_partition_plan(
-            partitioned_site, partition_at=partition_at,
-            heal_after=heal_after,
-        ),
-    )
-
-
 def crossover_scenarios(points=(1, 2, 5, 10, 20, 50), device_count=3):
     """Scenarios for the crossover sweep (X1): growing request volume."""
     return [

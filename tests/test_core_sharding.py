@@ -1,13 +1,12 @@
 """Tests for the consistent-hash sharded classifier/storage grid.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
-* the :mod:`repro.core.sharding` ring itself (balance, minimal remap,
-  memo consistency) -- property-based;
+* the :mod:`repro.core.sharding` ring itself (balance, minimal remap on
+  a join, memo consistency) -- property-based;
 * the sharded deployment's *equivalence* to the paper reproduction
   (scatter-gather level-3 correlation finds the same things, and
-  ``shards=1`` stays byte-identical);
-* the rebalance protocol's no-silent-loss invariant on shard join/leave.
+  ``shards=1`` stays byte-identical).
 """
 
 import json
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sharding import HashRing, moved_keys, stable_hash
+from repro.core.sharding import HashRing, stable_hash
 from repro.core.system import (
     DeviceSpec,
     GridManagementSystem,
@@ -67,32 +66,15 @@ class TestRingProperties:
     )
     def test_join_remaps_about_one_nth_toward_joiner(self, node_count, vnodes):
         ring = _ring(node_count, vnodes)
-        before = ring.owners(KEYS)
+        before = {key: ring.lookup(key) for key in KEYS}
         ring.add_node("joiner")
-        after = ring.owners(KEYS)
-        moved = moved_keys(before, after)
+        moved = {key: ring.lookup(key) for key in KEYS
+                 if ring.lookup(key) != before[key]}
         # Minimal remap: about 1/(n+1) of keys move (bounded well below
         # the ~100% a mod-N scheme would reshuffle) ...
         assert 0 < len(moved) <= 2.5 * len(KEYS) / (node_count + 1)
         # ... and every move lands on the joiner.
-        assert all(new == "joiner" for _, new in moved.values())
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        node_count=st.integers(min_value=3, max_value=10),
-        vnodes=st.sampled_from([8, 16, 32, 64]),
-    )
-    def test_leave_remaps_only_the_leavers_keys(self, node_count, vnodes):
-        ring = _ring(node_count, vnodes)
-        before = ring.owners(KEYS)
-        ring.remove_node("shard-0")
-        after = ring.owners(KEYS)
-        moved = moved_keys(before, after)
-        assert 0 < len(moved) <= 2.5 * len(KEYS) / node_count
-        assert all(old == "shard-0" for old, _ in moved.values())
-        # Keys not owned by the leaver never move.
-        untouched = [key for key, owner in before.items() if owner != "shard-0"]
-        assert all(after[key] == before[key] for key in untouched)
+        assert set(moved.values()) == {"joiner"}
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -100,21 +82,21 @@ class TestRingProperties:
         vnodes=st.sampled_from([8, 32]),
     )
     def test_memo_survives_membership_changes(self, node_count, vnodes):
-        # The memoized lookup must agree with a cold ring after add/remove.
+        # The memoized lookup must agree with a cold ring after an add.
         ring = _ring(node_count, vnodes)
         for key in KEYS[:200]:
             ring.lookup(key)  # warm the memo
         ring.add_node("joiner")
-        ring.remove_node("shard-0")
-        cold = HashRing(ring.nodes(), vnodes=vnodes)
-        assert ring.owners(KEYS[:200]) == cold.owners(KEYS[:200])
+        cold = HashRing(
+            ["shard-%d" % index for index in range(node_count)] + ["joiner"],
+            vnodes=vnodes)
+        assert [ring.lookup(key) for key in KEYS[:200]] == \
+            [cold.lookup(key) for key in KEYS[:200]]
 
     def test_membership_errors(self):
         ring = _ring(2, 8)
         with pytest.raises(ValueError):
             ring.add_node("shard-0")
-        with pytest.raises(ValueError):
-            ring.remove_node("ghost")
         with pytest.raises(ValueError):
             HashRing(vnodes=0)
         with pytest.raises(LookupError):
@@ -140,6 +122,15 @@ def _sharded_spec(shards, devices=4, seed=11, **overrides):
     )
     parameters.update(overrides)
     return GridTopologySpec(**parameters)
+
+
+def _devices_held(store):
+    """Device names with any data (history or dataset records) in a store."""
+    devices = {key[0] for key in store._history}
+    for clusters in store._datasets.values():
+        for records in clusters.values():
+            devices.update(record.device for record in records)
+    return devices
 
 
 def _canonical_findings(system):
@@ -180,8 +171,9 @@ class TestScatterGatherEquivalence:
         for device, dev in system.devices.items():
             owner = system.ring.lookup(device)
             holders = [
-                host for host, store in system._store_by_host.items()
-                if device in store.devices_held()
+                host.name
+                for host, store in zip(system.shard_hosts, system.stores)
+                if device in _devices_held(store)
             ]
             assert holders == [owner]
 
@@ -208,71 +200,10 @@ class TestShards1ByteIdentity:
     def test_shards1_builds_no_ring_and_no_mux(self):
         system = GridManagementSystem(_sharded_spec(1))
         assert system.ring is None
-        assert system._flush_mux is None
+        assert not any(behaviour.name == "shard-flush"
+                       for behaviour in system.classifier._behaviours)
         assert len(system.stores) == 1
         assert system.classifier.external_flush is False
-        with pytest.raises(RuntimeError):
-            system.add_storage_shard()
-        with pytest.raises(RuntimeError):
-            system.remove_storage_shard("stor")
-
-
-class TestRebalance:
-    def _system(self):
-        system = GridManagementSystem(
-            _sharded_spec(2, devices=3, seed=5))
-        system.assign_goals(system.make_paper_goals(polls_per_type=4))
-        assert system.run_until_records(12, timeout=4000)
-        return system
-
-    def _conservation(self, system):
-        records = sum(store.records_stored for store in system.stores)
-        points = sum(
-            len(points)
-            for store in system.stores
-            for points in store._history.values()
-        )
-        return records, points
-
-    def _assert_ownership(self, system):
-        for device in system.devices:
-            owner = system.ring.lookup(device)
-            holders = [
-                host for host, store in system._store_by_host.items()
-                if device in store.devices_held()
-            ]
-            assert holders == [owner], (device, owner, holders)
-
-    def test_join_then_leave_loses_nothing(self):
-        system = self._system()
-        before = self._conservation(system)
-
-        host, storage_agent, classifier = system.add_storage_shard()
-        system.sim.run(until=system.sim.now + 150.0)
-        assert self._conservation(system) == before
-        assert system.rebalances == 1
-        assert system.records_rebalanced > 0
-        self._assert_ownership(system)
-
-        system.remove_storage_shard(system.shard_hosts[0].name)
-        system.sim.run(until=system.sim.now + 150.0)
-        assert self._conservation(system) == before
-        assert system.rebalances == 2
-        self._assert_ownership(system)
-
-        # New records route to the post-rebalance layout and the pipeline
-        # still completes end to end.
-        system.assign_goals(system.make_paper_goals(polls_per_type=2))
-        assert system.run_until_records(18, timeout=4000)
-        assert sum(s.records_stored for s in system.stores) == 18
-
-    def test_remove_guards(self):
-        system = GridManagementSystem(_sharded_spec(2, devices=3, seed=5))
-        with pytest.raises(ValueError):
-            system.remove_storage_shard("ghost")
-        system.remove_storage_shard(system.shard_hosts[1].name)
-        with pytest.raises(ValueError):
-            system.remove_storage_shard(system.shard_hosts[0].name)
 
 
 def _shard_source(system):
@@ -298,16 +229,10 @@ class TestShardMetrics:
         assert metrics["scatter_fanout"] == system.root.last_scatter_fanout
         assert metrics["shards"] == 2
         assert metrics["scatter_rounds"] >= 1
+        # Every key is a live counter: one that always reads 0 cannot
+        # come back unnoticed.
+        assert set(metrics) == {
+            "records_shard0", "records_shard1", "shards", "scatter_rounds",
+            "scatter_fanout", "scatter_fanout_total",
+        }
 
-    def test_rebalance_counter(self):
-        system = GridManagementSystem(
-            _sharded_spec(2, devices=3, seed=5, telemetry=True))
-        system.assign_goals(system.make_paper_goals(polls_per_type=4))
-        assert system.run_until_records(12, timeout=4000)
-        system.add_storage_shard()
-        system.sim.run(until=system.sim.now + 150.0)
-        metrics = _shard_source(system)["metrics"]
-        assert metrics["records_rebalanced"] > 0
-        assert metrics["records_rebalanced"] == system.records_rebalanced
-        assert metrics["rebalances"] == 1
-        assert metrics["records_shard2"] > 0

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.costs import CostModel, TaskCost, TaskKind
 from repro.core.records import ManagementRecord, Sample
 from repro.core.storage import ManagementDataStore
 from repro.network.topology import Network
@@ -56,9 +57,26 @@ cutoffs = st.one_of(
 )
 
 
+#: Storing is free, so ``store_records`` never touches a host.
+FREE_STORE = CostModel(overrides={(TaskKind.STORE, None): TaskCost()})
+
+
 def _store(history):
-    store = ManagementDataStore(host=None)
-    store.absorb_migration(history, {})
+    """A store whose history is ``{series key: [(time, value)]}``.
+
+    Each point arrives as one record through ``store_records``, the
+    store's own write path.
+    """
+    store = ManagementDataStore(host=None, cost_model=FREE_STORE)
+    records = [
+        ManagementRecord(device, "s1", "A", "performance",
+                         [Sample(device, "s1", "performance", metric, value,
+                                 time, instance)],
+                         time, size_units=1.0, parsed=True)
+        for (device, metric, instance), points in history.items()
+        for time, value in points
+    ]
+    assert list(store.store_records(records)) == []  # free: never waits
     return store
 
 

@@ -1,7 +1,5 @@
 """Unit tests for RNG streams."""
 
-import pytest
-
 from repro.simkernel.rng import RngStream, derive_seed
 
 
@@ -24,24 +22,3 @@ class TestRng:
         stream = RngStream(1, "g")
         values = [stream.bounded_gauss(50, 100, 0, 100) for _ in range(200)]
         assert all(0 <= value <= 100 for value in values)
-
-    def test_expovariate_requires_positive_rate(self):
-        with pytest.raises(ValueError):
-            RngStream(1, "e").expovariate(0)
-
-    def test_choice_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            RngStream(1, "c").choice([])
-
-    def test_jitter_within_fraction(self):
-        stream = RngStream(1, "j")
-        for _ in range(100):
-            value = stream.jitter(10.0, 0.2)
-            assert 8.0 <= value <= 12.0
-
-    def test_shuffle_returns_permutation(self):
-        stream = RngStream(1, "s")
-        items = list(range(20))
-        shuffled = stream.shuffle(list(items))
-        assert sorted(shuffled) == items
-

@@ -17,7 +17,6 @@ from repro.workloads.generator import RequestMix, WorkloadGenerator, goals_for_m
 from repro.workloads.scenarios import (
     crossover_scenarios,
     paper_scenario,
-    partition_scenario,
     scaling_scenario,
 )
 
@@ -49,23 +48,6 @@ class TestGoalGeneration:
         with pytest.raises(ValueError):
             goals_for_mix(RequestMix(1, 1, 1), [])
 
-    def test_poisson_goals_bounded_and_sorted(self):
-        generator = WorkloadGenerator(seed=4)
-        goals = generator.poisson_goals(
-            RequestMix(20, 0, 0), ["d1"], horizon=100.0)
-        assert len(goals) == 20
-        starts = [goal.start_after for goal in goals]
-        assert starts == sorted(starts)
-        assert all(0 <= start <= 100.0 for start in starts)
-
-    def test_poisson_reproducible_by_seed(self):
-        goals_a = WorkloadGenerator(seed=4).poisson_goals(
-            RequestMix(5, 5, 5), ["d1", "d2"], horizon=50.0)
-        goals_b = WorkloadGenerator(seed=4).poisson_goals(
-            RequestMix(5, 5, 5), ["d1", "d2"], horizon=50.0)
-        assert [(g.device_name, g.start_after) for g in goals_a] == \
-            [(g.device_name, g.start_after) for g in goals_b]
-
     def test_periodic_goals_cover_devices_and_types(self):
         generator = WorkloadGenerator(seed=1)
         goals = generator.periodic_goals(["d1", "d2"], polls_per_device=3,
@@ -96,24 +78,6 @@ class TestScenarios:
 
         with pytest.raises(ValueError):
             Scenario("empty", [], RequestMix())
-
-    def test_partition_scenario_carries_fault_plan(self):
-        scenario = partition_scenario(site_count=3, devices_per_site=2,
-                                      partition_at=10.0, heal_after=20.0)
-        assert len(scenario.devices) == 6
-        assert {device.site for device in scenario.devices} == \
-            {"site1", "site2", "site3"}
-        assert scenario.fault_plan is not None
-        [event] = scenario.fault_plan
-        # default target: the last site; heals clear_after later
-        assert event.kind == FaultEvent.SITE_PARTITION
-        assert event.target == "site3"
-        assert event.at == 10.0
-        assert event.clear_after == 20.0
-
-    def test_partition_scenario_needs_two_sites(self):
-        with pytest.raises(ValueError):
-            partition_scenario(site_count=1)
 
 
 class TestFaultEvents:
@@ -190,14 +154,6 @@ class TestFaultEvents:
         assert [event.at for event in plan] == [1, 5]
         plan.add(FaultEvent(at=3, kind="disk_filling", target="d"))
         assert [event.at for event in plan] == [1, 3, 5]
-
-    def test_chaos_plan_composition(self):
-        from repro.workloads.faults import chaos_plan
-
-        plan = chaos_plan(collector_host="col-host")
-        kinds = [event.kind for event in plan]
-        assert kinds == ["link_loss_burst", "container_down", "host_down"]
-        assert len(chaos_plan()) == 2  # no collector host -> no host bounce
 
 
 class TestChaosFaultApplication:
