@@ -833,7 +833,6 @@ def _catalog_system(scenario, analysis_hosts=2, seed=11, slos=None):
 
 SPLIT_BRAIN_AT = 15.0
 SPLIT_BRAIN_HEAL = 30.0
-GOSSIP_HEARTBEAT_TIMEOUT = 8.0  # 4 x the catalog's heartbeat_interval
 
 
 def run_split_brain(timeout=2000.0):
@@ -841,8 +840,8 @@ def run_split_brain(timeout=2000.0):
 
     The root's host plus half the analyzer hosts become an island; the
     severed analyzers' gossip views must confirm the root dead within
-    the heartbeat timeout (``detection_margin >= 0``, floor-gated in
-    CI), elect a stand-in, and the run must still drain heal-complete
+    the root's heartbeat timeout (``detection_margin >= 0``, floor-gated
+    in CI), elect a stand-in, and the run must still drain heal-complete
     after the island dissolves.
     """
     from repro.workloads.scenarios import split_brain_scenario
@@ -863,6 +862,7 @@ def run_split_brain(timeout=2000.0):
     recoveries = mesh.recovery_times()
     stats = mesh.stats()
     channel = system.reliable_channel
+    timeout = system.root.heartbeat_timeout
     return {
         "drained": _drained(system),
         "records_shipped": system.collectors[0].records_shipped,
@@ -873,7 +873,8 @@ def run_split_brain(timeout=2000.0):
             - _dead_letter_records(channel)),
         "observers_detected": len(delays),
         "detection_delay": detection_delay,
-        "detection_margin": GOSSIP_HEARTBEAT_TIMEOUT - detection_delay,
+        "heartbeat_timeout": timeout,
+        "detection_margin": timeout - detection_delay,
         "recovered_views": sum(
             1 for name in severed if name in recoveries),
         "stand_ins": sorted(
@@ -921,7 +922,7 @@ def test_split_brain_scenario(once):
     # Detection survived the root outage: both severed analyzers
     # confirmed the root inside the heartbeat timeout...
     assert result["observers_detected"] == 2
-    assert 0.0 < result["detection_delay"] <= GOSSIP_HEARTBEAT_TIMEOUT
+    assert 0.0 < result["detection_delay"] <= result["heartbeat_timeout"]
     assert result["detection_margin"] >= 0.0  # the CI floor
     # ...elected a stand-in, and reconciled on heal.
     assert result["stand_ins"]
@@ -949,7 +950,7 @@ def test_split_brain_scenario(once):
             "island": ["stor", "inf1", "inf2"],
             "partition_window": [SPLIT_BRAIN_AT,
                                  SPLIT_BRAIN_AT + SPLIT_BRAIN_HEAL],
-            "heartbeat_timeout": GOSSIP_HEARTBEAT_TIMEOUT,
+            "heartbeat_timeout": result["heartbeat_timeout"],
             "stand_ins": result["stand_ins"],
         },
     )

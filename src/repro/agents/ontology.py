@@ -123,17 +123,22 @@ ANALYSIS_RESULT = Ontology(
     },
 )
 
-#: Liveness beacon (analyzer container -> PG root).  The root's failure
-#: detector marks a container suspect when beacons stop and evicts it --
-#: settling and re-dispatching its jobs -- well before the Reaper's
-#: job-timeout would fire (see DESIGN.md section 5.2).
+#: Liveness beacon (analyzer container -> PG root; DESIGN.md section 5.2).
+#: With the gossip mesh on, analyzers also beacon each other, the root
+#: answers, and ``digest`` maps member name -> ``[status, incarnation,
+#: last_heard]`` (see :mod:`repro.core.gossip`).  ``probe`` asks for an
+#: answer at once; ``subject`` asks the receiver to probe that member.
 HEARTBEAT = Ontology(
     "heartbeat",
     fields={
         "container": str,
         "agent": str,
         "sent_at": (int, float),
+        "digest": dict,
+        "probe": bool,
+        "subject": str,
     },
+    optional=("digest", "probe", "subject"),
 )
 
 #: Contract-net call for proposals over an analysis job.
@@ -215,25 +220,6 @@ FORWARDED_RESULT = Ontology(
     },
 )
 
-#: Peer-to-peer liveness digest (analyzer <-> analyzer / grid root).
-#: ``digest`` maps member name -> ``[status, incarnation, last_heard]``
-#: (the SWIM-style suspicion view; see :mod:`repro.core.gossip`).
-#: ``kind`` selects the exchange: ``"digest"`` (periodic push),
-#: ``"ping"`` (direct probe of a suspect), ``"ping-req"`` (ask a third
-#: peer to probe ``subject`` indirectly) and ``"ack"`` (probe answer,
-#: digest attached so the answer doubles as an anti-entropy round).
-GOSSIP = Ontology(
-    "gossip",
-    fields={
-        "kind": str,
-        "origin": str,
-        "digest": dict,
-        "sent_at": (int, float),
-        "subject": str,
-    },
-    optional=("digest", "subject"),
-)
-
 #: Degradation notice (gateway -> local interface): a peer site changed
 #: link state, so its devices are now offline (partitioned) or back
 #: online (healed).  Never silently stale: the interface exposes this via
@@ -252,7 +238,7 @@ REGISTRY = {
     ontology.name: ontology
     for ontology in (
         CONTAINER_PROFILE, DATA_READY, ANALYSIS_JOB, ANALYSIS_RESULT,
-        HEARTBEAT, JOB_CFP, JOB_PROPOSAL, MANAGEMENT_REPORT, GOSSIP,
+        HEARTBEAT, JOB_CFP, JOB_PROPOSAL, MANAGEMENT_REPORT,
         SITE_HEARTBEAT, FORWARDED_JOB, FORWARDED_RESULT, SITE_STATUS,
     )
 }

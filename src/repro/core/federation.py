@@ -23,7 +23,7 @@ utilization is due to the architecture alone:
 
 from repro.agents.acl import ACLMessage, MessageTemplate, Performative
 from repro.agents.agent import Agent
-from repro.agents.behaviours import CyclicBehaviour, TickerBehaviour
+from repro.agents.behaviours import CyclicBehaviour
 from repro.agents.ontology import (
     ANALYSIS_JOB,
     ANALYSIS_RESULT,
@@ -34,7 +34,7 @@ from repro.agents.ontology import (
 )
 from repro.core.costs import DEFAULT_COST_MODEL
 from repro.core.liveness import ALIVE, DOWN, HEALING, SUSPECT
-from repro.core.liveness import TIMEOUT_BEACONS, FailureDetector
+from repro.core.liveness import TIMEOUT_BEACONS, BeaconLoop, FailureDetector
 from repro.core.reports import Finding, ManagementReport
 from repro.core.system import (
     DeviceSpec,
@@ -222,8 +222,9 @@ class SiteGatewayAgent(Agent):
         up --silence > timeout/2--> suspect --silence > timeout--> partitioned
         partitioned --beacon--> healing --beacon--> up
 
-    While a peer is partitioned the gateway probes it at a doubling
-    backoff capped at :attr:`reconnect_max_backoff` and tells the local
+    The gateway's :class:`~repro.core.liveness.BeaconLoop` probes a
+    partitioned peer at a doubling backoff capped at
+    :attr:`reconnect_max_backoff`, and the gateway tells the local
     interface to mark the peer's devices offline (plus a major
     ``site-partition`` finding; an info ``site-partition-heal`` finding
     clears it).  Beacons piggyback a capacity advertisement so
@@ -244,7 +245,6 @@ class SiteGatewayAgent(Agent):
         self.devices_by_site = {
             peer: list(devices) for peer, devices in devices_by_site.items()
         }
-        self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = TIMEOUT_BEACONS * heartbeat_interval
         self.reconnect_max_backoff = PROBE_BACKOFF_BEACONS * heartbeat_interval
         self.detector = FailureDetector(
@@ -262,8 +262,6 @@ class SiteGatewayAgent(Agent):
         #: federation leg of the health layer's scorecard aggregation.
         self.health_supplier = None
         self.peer_health = {}      # peer -> last advertised health state
-        self._probe_interval = {}  # peer -> current backoff (read while partitioned)
-        self._next_probe_at = {}   # peer -> next probe time
         self._pending_forwards = {}  # job_id -> {"peer", "span", "sent_at"}
         self._remote_jobs = {}     # job_id -> origin bookkeeping
         self._analyzer_rr = 0
@@ -274,35 +272,24 @@ class SiteGatewayAgent(Agent):
         self.jobs_accepted = 0
         self.jobs_rejected = 0
         self.results_returned = 0
-        self.beacons_sent = 0
-        self.beacons_received = 0
-        self.probes_sent = 0
+        peers = sorted(self.peer_gateways)
+        # The detector samples well inside the timeout so detection
+        # latency stays bounded by the timeout itself, not by a coarse
+        # polling grid on top of it.
+        self.beacons = BeaconLoop(
+            self, SITE_HEARTBEAT, 0.2, self._beacon_payload,
+            period=heartbeat_interval, targets=lambda: peers,
+            detector=self.detector,
+            sweep_period=max(0.25, self.heartbeat_timeout / 8.0),
+            probe_cap=self.reconnect_max_backoff,
+            receivers=self.peer_gateways, hear=self._hear_beacon,
+            react=self._announce_links, on_tick=self._expire_forwards,
+        )
 
     def setup(self):
         gateway = self
         for peer in sorted(self.peer_gateways):
             self.detector.heard(peer)
-
-        class Beat(TickerBehaviour):
-            def on_tick(self):
-                gateway._tick()
-                return
-                yield  # pragma: no cover
-
-        class Detector(TickerBehaviour):
-            def on_tick(self):
-                gateway._check_peers()
-                return
-                yield  # pragma: no cover
-
-        class Beacons(CyclicBehaviour):
-            def step(self):
-                message = yield from self.receive(MessageTemplate(
-                    performative=Performative.INFORM,
-                    ontology=SITE_HEARTBEAT.name,
-                ))
-                if message is not None:
-                    gateway._on_beacon(message)
 
         class ForwardedJobs(CyclicBehaviour):
             def step(self):
@@ -331,13 +318,7 @@ class SiteGatewayAgent(Agent):
                 if message is not None:
                     gateway._on_forwarded_result(message)
 
-        self.add_behaviour(Beat(period=self.heartbeat_interval, name="beat"))
-        # The detector samples well inside the timeout so detection
-        # latency stays bounded by the timeout itself, not by a coarse
-        # polling grid on top of it.
-        self.add_behaviour(Detector(
-            period=max(0.25, self.heartbeat_timeout / 8.0), name="detector"))
-        self.add_behaviour(Beacons("beacons"))
+        self.beacons.start()
         self.add_behaviour(ForwardedJobs("forwarded-jobs"))
         self.add_behaviour(AnalyzerResults("analyzer-results"))
         self.add_behaviour(ForwardedResults("forwarded-results"))
@@ -358,77 +339,36 @@ class SiteGatewayAgent(Agent):
     def heals(self):
         return self.detector.recoveries  # [(peer, healed_at)]
 
-    def _send_beacon(self, peer, probe=False):
-        content_kwargs = dict(
+    def _beacon_payload(self):
+        content = dict(
             site=self.site,
             sent_at=self.sim.now,
             analyzers=len(self.root._analyzer_agent_by_container),
             outstanding=sum(self.root.outstanding().values()),
         )
-        if probe:
-            content_kwargs["probe"] = True
         if self.health_supplier is not None:
-            content_kwargs["health"] = self.health_supplier()
-        # Plain (unreliable) send on purpose: retransmission would mask
-        # the very silence the failure detector listens for.
-        self.send(ACLMessage(
-            Performative.INFORM,
-            sender=self.name,
-            receiver=self.peer_gateways[peer],
-            content=SITE_HEARTBEAT.make(**content_kwargs),
-            ontology=SITE_HEARTBEAT.name,
-            size_units=0.2,
-        ))
-        self.beacons_sent += 1
-        if probe:
-            self.probes_sent += 1
+            content["health"] = self.health_supplier()
+        return content
 
-    def _tick(self):
-        self._expire_forwards()
-        now = self.sim.now
-        for peer in sorted(self.peer_gateways):
-            if self.detector.status(peer) != DOWN:
-                self._send_beacon(peer)
-            elif now >= self._next_probe_at[peer]:
-                self._send_beacon(peer, probe=True)
-                interval = min(self._probe_interval[peer] * 2.0,
-                               self.reconnect_max_backoff)
-                self._probe_interval[peer] = interval
-                self._next_probe_at[peer] = now + interval
-
-    def _check_peers(self):
-        # A partitioned peer is probed at backoff, not timed out again.
-        for peer, _, status in self.detector.sweep():
-            if status == DOWN:
-                self._probe_interval[peer] = self.heartbeat_interval
-                self._next_probe_at[peer] = self.sim.now
-                self._announce_link(peer, partitioned=True)
-
-    def _on_beacon(self, message):
-        content = SITE_HEARTBEAT.validate(message.content)
+    def _hear_beacon(self, content):
         peer = content["site"]
-        if peer not in self.peer_gateways:
-            return
-        self.beacons_received += 1
         self.peer_capacity[peer] = {
             "analyzers": content["analyzers"],
             "outstanding": content["outstanding"],
         }
         if "health" in content:
             self.peer_health[peer] = content["health"]
-        # A partitioned peer's first sign of life is not trusted yet: it
-        # heals, and one more beacon confirms the link before the peer's
-        # devices come back.
-        if self.detector.heard(peer) == (peer, HEALING, ALIVE):
-            self._announce_link(peer, partitioned=False)
-        if content.get("probe"):
-            # Answer probes immediately so both sides reconverge within
-            # a beacon round trip instead of a full heartbeat interval.
-            self._send_beacon(peer)
+        return peer
+
+    def _announce_links(self, transitions):
+        """Tell the local interface that a peer's link went down (its
+        devices offline, a major finding) or healed (back online); a
+        heal takes two beacons, so one lucky packet cannot fake it."""
+        for peer, old, new in transitions:
+            if new == DOWN or (old == HEALING and new == ALIVE):
+                self._announce_link(peer, partitioned=new == DOWN)
 
     def _announce_link(self, peer, partitioned):
-        """Tell the local interface that a peer's link went down (its
-        devices offline, a major finding) or healed (back online)."""
         devices = self.devices_by_site.get(peer, [])
         self.send(ACLMessage(
             Performative.INFORM,
@@ -636,9 +576,9 @@ class SiteGatewayAgent(Agent):
             "jobs_accepted": self.jobs_accepted,
             "jobs_rejected": self.jobs_rejected,
             "results_returned": self.results_returned,
-            "beacons_sent": self.beacons_sent,
-            "beacons_received": self.beacons_received,
-            "probes_sent": self.probes_sent,
+            "beacons_sent": self.beacons.sent,
+            "beacons_received": self.beacons.received,
+            "probes_sent": self.beacons.probes,
             "partitions_declared": len(self.partitions),
             "heals_declared": len(self.heals),
         }

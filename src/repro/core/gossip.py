@@ -1,52 +1,40 @@
 """SWIM-style gossip between analyzer containers: peer liveness +
 suspicion levels that survive the loss of the grid root.
 
-The root's heartbeat detector (DESIGN.md section 5.2) is a *centralized*
-failure detector: when the root's own host is cut off -- a split-brain
-partition or a plain outage -- nobody is left to detect anything, and the
-domain-partitioned EMS literature (Gavalas et al.; Saini & Mishra) argues
-detection must survive exactly that.  This module adds the decentralized
-complement: analyzer containers exchange periodic *digest gossip* so
-every analyzer converges on its own suspicion view, elects a stand-in
-dispatcher while the root is unreachable, and reconciles with the root on
-heal -- exactly-once preserved above the root's job-id dedup (duplicates
-are counted, never shipped twice).
+The root's heartbeat detector is centralized: with the root's own host
+cut off (split brain, outage) nobody is left to detect anything.  Here
+every analyzer keeps a suspicion view, elects a stand-in dispatcher
+while its view holds the root dead, and reconciles on heal (DESIGN.md
+section 5.7).  No RNG draws; with ``gossip=`` unset nothing is built.
 
-Protocol (SWIM flavoured, deterministic -- no RNG draws, so an enabled
-mesh still replays byte-identically and a disabled one builds nothing):
-
-* every member entry is ``(status, incarnation, last_heard)`` with
-  ``alive < suspect < confirmed`` and digest **merge = max** under the
-  total order ``(incarnation, status precedence, last_heard)``.  A max
-  over a total order is a join-semilattice: commutative, associative,
-  idempotent (property-tested in ``tests/test_core_gossip.py``), and a
-  ``confirmed`` entry can only regress to ``alive`` via a *fresh
-  incarnation* -- the subject's own refutation.
-* each analyzer ticks every ``interval``: it pushes its digest to the
-  root (riding the existing heartbeat cadence) and to the next peer in a
-  deterministic round-robin rotation; digests and probes are answered
-  with an ``ack`` carrying the responder's digest (anti-entropy).
-* each view's failure detector raises a local *suspect* after
-  ``SUSPECT_ROUNDS`` intervals of silence; suspicion triggers a direct
-  ``ping`` plus an indirect ``ping-req`` through the next live peer;
-  ``CONFIRM_ROUNDS`` intervals of it unanswered escalate to *confirmed*.
-  A member that learns it is suspected bumps its incarnation and
-  re-advertises itself alive (refutation).
-* when an analyzer's view confirms the **root** dead, the
-  lexicographically-smallest alive analyzer in that view becomes the
-  *stand-in dispatcher*: analysis results that would be lost against the
-  dead root are redirected to it and buffered (dedup by job id --
-  duplicates counted, not shipped).  When the view sees the root alive
-  again (its refutation after the heal), the buffer is flushed to the
-  root over the reliable channel; the root's own ``job.done`` dedup
-  absorbs anything the Reaper already re-dispatched.
+* A digest entry is ``(status, incarnation, last_heard)``; merge is the
+  max under ``(incarnation, alive < suspect < confirmed, last_heard)``,
+  a join-semilattice, so only the subject's own refutation (a fresh
+  incarnation) turns ``confirmed`` back into ``alive``.
+* Gossip rides each analyzer's one
+  :class:`~repro.core.liveness.BeaconLoop`: every round's digest goes to
+  the root -- that beacon *is* the heartbeat -- and to the next peer in
+  a round-robin over the other analyzers, as a probe answered at once
+  with the receiver's digest.  A new suspect gets a direct ping and a
+  ping-req through the next live peer; a suspect root is pinged only
+  by the rounds themselves, so each analyzer sends it one beacon per
+  round.
+* The root keeps no view: its digest reports its analyzers from its
+  eviction detector, each at the incarnation the analyzer last told it.
+* The stand-in (the smallest alive analyzer in a view that confirms the
+  root) buffers results bound for the root, deduplicated by job id, and
+  flushes them over the reliable channel once the view sees the root
+  alive again; the root's own job dedup absorbs replays.
 """
 
+from collections import Counter
+from itertools import cycle, islice
+
 from repro.agents.acl import ACLMessage, MessageTemplate, Performative
-from repro.agents.behaviours import CyclicBehaviour, TickerBehaviour
-from repro.agents.ontology import ANALYSIS_RESULT, GOSSIP
+from repro.agents.behaviours import CyclicBehaviour
+from repro.agents.ontology import ANALYSIS_RESULT, HEARTBEAT
 from repro.core.liveness import ALIVE, DOWN as CONFIRMED, SUSPECT
-from repro.core.liveness import FailureDetector
+from repro.core.liveness import BeaconLoop, FailureDetector
 
 #: Gossip intervals of silence before a member turns suspect, and of
 #: unrefuted suspicion before it is confirmed dead.
@@ -92,7 +80,8 @@ class PeerView:
 
     Status and last-heard times live in a
     :class:`~repro.core.liveness.FailureDetector` that hearing never
-    revives; the view adds SWIM dissemination on top: incarnations, the
+    revives (a confirmed member stays confirmed until its refutation
+    arrives); the view adds SWIM dissemination on top: incarnations, the
     digest and its merge.
 
     Args:
@@ -149,14 +138,6 @@ class PeerView:
 
     # -- evidence ----------------------------------------------------------
 
-    def note_heard(self, member):
-        """Direct evidence (a message arrived from ``member``): refresh
-        recency only.  Status transitions go strictly through the merge --
-        a confirmed member stays confirmed until its refutation arrives.
-        """
-        if self.detector.status(member) is not None:
-            self.detector.heard(member)
-
     def merge(self, digest):
         """Fold a received digest into the view; returns the transitions
         as ``[(member, old_status, new_status)]``.
@@ -184,112 +165,72 @@ class PeerView:
         return transitions
 
 
-class _GossipParticipant:
-    """Shared plumbing: receive loop + ack replies for one agent."""
+class RootGossip:
+    """The grid root's (purely reactive) side of the mesh.
+
+    The root keeps no view: it answers each analyzer's round with a
+    digest built from its one eviction detector, each analyzer at the
+    incarnation it last advertised to the root itself (so the root never
+    outbids a refutation), and refutes its own reported death.
+    """
 
     def __init__(self, agent):
         self.agent = agent
-        self.digests_received = 0
-        self.acks_sent = 0
+        self.incarnation = 0
+        self.refutations = 0
+        self._heard = {}  # analyzer -> (its container, its incarnation)
+        agent.gossip = self
 
-    def _send(self, receiver, kind, digest=True, subject=None):
-        content = dict(
-            kind=kind,
-            origin=self.agent.name,
-            sent_at=self.agent.sim.now,
+    def absorb(self, content):
+        """Fold an analyzer's digest: refute our own suspicion and note
+        the sender's own incarnation."""
+        digest = content["digest"]
+        status, incarnation, _ = digest[self.agent.name]
+        if status != ALIVE and incarnation >= self.incarnation:
+            self.incarnation = incarnation + 1
+            self.refutations += 1
+        sender = content["agent"]
+        self._heard[sender] = (content["container"], digest[sender][1])
+
+    def payload(self):
+        """The root's answer to a round: its digest."""
+        root = self.agent
+        digest = {root.name: [ALIVE, self.incarnation, root.sim.now]}
+        for name, (container, incarnation) in self._heard.items():
+            digest[name] = [root.detector.status(container), incarnation,
+                            root.detector.last_heard[container]]
+        return dict(container=root.container.name, agent=root.name,
+                    sent_at=root.sim.now, digest=digest)
+
+
+class AnalyzerGossip:
+    """One analyzer's gossip: its beacon loop, probes and stand-in duty.
+
+    Attached as ``agent.gossip`` before deployment; the analyzer's setup
+    calls :meth:`start`, and :meth:`intercept_result` diverts results
+    bound for a confirmed-dead root to the elected stand-in.
+    """
+
+    def __init__(self, agent, root, members, interval, index=0):
+        self.agent = agent
+        self.root_name = root_name = root.name
+        # The root's clock: the analyzer is not deployed yet.
+        self.view = PeerView(
+            agent.name, members, interval, clock=lambda: root.sim.now)
+        # Round-robin over the other analyzers (the root gets every round).
+        peers = sorted(set(members) - {agent.name, root_name})
+        self._peers = islice(cycle(peers), index % max(len(peers), 1), None)
+        # No backoff toward a confirmed member: those rounds are the
+        # probes that reach a healed root first, and the root's eviction
+        # detector listens for them.  Phases are staggered so the mesh
+        # does not beat in lockstep.
+        self.loop = BeaconLoop(
+            agent, HEARTBEAT, GOSSIP_SIZE, self._payload, period=interval,
+            targets=self._targets,
+            phase=interval * (1.0 + index / (len(members) + 1.0)),
+            detector=self.view.detector, ping=True, hear=self._hear,
+            react=self._react,
         )
-        if digest:
-            content["digest"] = self.view.digest()
-        if subject is not None:
-            content["subject"] = subject
-        self.agent.send(ACLMessage(
-            Performative.INFORM,
-            sender=self.agent.name,
-            receiver=receiver,
-            content=GOSSIP.validate(content),
-            ontology=GOSSIP.name,
-            size_units=GOSSIP_SIZE,
-        ))
-
-    def _install_inbox(self, name):
-        participant = self
-
-        class GossipInbox(CyclicBehaviour):
-            def step(self):
-                message = yield from self.receive(MessageTemplate(
-                    performative=Performative.INFORM,
-                    ontology=GOSSIP.name,
-                ))
-                if message is not None:
-                    participant._on_gossip(message)
-
-        self.agent.add_behaviour(GossipInbox(name))
-
-    def _on_gossip(self, message):
-        content = GOSSIP.validate(message.content)
-        origin = content["origin"]
-        self.digests_received += 1
-        self.view.note_heard(origin)
-        transitions = []
-        if "digest" in content:
-            transitions = self.view.merge(content["digest"])
-        kind = content["kind"]
-        if kind in ("digest", "ping"):
-            # Answer with our digest: the ack is both liveness evidence
-            # for the origin and an anti-entropy exchange.
-            self.acks_sent += 1
-            self._send(origin, "ack")
-        elif kind == "ping-req":
-            # Indirect probe: relay a ping to the subject on the
-            # origin's behalf; the subject's ack lands in *our* view and
-            # travels onward by rotation.
-            subject = content.get("subject")
-            if subject and subject != self.agent.name:
-                self._send(subject, "ping")
-        self._after_merge(transitions)
-
-    def _after_merge(self, transitions):
-        """Hook for subclasses (stand-in / reconciliation logic)."""
-
-
-class RootGossip(_GossipParticipant):
-    """The grid root's (purely reactive) side of the mesh.
-
-    The root never ticks: its digests travel only as acks to whoever
-    gossips at it, which is exactly the evidence analyzers need -- and
-    after an outage, the first probe that reaches the healed root makes
-    it refute its own confirmed status with a bumped incarnation.
-    """
-
-    def __init__(self, agent, members, interval):
-        super().__init__(agent)
-        self.view = PeerView(
-            agent.name, members, interval, clock=lambda: agent.sim.now)
-        self._install_inbox("gossip-inbox")
-
-
-class AnalyzerGossip(_GossipParticipant):
-    """One analyzer's gossip component: ticker, probes, stand-in duty.
-
-    Attached to the :class:`~repro.core.processor.AnalyzerAgent` as
-    ``agent.gossip``; the agent consults :meth:`intercept_result` before
-    shipping an analysis result so results bound for a confirmed-dead
-    root are buffered at the elected stand-in instead of vanishing.
-    """
-
-    def __init__(self, agent, root_name, members, interval, index=0):
-        super().__init__(agent)
-        self.root_name = root_name
-        self.view = PeerView(
-            agent.name, members, interval, clock=lambda: agent.sim.now)
-        #: Deterministic round-robin over everyone else (peers + root).
-        self.rotation = sorted(set(members) - {agent.name})
-        self._rotation_index = index % len(self.rotation) if self.rotation \
-            else 0
-        self.rounds = 0
-        self.digests_sent = 0
-        self.pings_sent = 0
-        self.ping_reqs_sent = 0
         #: job_id -> ANALYSIS_RESULT content buffered while standing in.
         self.buffered_results = {}
         self.results_buffered = 0
@@ -300,14 +241,10 @@ class AnalyzerGossip(_GossipParticipant):
         #: [(time, elected stand-in)] -- one entry per root confirmation.
         self.elections = []
         agent.gossip = self
-        self._install_inbox("gossip-inbox")
-        component = self
 
-        class GossipTicker(TickerBehaviour):
-            def on_tick(self):
-                component._on_tick()
-                return
-                yield  # pragma: no cover - keeps on_tick a generator
+    def start(self):
+        """Install the loop and the stand-in inbox; returns the loop."""
+        component = self
 
         class StandInResults(CyclicBehaviour):
             def step(self):
@@ -319,43 +256,49 @@ class AnalyzerGossip(_GossipParticipant):
                     component._buffer_result(
                         ANALYSIS_RESULT.validate(message.content))
 
-        # Stagger tick phases deterministically so the mesh does not
-        # beat in lockstep (and peers hear each other between ticks).
-        agent.add_behaviour(GossipTicker(
-            period=interval, name="gossip",
-            initial_delay=interval * (1.0 + index / (len(members) + 1.0)),
-        ))
-        agent.add_behaviour(StandInResults("gossip-standin"))
+        self.loop.start()
+        self.agent.add_behaviour(StandInResults("gossip-standin"))
+        return self.loop
 
-    # -- the periodic round ------------------------------------------------
+    # -- the beacon loop's hooks -------------------------------------------
 
-    def _on_tick(self):
-        self.rounds += 1
-        transitions = self.view.detector.sweep()
+    def _payload(self):
+        content = self.agent.heartbeat()
+        content["digest"] = self.view.digest()
+        return content
+
+    def _targets(self):
+        """The root, then the next peer in the rotation."""
+        return (self.root_name,) + tuple(islice(self._peers, 1))
+
+    def _hear(self, content):
+        self._check_root(self.view.merge(content["digest"]))
+        subject = content.get("subject")
+        if subject not in (None, self.agent.name, self.root_name):
+            # Indirect probe: ping the subject on the sender's behalf; its
+            # answer lands in *our* view and travels onward by rotation.
+            self.loop.send(subject, probe=True)
+        return content["agent"]
+
+    def _react(self, transitions):
+        """Our own sweep's transitions: probe new suspects, watch the root."""
         for member, _, status in transitions:
             if status == SUSPECT:
                 self._probe(member)
-        # The root rides every round (the heartbeat cadence); peers take
-        # turns.  Confirmed members stay in the rotation on purpose: those
-        # pushes are the probes that reach a healed root first.
-        self._send(self.root_name, "digest")
-        self.digests_sent += 1
-        if self.rotation:
-            peer = self.rotation[self._rotation_index % len(self.rotation)]
-            self._rotation_index += 1
-            if peer != self.root_name:
-                self._send(peer, "digest")
-                self.digests_sent += 1
         self._check_root(transitions)
 
     def _probe(self, member):
-        """Direct ping plus an indirect ping-req via the next live peer."""
-        self._send(member, "ping")
-        self.pings_sent += 1
+        """Direct ping plus an indirect ping-req via the next live peer.
+
+        The root is never pinged outside a round, directly or by a relay,
+        nor asked to relay: every analyzer's round already pings it, so
+        each sends it one beacon per round.
+        """
+        if member != self.root_name:
+            self.loop.send(member, probe=True)
         for relay in self.view.alive_members():
-            if relay not in (self.agent.name, member):
-                self._send(relay, "ping-req", subject=member)
-                self.ping_reqs_sent += 1
+            if relay not in (self.agent.name, member, self.root_name):
+                self.loop.send(relay, subject=member)
                 break
 
     # -- stand-in dispatcher ----------------------------------------------
@@ -370,9 +313,6 @@ class AnalyzerGossip(_GossipParticipant):
             if name != self.root_name
         ]
         return candidates[0] if candidates else self.agent.name
-
-    def _after_merge(self, transitions):
-        self._check_root(transitions)
 
     def _check_root(self, transitions):
         """React to the root's transitions, from a merge or our sweep."""
@@ -435,12 +375,9 @@ class AnalyzerGossip(_GossipParticipant):
 
     def stats(self):
         return {
-            "rounds": self.rounds,
-            "digests_sent": self.digests_sent,
-            "digests_received": self.digests_received,
-            "acks_sent": self.acks_sent,
-            "pings_sent": self.pings_sent,
-            "ping_reqs_sent": self.ping_reqs_sent,
+            "rounds": self.loop.ticks,
+            "digests_sent": self.loop.sent,
+            "digests_received": self.loop.received,
             "suspects_raised": self.view.detector.suspects,
             "confirms": len(self.view.detector.downs),
             "recoveries": len(self.view.detector.recoveries),
@@ -456,30 +393,35 @@ class GossipMesh:
     """The whole mesh: one component per analyzer + the reactive root.
 
     Built by :class:`~repro.core.system.GridManagementSystem` when the
-    spec sets ``gossip=``; when unset, nothing here is imported and zero
-    behaviours, events or messages exist -- the byte-identity contract.
+    spec sets ``gossip=``, after the root is deployed and before the
+    analyzers are (each analyzer's setup starts its component).
 
     Args:
         root: the :class:`~repro.core.processor.ProcessorRootAgent`.
-        analyzers: the grid's :class:`AnalyzerAgent` list.
-        interval: gossip tick period (default 1.0).  A member turns
-            suspect after ``SUSPECT_ROUNDS`` intervals of silence and is
-            confirmed after ``CONFIRM_ROUNDS`` more, so detection latency
-            for a dead member is about six intervals as seen by each peer.
+        analyzers: the grid's :class:`AnalyzerAgent` list, not deployed.
+        interval: gossip round period (default 1.0).  A round's digest to
+            the root is the analyzer's heartbeat, so it may not exceed
+            ``heartbeat_interval``.  A dead member is confirmed after
+            about ``SUSPECT_ROUNDS + CONFIRM_ROUNDS`` intervals.
     """
 
     def __init__(self, root, analyzers, interval=1.0):
         if not analyzers:
             raise ValueError("gossip needs at least one analyzer")
-        self.interval = interval
+        if not interval > 0:
+            raise ValueError("gossip interval must be positive")
+        for analyzer in analyzers:
+            if interval > (analyzer.heartbeat_interval or interval):
+                raise ValueError("gossip interval exceeds heartbeat_interval:"
+                                 " the round's digest is the heartbeat")
         members = [root.name] + sorted(a.name for a in analyzers)
         self.root_name = root.name
-        self.root_gossip = RootGossip(root, members, interval)
+        self.root_gossip = RootGossip(root)
         self.members = {}
         for index, analyzer in enumerate(
                 sorted(analyzers, key=lambda a: a.name)):
             self.members[analyzer.name] = AnalyzerGossip(
-                analyzer, root.name, members, interval, index=index)
+                analyzer, root, members, interval, index=index)
 
     def detection_times(self, member=None):
         """When each analyzer's view first confirmed ``member`` (or root)."""
@@ -504,10 +446,10 @@ class GossipMesh:
         }
 
     def stats(self):
-        totals = {}
+        totals = Counter()
         for component in self.members.values():
-            for key, value in component.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        totals["root_digests_received"] = self.root_gossip.digests_received
-        totals["root_refutations"] = self.root_gossip.view.refutations
-        return totals
+            totals.update(component.stats())
+        totals["root_digests_received"] = \
+            self.root_gossip.agent.beacons.received
+        totals["root_refutations"] = self.root_gossip.refutations
+        return dict(totals)

@@ -1,12 +1,18 @@
-"""One failure detector for every tier of the management hierarchy.
+"""One failure detector and one beacon loop for every tier of the
+management hierarchy.
 
 The grid root, each federation site gateway and each analyzer's gossip
 view ask "is this member alive?" of a :class:`FailureDetector`
 configured in code per tier (DESIGN.md section 5.2, "Failure
 detection"); the container scorecard reads the root's.  The detector
-schedules no events and draws no random numbers: each client sweeps it
-on its own cadence and reacts to the transitions the sweep returns.
+schedules no events and draws no random numbers.  Every member that
+sends or hears beacons does so through one :class:`BeaconLoop`, which
+beats its targets, sweeps its detector, probes down targets and hands
+each transition to the tier's reaction.
 """
+
+from repro.agents.acl import ACLMessage, MessageTemplate, Performative
+from repro.agents.behaviours import CyclicBehaviour, TickerBehaviour
 
 ALIVE = "alive"
 SUSPECT = "suspect"
@@ -106,3 +112,131 @@ class FailureDetector:
             if old in (DOWN, HEALING):
                 self.recoveries.append((member, self.clock()))
         return (member, old, new)
+
+
+class BeaconLoop:
+    """One member's beacons: beat, sweep, probe and hear in one place.
+
+    :meth:`start` installs the behaviours ``beacon`` (the beat, when
+    ``period`` is set), ``beacon-sweep`` (when ``sweep_period`` is set;
+    otherwise every beat sweeps) and ``beacon-inbox`` (when there is a
+    ``detector``).  A beat sends ``payload()`` to each of ``targets()``;
+    a target the detector holds down is probed instead, at the next beat
+    and then after gaps that double from two periods up to ``probe_cap``
+    (``None``: no backoff).  An inbox beacon goes to ``hear(content)``,
+    which takes what the tier needs from it and names its sender
+    (``None`` drops it).  That transition and every sweep's go to
+    ``react(transitions)`` (which may be a generator), and a probe
+    (``probe=True``) is answered at once.  ``ping`` makes every beat a
+    probe, ``receivers`` maps a target to its agent where the names
+    differ, and ``on_tick`` runs first in every beat.
+    """
+
+    def __init__(self, agent, ontology, size, payload, period=None,
+                 targets=tuple, phase=None, detector=None,
+                 sweep_period=None, probe_cap=None, ping=False,
+                 receivers=None, hear=None, react=None, on_tick=None):
+        self.agent = agent
+        self.ontology = ontology
+        self.size = size
+        self.payload = payload
+        self.period = period
+        self.targets = targets
+        self.phase = phase
+        self.detector = detector
+        self.sweep_period = sweep_period
+        self.probe_cap = probe_cap
+        self.ping = ping
+        self.receivers = receivers or {}
+        self.hear = hear
+        self.react = react
+        self.on_tick = on_tick
+        self._backoff = {}  # down target -> (current gap, next probe time)
+        self.ticks = self.sent = self.received = self.probes = 0
+
+    def start(self):
+        loop = self
+
+        class Beat(TickerBehaviour):
+            def on_tick(self):
+                yield from loop._beat()
+
+        class Sweep(TickerBehaviour):
+            def on_tick(self):
+                yield from loop._react(loop.detector.sweep())
+
+        class Inbox(CyclicBehaviour):
+            def step(self):
+                message = yield from self.receive(MessageTemplate(
+                    performative=Performative.INFORM,
+                    ontology=loop.ontology.name,
+                ))
+                if message is not None:
+                    yield from loop._inbox(message)
+
+        if self.period is not None:
+            self.agent.add_behaviour(Beat(
+                period=self.period, name="beacon", initial_delay=self.phase))
+        if self.detector is not None:
+            if self.sweep_period is not None:
+                self.agent.add_behaviour(Sweep(
+                    period=self.sweep_period, name="beacon-sweep"))
+            self.agent.add_behaviour(Inbox("beacon-inbox"))
+        return self
+
+    def send(self, target, probe=False, **fields):
+        """One beacon to ``target``, with ``fields`` added to its payload."""
+        content = self.payload()
+        content.update(fields)
+        if probe:
+            content["probe"] = True
+        # A plain send on purpose: retransmission would mask the very
+        # silence the detector listens for.
+        self.agent.send(ACLMessage(
+            Performative.INFORM,
+            sender=self.agent.name,
+            receiver=self.receivers.get(target, target),
+            content=self.ontology.validate(content),
+            ontology=self.ontology.name,
+            size_units=self.size,
+        ))
+        self.sent += 1
+
+    def _beat(self):
+        self.ticks += 1
+        if self.on_tick is not None:
+            self.on_tick()
+        if self.detector is not None and self.sweep_period is None:
+            yield from self._react(self.detector.sweep())
+        now = self.agent.sim.now
+        for target in self.targets():
+            if (self.probe_cap is None
+                    or self.detector.status(target) != DOWN):
+                self._backoff.pop(target, None)
+                self.send(target, probe=self.ping)
+                continue
+            gap, due = self._backoff.get(target, (self.period, now))
+            if now >= due:
+                self.probes += 1
+                self.send(target, probe=True)
+                gap = min(gap * 2.0, self.probe_cap)
+                self._backoff[target] = (gap, now + gap)
+
+    def _inbox(self, message):
+        content = self.ontology.validate(message.content)
+        self.received += 1
+        member = self.hear(content)
+        if member is None:
+            return
+        transition = self.detector.heard(member)
+        if transition is not None:
+            yield from self._react([transition])
+        if content.get("probe"):
+            # Answer at once, so a probe's round trip is the whole wait.
+            self.send(str(message.sender))
+
+    def _react(self, transitions):
+        if transitions and self.react is not None:
+            reaction = self.react(transitions)
+            if reaction is not None:
+                yield from reaction

@@ -28,7 +28,8 @@ from repro.agents.ontology import (
     HEARTBEAT,
 )
 from repro.core.costs import DEFAULT_COST_MODEL, GROUP_REQUEST_TYPES, TaskKind
-from repro.core.liveness import DOWN, TIMEOUT_BEACONS, FailureDetector
+from repro.core.liveness import DOWN, TIMEOUT_BEACONS
+from repro.core.liveness import BeaconLoop, FailureDetector
 from repro.core.loadbalance import KnowledgeFirstPolicy, PlacementJob
 from repro.core.negotiation import (
     CONTRACT_NET,
@@ -168,9 +169,21 @@ class ProcessorRootAgent(Agent):
         self.enable_cross = enable_cross
         self.heartbeat_timeout = (None if heartbeat_interval is None
                                   else TIMEOUT_BEACONS * heartbeat_interval)
-        #: Container liveness from heartbeats (also read by scorecards).
+        #: The root's one detector: container liveness from heartbeats,
+        #: also read by scorecards and reported in gossip digests.
         self.detector = FailureDetector(
             lambda: self.sim.now, down_after=self.heartbeat_timeout)
+        #: The root hears and sweeps but never beats; with gossip it
+        #: answers each analyzer's round with its digest.
+        self.beacons = BeaconLoop(
+            self, HEARTBEAT, 0.2, lambda: self.gossip.payload(),
+            detector=self.detector,
+            sweep_period=(None if self.heartbeat_timeout is None
+                          else max(0.5, self.heartbeat_timeout / 4.0)),
+            hear=self._hear_beacon, react=self._evict_downs,
+        )
+        #: :class:`repro.core.gossip.RootGossip`, when ``gossip=`` is on.
+        self.gossip = None
         self.jobs_abandoned = 0
         #: Seconds to wait for a placeable container before abandoning a
         #: job outright (e.g. every analyzer in the grid is gone).
@@ -211,7 +224,6 @@ class ProcessorRootAgent(Agent):
         self.forward_threshold = 2
         self.jobs_forwarded = 0
         self.negotiator = None
-        self.heartbeats_received = 0
         #: Results that arrived for an already-settled task -- normally the
         #: superseded attempt of a re-dispatch race, but after a
         #: split-brain heal also the gossip stand-in's buffer flush.
@@ -253,31 +265,13 @@ class ProcessorRootAgent(Agent):
             def on_tick(self):
                 yield from root._reap_expired_jobs()
 
-        class Heartbeats(CyclicBehaviour):
-            def step(self):
-                message = yield from self.receive(MessageTemplate(
-                    performative=Performative.INFORM,
-                    ontology=HEARTBEAT.name,
-                ))
-                if message is not None:
-                    root._on_heartbeat(message)
-
-        class Detector(TickerBehaviour):
-            def on_tick(self):
-                yield from root._check_heartbeats()
-
         self.add_behaviour(Registrations("registrations"))
         self.add_behaviour(DataReady("data-ready"))
         self.add_behaviour(Results("results"))
         self.add_behaviour(Reaper(
             period=max(1.0, self.job_timeout / 4.0), name="reaper",
         ))
-        self.add_behaviour(Heartbeats("heartbeats"))
-        if self.heartbeat_timeout is not None:
-            self.add_behaviour(Detector(
-                period=max(0.5, self.heartbeat_timeout / 4.0),
-                name="failure-detector",
-            ))
+        self.beacons.start()
 
     # -- registration (Figure 4) ------------------------------------------
 
@@ -781,41 +775,44 @@ class ProcessorRootAgent(Agent):
     def containers_recovered(self):
         return len(self.detector.recoveries)
 
-    def _on_heartbeat(self, message):
-        """Record a liveness beacon; re-register a returned container."""
-        content = HEARTBEAT.validate(message.content)
+    @property
+    def heartbeats_received(self):
+        return self.beacons.received
+
+    def _hear_beacon(self, content):
+        """The container a beacon speaks for, re-registered if it had
+        been evicted; None for a beacon from a corpse."""
         container_name = content["container"]
-        self.heartbeats_received += 1
         if container_name not in self._analyzer_agent_by_container:
             container = self.platform.containers.get(container_name)
             if container is None or not container.alive:
-                return  # beacon from a corpse (in-flight when it died)
+                return None  # in flight when its container died
             # Either an eviction proved premature (the container was alive
             # but unreachable, e.g. its host was down) or a brand-new
             # container announced itself by heartbeat: (re-)register it.
             self._analyzer_agent_by_container[container_name] = content["agent"]
-        self.detector.heard(container_name)
+        if self.gossip is not None:
+            self.gossip.absorb(content)
+        return container_name
 
-    def _check_heartbeats(self):
-        """Evict the containers whose beacons stopped, unless a beacon
-        revived one while an earlier eviction was re-dispatching."""
-        for container_name, _, _ in self.detector.sweep():
-            if self.detector.status(container_name) == DOWN:
-                yield from self._evict_container(container_name)
-
-    def _evict_container(self, container_name):
-        """Confirmed-dead path: deregister and retry its attempts *now*.
+    def _evict_downs(self, transitions):
+        """Deregister each container a sweep took down and retry its
+        attempts *now*, unless a beacon revived it while an earlier
+        eviction was re-dispatching.
 
         Unlike the Reaper (which waits out each job's own deadline), an
         eviction retries every live attempt on the container in one
         sweep -- detection latency is the heartbeat timeout, not the job
         timeout.
         """
-        self._analyzer_agent_by_container.pop(container_name, None)
-        for job in list(self._attempts.values()):
-            # A later job may settle while an earlier retry yields.
-            if not job.done and job.container == container_name:
-                yield from self._retry(job, "evicted", "eviction")
+        for container_name, _, _ in transitions:
+            if self.detector.status(container_name) != DOWN:
+                continue
+            self._analyzer_agent_by_container.pop(container_name, None)
+            for job in list(self._attempts.values()):
+                # A later job may settle while an earlier retry yields.
+                if not job.done and job.container == container_name:
+                    yield from self._retry(job, "evicted", "eviction")
 
     def _reap_expired_jobs(self):
         now = self.sim.now
@@ -898,7 +895,8 @@ class AnalyzerAgent(Agent):
         register_on_start: send the container profile to the root at setup.
         heartbeat_interval: seconds between liveness beacons to the root
             (``None``, the default, disables heartbeating; give the root
-            the same interval for failure detection).
+            the same interval for failure detection).  With gossip on,
+            each gossip round's digest to the root is the beacon.
         fetch_timeout: base patience per storage-fetch *attempt* (each
             attempt additionally waits out a transfer allowance sized from
             the query + expected reply); the historical behaviour (one
@@ -927,7 +925,6 @@ class AnalyzerAgent(Agent):
         self.jobs_completed = 0
         self.records_analyzed = 0
         self.rules_fired = 0
-        self.heartbeats_sent = 0
         self.fetch_attempts = 0
         self.fetch_retries_used = 0
         self.fetch_failures = 0
@@ -935,11 +932,11 @@ class AnalyzerAgent(Agent):
         #: Primary storage agent name -> its replica's (filled by
         #: :class:`~repro.core.replication.ReplicationService`).
         self.replicas = {}
-        #: Optional :class:`repro.core.gossip.AnalyzerGossip` component;
-        #: installed by the mesh when the spec enables ``gossip=``.  None
-        #: in every default build -- the single branch below is the whole
-        #: cost of the feature when disabled.
+        #: :class:`repro.core.gossip.AnalyzerGossip`, attached before
+        #: deployment when ``gossip=`` is on (None in every default build).
         self.gossip = None
+        #: The analyzer's one beacon loop (None while it does not beat).
+        self.beacons = None
 
     def setup(self):
         self.responder = ContractNetResponder(self)
@@ -985,34 +982,26 @@ class AnalyzerAgent(Agent):
                 if message is not None:
                     analyzer._learn_rule(message)
 
-        class Heartbeat(TickerBehaviour):
-            def on_tick(self):
-                analyzer._send_heartbeat()
-                return
-                yield  # pragma: no cover - keeps on_tick a generator
-
         self.add_behaviour(Jobs("jobs"))
         self.add_behaviour(Negotiation("negotiation"))
         self.add_behaviour(Learning("learning"))
-        if self.heartbeat_interval is not None:
-            self.add_behaviour(Heartbeat(
-                period=self.heartbeat_interval, name="heartbeat",
-            ))
+        if self.gossip is not None:
+            self.beacons = self.gossip.start()
+        elif self.heartbeat_interval is not None:
+            root = (self.root_name,)
+            self.beacons = BeaconLoop(
+                self, HEARTBEAT, 0.1, self.heartbeat,
+                period=self.heartbeat_interval, targets=lambda: root,
+            ).start()
 
-    def _send_heartbeat(self):
-        self.heartbeats_sent += 1
-        self.send(ACLMessage(
-            Performative.INFORM,
-            sender=self.name,
-            receiver=self.root_name,
-            content=HEARTBEAT.make(
-                container=self.container.name,
-                agent=self.name,
-                sent_at=self.sim.now,
-            ),
-            ontology=HEARTBEAT.name,
-            size_units=0.1,
-        ))
+    @property
+    def heartbeats_sent(self):
+        return 0 if self.beacons is None else self.beacons.sent
+
+    def heartbeat(self):
+        """The content of a liveness beacon to the root."""
+        return dict(container=self.container.name, agent=self.name,
+                    sent_at=self.sim.now)
 
     # -- job execution ------------------------------------------------------
 

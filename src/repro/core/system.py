@@ -104,11 +104,13 @@ class GridTopologySpec:
         gossip: ``False`` (default) builds no mesh -- zero behaviours,
             events or messages, preserving byte-identical paper runs.
             ``True`` installs a :class:`~repro.core.gossip.GossipMesh`:
-            analyzer containers exchange SWIM-style suspicion digests so
-            failure detection survives the loss of the root host
-            (split-brain), elect a stand-in dispatcher for results that
-            would be lost against the dead root, and reconcile on heal.
-            A dict supplies mesh keyword arguments (``interval``).
+            each round, an analyzer's heartbeat carries its SWIM-style
+            suspicion digest to the root and to a peer, so failure
+            detection survives the loss of the root host (split-brain);
+            analyzers elect a stand-in dispatcher for results that would
+            be lost against the dead root, and reconcile on heal.  A dict
+            supplies mesh keyword arguments (``interval``, at most
+            ``heartbeat_interval``).
         slos: iterable of :class:`~repro.core.health.SLOSpec` latency
             objectives.  Declaring any builds a
             :class:`~repro.core.health.HealthMonitor` (and implies
@@ -371,15 +373,6 @@ class GridManagementSystem:
             self.root = processor.root
         self._build_analyzers()
         self._build_collector_grid()
-        # The gossip mesh is strictly opt-in: when the spec leaves it off,
-        # no behaviours, events or messages exist (byte-identity contract,
-        # pinned by the figure-6 double-run test).
-        self.gossip = None
-        if spec.gossip:
-            from repro.core.gossip import GossipMesh
-
-            self.gossip = GossipMesh(
-                self.root, self.analyzers, **_options(spec.gossip))
         if self.telemetry is not None:
             self._wire_telemetry(owns_processor=processor is None)
         # The health layer only exists when SLOs are declared: its checker
@@ -531,7 +524,7 @@ class GridManagementSystem:
                 services=("analysis",), knowledge=host_spec.knowledge,
             )
             self.analysis_containers.append(container)
-            analyzer = AnalyzerAgent(
+            self.analyzers.append(AnalyzerAgent(
                 self._named("analyzer-%d" % (index + 1)),
                 root_name=self._root_name,
                 knowledge_base=self.spec.knowledge_base_factory(),
@@ -539,9 +532,19 @@ class GridManagementSystem:
                 heartbeat_interval=self.spec.heartbeat_interval,
                 fetch_timeout=self.spec.fetch_timeout,
                 fetch_retries=self.spec.fetch_retries,
-            )
+            ))
+        # The gossip mesh is strictly opt-in (byte-identity contract,
+        # pinned by the figure-6 double-run test).  It attaches before the
+        # analyzers deploy, so each one's setup starts its gossip loop.
+        self.gossip = None
+        if self.spec.gossip:
+            from repro.core.gossip import GossipMesh
+
+            self.gossip = GossipMesh(
+                self.root, self.analyzers, **_options(self.spec.gossip))
+        for container, analyzer in zip(self.analysis_containers,
+                                       self.analyzers):
             container.deploy(analyzer)
-            self.analyzers.append(analyzer)
 
     def _classifier_router(self):
         """Record -> shard classifier routing closure (None unsharded)."""

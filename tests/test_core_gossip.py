@@ -1,6 +1,6 @@
 """The analyzer gossip mesh (repro.core.gossip).
 
-Three layers of pinning:
+Four layers of pinning:
 
 * **algebra** (hypothesis): the digest merge is a join-semilattice --
   commutative, associative, idempotent -- and the suspicion order never
@@ -8,6 +8,9 @@ Three layers of pinning:
   (the SWIM refutation rule).
 * **PeerView**: escalation timing (alive -> suspect -> confirmed),
   refutation on self-suspicion, recovery accounting.
+* **one beacon loop**: with gossip on, each analyzer's round is its only
+  liveness message to the root, and the root answers from its one
+  failure detector.
 * **components on a live grid**: the stand-in dispatcher buffers results
   bound for a confirmed-dead root (duplicates counted, not shipped),
   flushes exactly once on heal, and the root's job dedup absorbs the
@@ -17,14 +20,17 @@ Three layers of pinning:
 """
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.agents.ontology import HEARTBEAT
 from repro.core.gossip import (
     ALIVE,
     CONFIRMED,
+    GOSSIP_SIZE,
     SUSPECT,
     GossipMesh,
     PeerView,
@@ -32,6 +38,7 @@ from repro.core.gossip import (
     merge_digests,
     merge_entries,
 )
+from repro.core.liveness import FailureDetector
 from repro.core.system import (
     DeviceSpec,
     GridManagementSystem,
@@ -130,7 +137,8 @@ def _view():
 
 class TestPeerView:
     """Suspicion runs on the view's FailureDetector; these drive it the
-    way the gossip ticker does (``view.detector.sweep()``)."""
+    way the analyzer's beacon loop does (``view.detector.sweep()`` each
+    round, ``view.detector.heard()`` per beacon from a member)."""
 
     def test_requires_positive_thresholds(self):
         clock = FakeClock()
@@ -161,7 +169,7 @@ class TestPeerView:
     def test_note_heard_defers_suspicion(self):
         view, clock = _view()
         clock.now = 2.5
-        view.note_heard("root")
+        view.detector.heard("root")
         clock.now = 4.0  # only 1.5s since root was heard
         assert view.detector.sweep() == [("a2", ALIVE, SUSPECT)]
         assert view.status("root") == ALIVE
@@ -175,7 +183,7 @@ class TestPeerView:
         clock.now = 20.0
         view.detector.sweep()
         assert view.status("root") == CONFIRMED
-        view.note_heard("root")
+        view.detector.heard("root")
         assert view.status("root") == CONFIRMED
 
     def test_merge_refutes_self_suspicion(self):
@@ -269,14 +277,19 @@ class TestMeshConstruction:
             GossipMesh(system.root, system.analyzers, interval=0.0)
         with pytest.raises(ValueError):
             GossipMesh(system.root, [])
+        # A round's digest is the root's heartbeat: no slower than it.
+        with pytest.raises(ValueError):
+            GossipMesh(system.root, system.analyzers, interval=3.0)
 
     def test_gossip_unset_builds_nothing(self):
         system = _gossip_system(gossip=False)
         assert system.gossip is None
+        assert system.root.gossip is None
         for analyzer in system.analyzers:
             assert analyzer.gossip is None
-            assert all(b.name not in ("gossip", "gossip-inbox",
-                                      "gossip-standin")
+            # Its beacon loop only beats: no view, no inbox, no stand-in.
+            assert analyzer.beacons.detector is None
+            assert all(b.name not in ("beacon-inbox", "gossip-standin")
                        for b in analyzer.behaviours())
 
     def test_quiet_mesh_converges_alive(self):
@@ -293,6 +306,69 @@ class TestMeshConstruction:
         assert stats["confirms"] == 0
 
 
+class TestOneBeaconLoop:
+    """Gossip rides the analyzers' one beacon loop, and the root answers
+    from its one detector."""
+
+    @staticmethod
+    def _count_beacons_to_root(system):
+        to_root = Counter()
+        send = system.platform.send
+
+        def counting(message):
+            if (str(message.receiver) == system.root.name
+                    and message.ontology == HEARTBEAT.name):
+                assert message.size_units == GOSSIP_SIZE
+                assert "digest" in message.content
+                to_root[str(message.sender)] += 1
+            send(message)
+
+        system.platform.send = counting
+        return to_root
+
+    @pytest.mark.parametrize("outage", [False, True])
+    def test_one_beacon_to_the_root_per_round(self, outage):
+        """Quiet or with the root cut off (when analyzers suspect it):
+        each analyzer's round is its only liveness message to the root."""
+        system = _gossip_system()
+        if outage:
+            apply_fault_plan(system, FaultPlan([FaultEvent(
+                15.0, FaultEvent.HOST_PARTITION, ["stor", "inf1"],
+                clear_after=30.0)]))
+        to_root = self._count_beacons_to_root(system)
+        system.sim.run(until=90.0)
+        if outage:
+            assert system.gossip.detection_times()
+        for analyzer in system.analyzers:
+            loop = analyzer.gossip.loop
+            assert loop.ticks > 80
+            assert to_root[analyzer.name] == loop.ticks
+            assert analyzer.heartbeats_sent == loop.sent
+
+    def test_root_owns_one_failure_detector(self):
+        system = _gossip_system()
+        root = system.root
+        apply_fault_plan(system, FaultPlan([FaultEvent(
+            15.0, FaultEvent.HOST_PARTITION, ["stor", "inf1", "inf2"],
+            clear_after=30.0)]))
+        system.sim.run(until=40.0)
+        detectors = [value for owner in (root, root.gossip, root.beacons)
+                     for value in vars(owner).values()
+                     if isinstance(value, FailureDetector)]
+        assert detectors and all(d is root.detector for d in detectors)
+        # Its digest reports each analyzer as its eviction detector sees
+        # it: the severed two are evicted, and so confirmed.
+        digest = root.gossip.payload()["digest"]
+        for index in range(1, 5):
+            status, _, last_heard = digest["analyzer-%d" % index]
+            container = "analysis-%d" % index
+            assert status == root.detector.status(container)
+            assert last_heard == root.detector.last_heard[container]
+        assert [digest["analyzer-%d" % i][0] for i in range(1, 5)] == [
+            ALIVE, ALIVE, CONFIRMED, CONFIRMED]
+        assert root.containers_evicted == 2
+
+
 class TestStandInDispatcher:
     def _result(self, job_id):
         return {"job_id": job_id, "findings": [], "records_analyzed": 3}
@@ -300,7 +376,7 @@ class TestStandInDispatcher:
     @staticmethod
     def _merge(component, digest):
         """Deliver a digest the way the inbox would: merge + root check."""
-        component._after_merge(component.view.merge(digest))
+        component._check_root(component.view.merge(digest))
 
     def _confirm_root(self, component):
         self._merge(component, {"pg-root": [CONFIRMED, 0, 0.0]})

@@ -6,6 +6,9 @@ site gateway, a gossip view -- and compares statuses, sweep results and
 transition times against small oracles that keep the per-client
 liveness code the detector replaced: the root's heartbeat eviction, the
 gateway's link-state machine and the gossip ``PeerView`` escalation.
+A second set drives the shared :class:`BeaconLoop` on a simulated LAN
+in each tier's configuration: its calls on the detector, replayed
+through the same oracles, must give the same sweeps and times.
 
 Times are multiples of 1/8 s and intervals are powers of two, so every
 subtraction below is exact.  That matters for the root: its old
@@ -18,12 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.agents.agent import Agent
+from repro.agents.ontology import HEARTBEAT, SITE_HEARTBEAT
+from repro.agents.platform import AgentPlatform
 from repro.core.liveness import (
     ALIVE,
     DOWN,
     HEALING,
     SUSPECT,
     TIMEOUT_BEACONS,
+    BeaconLoop,
     FailureDetector,
 )
 
@@ -42,7 +49,7 @@ class Clock:
 
 
 class RootOracle:
-    """``ProcessorRootAgent._on_heartbeat`` / ``_check_heartbeats``."""
+    """The root's heartbeat eviction, as written before the detector."""
 
     def __init__(self, timeout):
         self.timeout = timeout
@@ -76,7 +83,7 @@ class RootOracle:
 
 
 class GatewayOracle:
-    """``SiteGatewayAgent._check_peers`` / ``_on_beacon``."""
+    """The gateway's link-state machine, as written before the detector."""
 
     def __init__(self, timeout, peers):
         self.timeout = timeout
@@ -117,7 +124,7 @@ class GatewayOracle:
 
 
 class GossipOracle:
-    """``PeerView.note_heard`` / ``PeerView.tick``."""
+    """The gossip view's escalation, as written before the detector."""
 
     def __init__(self, suspect_after, confirm_after, members):
         self.suspect_after = suspect_after
@@ -258,3 +265,211 @@ class TestFailureDetector:
         assert detector.sweep() == [("a", ALIVE, DOWN)]
         assert detector.silence("a") == 3.0
         assert detector.status("b") == ALIVE
+
+
+# -- the shared beacon loop, driven in simulation ----------------------------
+
+
+class Member(Agent):
+    """A bare agent whose setup starts the beacon loop ``make`` builds."""
+
+    def __init__(self, name, make):
+        super().__init__(name)
+        self.make = make
+        self.loop = None
+
+    def setup(self):
+        self.loop = self.make(self).start()
+
+
+def _deploy(sim, network, transport, makers):
+    """One host and container per member: ``{name: make}``."""
+    platform = AgentPlatform(sim, network, transport)
+    members = {}
+    for name, make in makers.items():
+        host = network.add_host("h-" + name, "site1")
+        member = Member(name, make)
+        platform.create_container("c-" + name, host).deploy(member)
+        members[name] = member
+    return members
+
+
+def _record(detector, clock):
+    """Log every ``heard``/``sweep`` the loop makes on ``detector``."""
+    log = []
+    heard, sweep = detector.heard, detector.sweep
+
+    def logged_heard(member):
+        log.append(("heard", member, clock()))
+        return heard(member)
+
+    def logged_sweep():
+        transitions = sweep()
+        log.append(("sweep", transitions, clock()))
+        return transitions
+
+    detector.heard, detector.sweep = logged_heard, logged_sweep
+    return log
+
+
+def _replay(log, oracle):
+    """Feed the loop's log to the oracle; every sweep must agree."""
+    for action, what, at in log:
+        if action == "heard":
+            oracle.heard(what, at)
+        else:
+            assert [(name, new) for name, _, new in what] \
+                == oracle.sweep(at)
+
+
+def _cut(sim, network, host, at, until):
+    """Sever ``host`` from everyone else over ``[at, until)``."""
+    sim.schedule(at, network.partition_hosts, ([host],))
+    sim.schedule(until, network.heal_hosts)
+
+
+class TestBeaconLoopInSimulation:
+    """Each tier's configuration of :class:`BeaconLoop` on a simulated
+    LAN, with the far member cut off over [10, 20.5).  The loop's calls
+    on its detector, replayed through the per-client oracles above, give
+    the same sweeps, transitions and times, and every transition reaches
+    the tier's reaction."""
+
+    INTERVAL = 1.0
+
+    def _beater(self, ontology, payload, target, **options):
+        return lambda agent: BeaconLoop(
+            agent, ontology, 0.1, lambda: payload(agent),
+            period=self.INTERVAL, targets=lambda: (target,), **options)
+
+    def test_root_tier(self, sim, network, transport):
+        timeout = TIMEOUT_BEACONS * self.INTERVAL
+        detector = FailureDetector(lambda: sim.now, down_after=timeout)
+        reactions = []
+
+        def root(agent):
+            return BeaconLoop(
+                agent, HEARTBEAT, 0.2, dict, detector=detector,
+                sweep_period=max(0.5, timeout / 4.0),
+                hear=lambda content: content["container"],
+                react=reactions.extend)
+
+        def heartbeat(agent):
+            return dict(container=agent.container.name, agent=agent.name,
+                        sent_at=sim.now)
+
+        log = _record(detector, lambda: sim.now)
+        members = _deploy(sim, network, transport, {
+            "root": root,
+            "a": self._beater(HEARTBEAT, heartbeat, "root"),
+        })
+        _cut(sim, network, "h-a", 10.0, 20.5)
+        sim.run(until=40.0)
+        oracle = RootOracle(timeout)
+        _replay(log, oracle)
+        assert detector.downs == oracle.evictions == [("c-a", 14.0)]
+        assert detector.recoveries == oracle.recoveries
+        [(member, recovered_at)] = detector.recoveries
+        assert member == "c-a" and 21.0 < recovered_at < 21.1
+        assert reactions == [("c-a", ALIVE, DOWN), ("c-a", DOWN, ALIVE)]
+        # The root only hears: beats at t = 1..40, the 11 at 10..20 lost
+        # to the cut and the one at 40 still on the wire.
+        assert members["a"].loop.sent == 40
+        assert members["root"].loop.sent == 0
+        assert members["root"].loop.received == 28
+
+    def test_gateway_tier(self, sim, network, transport):
+        timeout = TIMEOUT_BEACONS * self.INTERVAL
+        cap = 8 * self.INTERVAL
+        detectors, reactions = {}, {}
+
+        def gateway(site, peer):
+            detector = FailureDetector(
+                lambda: sim.now, suspect_after=timeout / 2.0,
+                down_after=timeout, revive=HEALING)
+            detector.heard(peer)
+            detectors[site] = detector
+            reactions[site] = []
+            return lambda agent: BeaconLoop(
+                agent, SITE_HEARTBEAT, 0.2,
+                lambda: dict(site=site, sent_at=sim.now, analyzers=1,
+                             outstanding=0),
+                period=self.INTERVAL, targets=lambda: (peer,),
+                detector=detector, sweep_period=max(0.25, timeout / 8.0),
+                probe_cap=cap, receivers={peer: "gw-" + peer},
+                hear=lambda content: content["site"],
+                react=reactions[site].extend)
+
+        members = _deploy(sim, network, transport, {
+            "gw-s1": gateway("s1", "s2"),
+            "gw-s2": gateway("s2", "s1"),
+        })
+        log = _record(detectors["s1"], lambda: sim.now)
+        _cut(sim, network, "h-gw-s2", 10.0, 20.5)
+        sim.run(until=40.0)
+        oracle = GatewayOracle(timeout, ["s2"])
+        _replay(log, oracle)
+        assert detectors["s1"].downs == oracle.partitions
+        assert detectors["s1"].recoveries == oracle.heals
+        [(peer, down_at)] = oracle.partitions
+        assert peer == "s2" and down_at == 13.5
+        # Probes at the first beat after the partition (14), then after
+        # gaps of 2, 4 and 8 (the cap) beats: the one at 20 is still lost,
+        # the one at 28 is answered at once, and each side's probe plus
+        # the other's answer heal the link within the round trip.
+        assert members["gw-s1"].loop.probes == 4
+        [(peer, healed_at)] = detectors["s1"].recoveries
+        assert peer == "s2" and 28.0 < healed_at < 28.1
+        assert reactions["s1"] == [
+            ("s2", ALIVE, SUSPECT), ("s2", SUSPECT, DOWN),
+            ("s2", DOWN, HEALING), ("s2", HEALING, ALIVE)]
+        assert detectors["s1"].status("s2") == ALIVE
+        assert detectors["s2"].status("s1") == ALIVE
+
+    def test_gossip_view_tier(self, sim, network, transport):
+        rounds = 3 * self.INTERVAL
+        detector = FailureDetector(
+            lambda: sim.now, suspect_after=rounds, confirm_after=rounds,
+            revive=None)
+        detector.heard("a")
+        reactions = []
+
+        def heartbeat(agent):
+            return dict(container=agent.container.name, agent=agent.name,
+                        sent_at=sim.now)
+
+        def view(agent):
+            return BeaconLoop(
+                agent, HEARTBEAT, 0.2, lambda: heartbeat(agent),
+                period=self.INTERVAL, targets=lambda: ("a",),
+                phase=1.25 * self.INTERVAL, detector=detector, ping=True,
+                hear=lambda content: content["agent"],
+                react=reactions.extend)
+
+        log = _record(detector, lambda: sim.now)
+        members = _deploy(sim, network, transport, {
+            "v": view,
+            # "a" only beats and answers; it needs a detector to hear.
+            "a": self._beater(
+                HEARTBEAT, heartbeat, "v",
+                detector=FailureDetector(lambda: sim.now),
+                hear=lambda content: content["agent"]),
+        })
+        _cut(sim, network, "h-a", 10.0, 20.5)
+        sim.run(until=40.0)
+        oracle = GossipOracle(rounds, rounds, ["a"])
+        _replay(log, oracle)
+        assert detector.suspects == oracle.suspects_raised == 1
+        # Last heard at ~9.27 (the answer to the 9.25 probe): suspect at
+        # the 13.25 sweep, confirmed once suspected for more than 3 s.
+        assert oracle.confirm_times == {"a": 17.25}
+        assert detector.downs == [("a", 17.25)]
+        # Hearing never revives: only a merged refutation could.
+        assert detector.status("a") == DOWN
+        assert reactions == [("a", ALIVE, SUSPECT), ("a", SUSPECT, DOWN)]
+        # Every beat of the view (t = 1.25..39.25) is a probe; the 28
+        # outside the cut are answered at once, on top of a's 40 beats,
+        # of which 28 arrive (11 cut, the one at 40 on the wire).
+        assert members["v"].loop.ticks == 39
+        assert members["a"].loop.sent == 40 + 28
+        assert members["v"].loop.received == 28 + 28

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.agents.acl import ACLMessage, Performative
-from repro.agents.ontology import DATA_READY
+from repro.agents.ontology import DATA_READY, HEARTBEAT
 from repro.core.health import SLOSpec
 from repro.core.processor import CROSS_CLUSTER
 from repro.core.reports import Finding
@@ -487,6 +487,36 @@ class TestHeartbeatFailureDetection:
         assert all(a.heartbeats_sent >= 5 for a in system.analyzers)
         assert system.root.heartbeats_received >= 10
         assert system.root.containers_evicted == 0
+
+    def test_heartbeat_counts_sizes_and_phase(self):
+        """Gossip off, a heartbeat is one 0.1-unit HEARTBEAT to the root
+        every interval from t = interval, carrying exactly its container,
+        agent and send time; the root hears every one that has landed."""
+        system = GridManagementSystem(self._hb_spec())
+        beats = []
+        send = system.platform.send
+
+        def recording(message):
+            if message.ontology == HEARTBEAT.name:
+                beats.append((system.sim.now, str(message.sender),
+                              str(message.receiver), message.size_units,
+                              dict(message.content)))
+            send(message)
+
+        system.platform.send = recording
+        system.run(until=20)
+        for index, analyzer in enumerate(system.analyzers, start=1):
+            mine = [beat for beat in beats if beat[1] == analyzer.name]
+            assert [at for at, *_ in mine] == [
+                2.0 * tick for tick in range(1, 11)]
+            assert {(receiver, size) for _, _, receiver, size, _ in mine} \
+                == {(system.root.name, 0.1)}
+            assert [content for *_, content in mine] == [
+                {"container": "analysis-%d" % index, "agent": analyzer.name,
+                 "sent_at": at} for at, *_ in mine]
+            assert analyzer.heartbeats_sent == 10
+        # The beats sent at t = 20 are still on the wire.
+        assert system.root.heartbeats_received == 18
 
     def test_eviction_beats_the_reaper(self):
         # Same setup as the Reaper re-dispatch test, but with heartbeats

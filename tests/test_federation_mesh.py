@@ -155,9 +155,9 @@ class TestLinkStateMachine:
                                   heal_after=300.0)
         system.sim.run(until=100.0)
         gateway = system.sites["site1"].gateway
-        assert gateway.probes_sent > 0
-        assert gateway._probe_interval["site2"] <= \
-            gateway.reconnect_max_backoff == 8.0 * HEARTBEAT
+        assert gateway.beacons.probes > 0
+        gap, _ = gateway.beacons._backoff["site2"]
+        assert gap <= gateway.reconnect_max_backoff == 8.0 * HEARTBEAT
 
     def test_link_walks_through_suspect_and_healing(self):
         """Sampled every 10 ms, site1's link to a severed site2 enters

@@ -303,8 +303,6 @@ class TestMeshPartitionHeal:
 # One cell per catalog scenario; each asserts exactly the invariant tier
 # the scenario declares, through a shared tier-assertion ladder.
 
-GOSSIP_HEARTBEAT_TIMEOUT = 8.0  # 4 x the catalog's heartbeat_interval
-
 
 def _build_scenario(scenario, analysis_hosts=2, horizon=HORIZON):
     """Build, faultify and run a catalog scenario on the matrix topology.
@@ -392,7 +390,7 @@ class TestSplitBrainCell:
         for severed in ("analyzer-3", "analyzer-4"):
             assert severed in detection
             delay = detection[severed] - self.PARTITION_AT
-            assert 0.0 < delay <= GOSSIP_HEARTBEAT_TIMEOUT
+            assert 0.0 < delay <= system.root.heartbeat_timeout
 
         # The severed side elected the lexicographically-smallest alive
         # analyzer among themselves as stand-in dispatcher.
