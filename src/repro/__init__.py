@@ -20,7 +20,7 @@ paper-versus-measured record.
 """
 
 from repro.core.costs import CostModel, TaskKind
-from repro.core.records import CollectionGoal, ManagementRecord, Sample
+from repro.core.records import CollectionGoal, ManagementRecord
 from repro.core.system import (
     DeviceSpec,
     GridManagementSystem,
@@ -43,7 +43,6 @@ __all__ = [
     "GridTopologySpec",
     "HostSpec",
     "ManagementRecord",
-    "Sample",
     "Simulator",
     "TaskKind",
     "UtilizationReport",

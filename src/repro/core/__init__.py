@@ -19,7 +19,7 @@ Subpackage layout (one module per architectural element of Figure 2):
   facade that deploys a full grid from a topology spec.
 """
 
-from repro.core.records import CollectionGoal, ManagementRecord, Sample
+from repro.core.records import CollectionGoal, ManagementRecord
 from repro.core.costs import CostModel, TaskKind, REQUEST_TYPE_GROUPS
 from repro.core.storage import ManagementDataStore, StorageAgent
 from repro.core.reports import Alert, Finding, ManagementReport
@@ -70,7 +70,6 @@ __all__ = [
     "ProcessorRootAgent",
     "REQUEST_TYPE_GROUPS",
     "RoundRobinPolicy",
-    "Sample",
     "StorageAgent",
     "TaskKind",
     "make_policy",

@@ -18,7 +18,6 @@ from repro.agents.agent import Agent
 from repro.agents.behaviours import CyclicBehaviour
 from repro.agents.ontology import DATA_READY
 from repro.core.costs import DEFAULT_COST_MODEL, TaskKind
-from repro.core.records import Sample
 
 #: CPU units charged per record for classification/indexing proper (on top
 #: of the Table 1 Storing cost, which covers persistence).  Documented
@@ -199,32 +198,29 @@ class ClassifierAgent(Agent):
     }
 
     def _derive_rates(self, record):
-        """Turn cumulative counters into rate samples.
+        """Turn cumulative counters into rate values.
 
         SNMP interface counters only ever grow; threshold/surge analysis
         needs per-second rates, so the classifier derives them from
         successive observations (and re-seeds on counter wrap/reset).
         """
+        device, time = record.device, record.collected_at
         derived = []
-        for sample in record.samples:
-            rate_metric = self.COUNTER_METRICS.get(sample.metric)
-            if rate_metric is None or not isinstance(sample.value, (int, float)):
+        for metric, instance, value in record.values:
+            rate_metric = self.COUNTER_METRICS.get(metric)
+            if rate_metric is None or not isinstance(value, (int, float)):
                 continue
-            key = (sample.device, sample.metric, sample.instance)
+            key = (device, metric, instance)
             previous = self._counter_state.get(key)
-            self._counter_state[key] = (sample.time, sample.value)
+            self._counter_state[key] = (time, value)
             if previous is None:
                 continue
             prev_time, prev_value = previous
-            if sample.time <= prev_time or sample.value < prev_value:
+            if time <= prev_time or value < prev_value:
                 continue  # stale or wrapped counter: just re-seed
-            rate = (sample.value - prev_value) / (sample.time - prev_time)
-            derived.append(Sample(
-                device=sample.device, site=sample.site, group=sample.group,
-                metric=rate_metric, value=rate, time=sample.time,
-                instance=sample.instance,
-            ))
-        record.samples.extend(derived)
+            derived.append((rate_metric, instance,
+                            (value - prev_value) / (time - prev_time)))
+        record.values.extend(derived)
 
     def _flush_if_stale(self):
         if (

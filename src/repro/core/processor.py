@@ -847,13 +847,19 @@ def cluster_query(content, engine):
 
 
 def offer_cluster(engine, records, baselines):
-    """Offer a cluster job's facts to ``engine``: every sample of
-    ``records``, then every baseline.  Only the facts one of the engine's
-    patterns can match are built."""
+    """Offer a cluster job's facts to ``engine``: one ``sample`` fact per
+    value of ``records``, then every baseline.  Only the facts one of the
+    engine's patterns can match are built."""
     offer = engine.offer
     for record in records:
-        for sample in record.samples:
-            offer("sample", sample.fact_attrs())
+        device, site, group = record.device, record.site, record.group
+        time = record.collected_at
+        for metric, instance, value in record.values:
+            attrs = {"device": device, "site": site, "group": group,
+                     "metric": metric, "value": value, "time": time}
+            if instance is not None:
+                attrs["instance"] = instance
+            offer("sample", attrs)
     for baseline in baselines:
         offer("baseline", {
             "device": baseline["device"],

@@ -51,7 +51,7 @@ class ReplicationService:
         self.sim = system.sim
         self.lag = lag
         self.replica_stores = []
-        self._lanes = {}  # primary store -> (sender name, replica name)
+        self._lanes = {}  # primary store -> (classifier, replica name)
         replicas = {}     # primary storage agent name -> replica name
         for index, (store, primary, classifier, host) in enumerate(zip(
                 system.stores, system.storage_agents, system.classifiers,
@@ -64,7 +64,7 @@ class ReplicationService:
             ).deploy(replica)
             store.replication = self
             self.replica_stores.append(replica_store)
-            self._lanes[store] = (classifier.name, replica.name)
+            self._lanes[store] = (classifier, replica.name)
             replicas[primary.name] = replica.name
         for analyzer in system.analyzers:
             analyzer.replicas.update(replicas)
@@ -79,16 +79,19 @@ class ReplicationService:
     def _send_batch(self, store, records, dataset_id):
         if not store.host.up:
             return  # primary died before shipping; batch is lost (async)
-        sender, replica = self._lanes[store]
+        classifier, replica = self._lanes[store]
         # One-way: the replica stores without replying.  Batches ride the
         # reliable channel when installed: a lost mirror write would
-        # silently diverge the replica.
+        # silently diverge the replica.  The replica clusters with the
+        # writing classifier's strategy, so its datasets hold the
+        # primary's clusters.
         self.platform.send_reliable(ACLMessage(
             Performative.REQUEST,
-            sender=sender,
+            sender=classifier.name,
             receiver=replica,
             content={"op": "replicate", "records": records,
-                     "dataset": dataset_id},
+                     "dataset": dataset_id,
+                     "cluster_of": classifier.cluster_of},
             ontology="replication",
             size_units=sum(record.size_units for record in records),
         ))

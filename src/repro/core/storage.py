@@ -67,15 +67,13 @@ class ManagementDataStore:
             records: iterable of parsed :class:`ManagementRecord`.
             dataset_id: when given, records are also grouped into that
                 dataset under ``cluster_of(record)`` keys.
-            cluster_of: callable record -> cluster key (defaults to the
-                record's metric group).
+            cluster_of: callable record -> cluster key; required with
+                ``dataset_id`` (the writing classifier's strategy).
         """
         records = list(records)
         if not records:
             return 0
         store_cost = self.cost_model.store_cost()
-        if cluster_of is None:
-            cluster_of = lambda record: record.group
         for record in records:
             if store_cost.cpu:
                 yield self.host.cpu.use(store_cost.cpu, label="store")
@@ -91,11 +89,12 @@ class ManagementDataStore:
         return len(records)
 
     def _index(self, record):
-        for sample in record.samples:
-            if not isinstance(sample.value, (int, float)):
+        device, time = record.device, record.collected_at
+        for metric, instance, value in record.values:
+            if not isinstance(value, (int, float)):
                 continue
-            key = (sample.device, sample.metric, sample.instance)
-            self._history.setdefault(key, []).append((sample.time, sample.value))
+            self._history.setdefault((device, metric, instance), []).append(
+                (time, value))
 
     # -- dataset access -----------------------------------------------------
 
@@ -151,14 +150,15 @@ class ManagementDataStore:
 
         ``admit`` (the gate's literals, see :func:`series_filter`) builds
         only the series it admits; None builds every series.  Series keep
-        the order of their first sample.
+        the order of their first value.
         """
         admitted = series_filter(admit)
         seen = set()
         baselines = []
         for record in records:
-            for sample in record.samples:
-                key = (sample.device, sample.metric, sample.instance)
+            device = record.device
+            for metric, instance, _ in record.values:
+                key = (device, metric, instance)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -198,12 +198,11 @@ class StorageAgent(Agent):
       the per-device problem-relevant summary for cross-inference, sized
       ``cross_reply_size``.
 
-    REQUEST operations:
+    REQUEST operation:
 
-    * ``{"op": "store-batch", "records": [...], "dataset": ...}`` --
-      persists records, replies CONFIRM.
-    * ``{"op": "replicate", "records": [...], "dataset": ...}`` -- persists
-      a replicated batch without a reply (one-way; the reliable channel,
+    * ``{"op": "replicate", "records": [...], "dataset": ...,
+      "cluster_of": ...}`` -- persists a replicated batch under the
+      primary's clusters, without a reply (one-way; the reliable channel,
       when installed, acks the wire message).
     """
 
@@ -287,19 +286,13 @@ class StorageAgent(Agent):
 
     def _store_batch(self, message):
         content = message.content
-        operation = content.get("op")
-        if operation not in ("store-batch", "replicate"):
+        if content.get("op") != "replicate":
             self.reply_to(
                 message, Performative.NOT_UNDERSTOOD,
                 content={"reason": "unknown op"},
             )
             return
-        records = content["records"]
-        stored = yield from self.store.store_records(
-            records, dataset_id=content.get("dataset"),
-            cluster_of=content.get("cluster_of"),
+        yield from self.store.store_records(
+            content["records"], dataset_id=content.get("dataset"),
+            cluster_of=content["cluster_of"],
         )
-        if operation == "store-batch":
-            self.reply_to(
-                message, Performative.CONFIRM, content={"stored": stored},
-            )

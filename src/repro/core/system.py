@@ -553,8 +553,11 @@ class GridManagementSystem:
         ring = self.ring
         classifier_by_host = self._classifier_by_host
 
+        # Records shard by device, so one shard owns every record (and
+        # the whole metric history) of a device: level-2 consolidation
+        # stays shard-local.
         def route(record):
-            return classifier_by_host[ring.lookup(record.shard_key())]
+            return classifier_by_host[ring.lookup(record.device)]
 
         return route
 

@@ -1,5 +1,7 @@
 """Unit tests for the Table 1 cost model and the common data representation."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.costs import (
@@ -9,11 +11,10 @@ from repro.core.costs import (
     TaskCost,
     TaskKind,
 )
+from repro.core.processor import offer_cluster
 from repro.core.records import (
     CollectionGoal,
     ManagementRecord,
-    RELEVANT_METRICS,
-    Sample,
     metric_from_mib_name,
 )
 from repro.snmp.engine import VarBind
@@ -107,11 +108,19 @@ class TestCostModel:
         assert model.request_costs["A"].cpu == 10
 
 
+def _offered(records):
+    """The (type, attrs) of every fact ``offer_cluster`` offers."""
+    offered = []
+    engine = SimpleNamespace(
+        offer=lambda kind, attrs: offered.append((kind, attrs)))
+    offer_cluster(engine, records, [])
+    return offered
+
+
 class TestRecords:
     def test_metric_normalization(self):
         assert metric_from_mib_name("ssCpuBusy") == ("cpu_load", None)
         assert metric_from_mib_name("ifInOctets.3") == ("if_in_octets", 3)
-        assert metric_from_mib_name("hrSWRunName.2") == ("proc_name", 2)
         assert metric_from_mib_name("unknownThing") == (None, None)
 
     def _raw_record(self):
@@ -129,11 +138,9 @@ class TestRecords:
 
     def test_from_varbinds_skips_errors_and_unknowns(self):
         record = self._raw_record()
-        metrics = record.metrics()
-        assert "cpu_load" in metrics
-        assert "mem_available" in metrics
-        assert "proc_name" in metrics
-        assert len(record) == 3  # mystery + errored dropped
+        # mystery + errored + the unread process name dropped
+        assert record.values == [("cpu_load", None, 95.0),
+                                 ("mem_available", None, 1000)]
         assert not record.parsed
 
     def test_parse_keeps_relevant_and_shrinks(self):
@@ -141,29 +148,32 @@ class TestRecords:
         parsed = record.parse(1.5)
         assert parsed.parsed
         assert parsed.size_units == 1.5
-        assert "proc_name" not in parsed.metrics()  # not analysis-relevant
-        assert "cpu_load" in parsed.metrics()
+        assert parsed.values == record.values
+        assert parsed.values is not record.values
         # original untouched
         assert not record.parsed
-        assert len(record) == 3
+        assert record.size_units == 4.5
 
     def test_to_facts_shape(self):
         record = self._raw_record().parse(1.5)
-        facts = record.to_facts()
-        assert all(fact.type == "sample" for fact in facts)
-        cpu_fact = next(f for f in facts if f["metric"] == "cpu_load")
-        assert cpu_fact["device"] == "d1"
-        assert cpu_fact["value"] == 95.0
-        assert cpu_fact["time"] == 3.0
+        offered = _offered([record])
+        assert [kind for kind, _ in offered] == ["sample", "sample"]
+        cpu_attrs = offered[0][1]
+        assert list(cpu_attrs.items()) == [
+            ("device", "d1"), ("site", "s1"), ("group", "performance"),
+            ("metric", "cpu_load"), ("value", 95.0), ("time", 3.0)]
 
     def test_sample_instance_in_fact(self):
-        sample = Sample("d", "s", "traffic", "if_in_octets", 5, 1.0, instance=2)
-        fact = sample.to_fact()
-        assert fact["instance"] == 2
+        record = ManagementRecord(
+            "d", "s", "C", "traffic", [("if_in_octets", 2, 5)], 1.0,
+            size_units=1.5, parsed=True)
+        [(_, attrs)] = _offered([record])
+        assert attrs["instance"] == 2
+        assert list(attrs)[-1] == "instance"
 
     def test_relevant_metrics_exclude_noise(self):
-        assert "proc_name" not in RELEVANT_METRICS
-        assert "cpu_load" in RELEVANT_METRICS
+        for mib_name in ("hrSWRunName.1", "ifNumber", "dskTotal"):
+            assert metric_from_mib_name(mib_name) == (None, None)
 
 
 class TestCollectionGoal:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.agents.platform import AgentPlatform
 from repro.core.classifier import ClassifierAgent
-from repro.core.records import ManagementRecord, Sample
+from repro.core.records import ManagementRecord
 from repro.core.storage import ManagementDataStore
 from repro.network.topology import Network
 from repro.network.transport import Transport
@@ -12,10 +12,9 @@ from repro.simkernel.simulator import Simulator
 
 
 def traffic_record(device, octets, time, instance=1):
-    sample = Sample(device, "s1", "traffic", "if_in_octets", octets, time,
-                    instance=instance)
     return ManagementRecord(
-        device, "s1", "C", "traffic", [sample], time,
+        device, "s1", "C", "traffic", [("if_in_octets", instance, octets)],
+        time,
         size_units=1.5, parsed=True,
     )
 
@@ -52,10 +51,11 @@ class TestRateDerivation:
     def test_second_observation_yields_rate(self, classifier_world):
         sim, classifier, store = classifier_world
         _classify(sim, classifier, [traffic_record("r1", 1000, 1.0)])
-        _classify(sim, classifier, [traffic_record("r1", 3000, 3.0)])
+        second = traffic_record("r1", 3000, 3.0)
+        _classify(sim, classifier, [second])
         points = store.history("r1", "if_in_rate", 1)
-        assert len(points) == 1
-        assert points[0][1] == pytest.approx(1000.0)  # (3000-1000)/(3-1)
+        assert points == [(3.0, pytest.approx(1000.0))]  # (3000-1000)/(3-1)
+        assert second.values[1:] == [("if_in_rate", 1, pytest.approx(1000.0))]
 
     def test_counter_wrap_reseeds(self, classifier_world):
         sim, classifier, store = classifier_world
@@ -90,10 +90,9 @@ class TestRateDerivation:
 
     def test_non_counter_metrics_untouched(self, classifier_world):
         sim, classifier, store = classifier_world
-        sample = Sample("r1", "s1", "performance", "cpu_load", 50.0, 1.0)
         record = ManagementRecord(
-            "r1", "s1", "A", "performance", [sample], 1.0,
+            "r1", "s1", "A", "performance", [("cpu_load", None, 50.0)], 1.0,
             size_units=1.5, parsed=True,
         )
         _classify(sim, classifier, [record])
-        assert len(record.samples) == 1
+        assert record.values == [("cpu_load", None, 50.0)]

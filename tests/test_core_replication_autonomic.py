@@ -29,6 +29,11 @@ def replicated_spec(seed=6, devices=2, **overrides):
     return GridTopologySpec(**options)
 
 
+#: Every clustering strategy, by test id; a replica must keep its
+#: primary's clusters.
+STRATEGIES = {"group": "by-group", "device": "by-device", "site": "by-site"}
+
+
 def replica_hosts(system):
     """One fresh replica host per shard, in shard order."""
     return [
@@ -65,12 +70,15 @@ class TestReplication:
         assert replica_host.disk.units_by_label["store"] > 0
         assert system.store.host.nic.units_by_label["acl"] > 0
 
-    def test_replica_datasets_mirror_clusters(self):
-        system, service = replicated_system()
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_replica_datasets_mirror_clusters(self, strategy):
+        system, service = replicated_system(
+            cluster_strategy=STRATEGIES[strategy])
         system.assign_goals(system.make_paper_goals(polls_per_type=2))
         assert system.run_until_records(6, timeout=2000)
         system.sim.run(until=system.sim.now + 10)
         primary_datasets = system.store.dataset_ids()
+        assert primary_datasets
         for dataset_id in primary_datasets:
             assert service.replica_stores[0].clusters_of(dataset_id) == \
                 system.store.clusters_of(dataset_id)
@@ -95,8 +103,19 @@ class TestReplication:
 
 
 class TestFailover:
-    def test_fetch_fails_over_when_primary_agent_dies(self):
-        system, service = replicated_system()
+    @pytest.mark.parametrize("strategy", [
+        "group", "device",
+        # One cluster holds the whole dataset, so its job fetches from the
+        # replica right after the primary stored the dataset's last
+        # record, before that record's mirror write lands (lag plus the
+        # replica's own Storing cost): the job analyzes 5 of 6 records.
+        pytest.param("site", marks=pytest.mark.xfail(
+            strict=True, reason="a failover fetch reads a replica that "
+            "has not yet mirrored the dataset's last batch")),
+    ])
+    def test_fetch_fails_over_when_primary_agent_dies(self, strategy):
+        system, service = replicated_system(
+            cluster_strategy=STRATEGIES[strategy])
         # kill the primary storage agent once collection is underway; the
         # classifier keeps storing locally (and replicating), but fetches
         # can only be answered by the replica.
@@ -109,6 +128,8 @@ class TestFailover:
         assert completed
         assert sum(a.fetch_failovers for a in system.analyzers) > 0
         assert service.replica_stores[0].fetches_served > 0
+        # every record reaches a report through the replica's clusters
+        assert sum(r.records_analyzed for r in system.interface.reports) == 6
 
     @staticmethod
     def _replica_nic_units(kill_primary_at):

@@ -5,7 +5,8 @@ import pytest
 from repro.agents.acl import ACLMessage, MessageTemplate, Performative
 from repro.agents.agent import Agent
 from repro.agents.platform import AgentPlatform
-from repro.core.records import ManagementRecord, Sample
+from repro.core.classifier import cluster_by_group
+from repro.core.records import ManagementRecord
 from repro.core.storage import ManagementDataStore, StorageAgent
 from repro.network.topology import Network
 from repro.network.transport import Transport
@@ -14,9 +15,8 @@ from repro.simkernel.simulator import Simulator
 
 def make_record(device="d1", metric="cpu_load", value=50.0, time=1.0,
                 group="performance", request_type="A"):
-    sample = Sample(device, "s1", group, metric, value, time)
     return ManagementRecord(
-        device, "s1", request_type, group, [sample], time,
+        device, "s1", request_type, group, [(metric, None, value)], time,
         size_units=1.5, parsed=True,
     )
 
@@ -70,7 +70,8 @@ class TestDataStore:
         ]
 
         def proc():
-            yield from store.store_records(records, dataset_id="ds-t")
+            yield from store.store_records(records, dataset_id="ds-t",
+                                           cluster_of=cluster_by_group)
 
         sim.spawn(proc())
         sim.run(until=100)
@@ -135,10 +136,12 @@ class TestDataStore:
 class _Requester(Agent):
     """Scripted agent that queries the storage agent."""
 
-    def __init__(self, name, storage_name, query):
+    def __init__(self, name, storage_name, query,
+                 performative=Performative.QUERY_REF):
         super().__init__(name)
         self.storage_name = storage_name
         self.query = query
+        self.performative = performative
         self.reply = None
 
     def setup(self):
@@ -149,7 +152,7 @@ class _Requester(Agent):
         class Ask(OneShotBehaviour):
             def action(self):
                 agent.send(ACLMessage(
-                    Performative.QUERY_REF, agent.name, agent.storage_name,
+                    agent.performative, agent.name, agent.storage_name,
                     content=agent.query, conversation_id="q-1",
                     size_units=0.5,
                 ))
@@ -160,7 +163,8 @@ class _Requester(Agent):
 
 
 class TestStorageAgent:
-    def _deploy(self, world, query, preload=(), history=()):
+    def _deploy(self, world, query, preload=(), history=(),
+                performative=Performative.QUERY_REF):
         sim, network, platform, store, storage_host, client_host = world
         storage_container = platform.create_container("sc", storage_host)
         client_container = platform.create_container("cc", client_host)
@@ -169,11 +173,13 @@ class TestStorageAgent:
 
         def load():
             yield from store.store_records(list(history))
-            yield from store.store_records(list(preload), dataset_id="ds-1")
+            yield from store.store_records(list(preload), dataset_id="ds-1",
+                                           cluster_of=cluster_by_group)
 
         sim.spawn(load())
         sim.run(until=50)
-        requester = _Requester("client-agent", "storage@stor", query)
+        requester = _Requester("client-agent", "storage@stor", query,
+                               performative)
         client_container.deploy(requester)
         sim.run(until=200)
         return requester, store
@@ -208,37 +214,11 @@ class TestStorageAgent:
         requester, _ = self._deploy(world, {"op": "divinate"})
         assert requester.reply.performative == Performative.NOT_UNDERSTOOD
 
-    def test_store_batch_via_acl(self, world):
-        sim, network, platform, store, storage_host, client_host = world
-        storage_container = platform.create_container("sc", storage_host)
-        client_container = platform.create_container("cc", client_host)
-        storage_agent = StorageAgent("storage@stor", store)
-        storage_container.deploy(storage_agent)
-
-        class Sender(Agent):
-            def setup(self):
-                agent = self
-
-                from repro.agents.behaviours import OneShotBehaviour
-
-                class Send(OneShotBehaviour):
-                    def action(self):
-                        agent.send(ACLMessage(
-                            Performative.REQUEST, agent.name, "storage@stor",
-                            content={"op": "store-batch",
-                                     "records": [make_record()],
-                                     "dataset": "ds-x"},
-                            conversation_id="s-1", size_units=1.5,
-                        ))
-                        agent.confirm = yield from self.receive(
-                            MessageTemplate(conversation_id="s-1"),
-                            timeout=60.0)
-
-                self.add_behaviour(Send())
-
-        sender = Sender("sender")
-        client_container.deploy(sender)
-        sim.run(until=200)
-        assert sender.confirm.performative == Performative.CONFIRM
-        assert sender.confirm.content["stored"] == 1
-        assert store.dataset_size("ds-x") == 1
+    def test_unknown_request_op_not_understood(self, world):
+        # a REQUEST is understood only as a replicated batch
+        requester, store = self._deploy(
+            world, {"op": "store-batch", "records": [make_record()],
+                    "dataset": "ds-x"},
+            performative=Performative.REQUEST)
+        assert requester.reply.performative == Performative.NOT_UNDERSTOOD
+        assert store.records_stored == 0

@@ -15,7 +15,8 @@ import pytest
 
 import repro.core.processor as processor
 from repro.core.processor import AnalyzerAgent, cluster_query
-from repro.core.records import ManagementRecord, Sample
+from repro.core.classifier import cluster_by_group
+from repro.core.records import ManagementRecord
 from repro.core.storage import ManagementDataStore, StorageAgent
 from repro.rules.conditions import Pattern, Var
 from repro.rules.engine import InferenceEngine, Rule
@@ -49,13 +50,12 @@ def _poll(time, tripped):
     records = []
     for device in DEVICES:
         for request_type, group, series in REQUESTS:
-            samples = [
-                Sample(device, "site1", group, metric,
-                       tripped.get((device, metric), QUIET[metric]),
-                       time, instance)
+            values = [
+                (metric, instance,
+                 tripped.get((device, metric), QUIET[metric]))
                 for metric, instance in series]
             records.append(ManagementRecord(
-                device, "site1", request_type, group, samples, time,
+                device, "site1", request_type, group, values, time,
                 size_units=1.0, parsed=True))
     return records
 
@@ -74,9 +74,11 @@ def deployment(sim, network, platform):
             analyzer)
 
     def load():
-        yield from store.store_records(_poll(10.0, {}), dataset_id="ds-1")
+        yield from store.store_records(_poll(10.0, {}), dataset_id="ds-1",
+                                       cluster_of=cluster_by_group)
         yield from store.store_records(_poll(70.0, TRIPPED),
-                                       dataset_id="ds-2")
+                                       dataset_id="ds-2",
+                                       cluster_of=cluster_by_group)
 
     sim.spawn(load())
     sim.run(until=100.0)

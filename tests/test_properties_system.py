@@ -1,10 +1,13 @@
 """Property-based tests on system-level invariants (hypothesis)."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.ontology import ANALYSIS_JOB, DATA_READY
-from repro.core.records import ManagementRecord, Sample
+from repro.core.processor import offer_cluster
+from repro.core.records import ManagementRecord, metric_from_mib_name
 from repro.network.addressing import Address
 from repro.network.protocols import HTTP, SMTP
 from repro.network.topology import Network
@@ -12,6 +15,7 @@ from repro.network.transport import Message, Transport
 from repro.rules.conditions import Pattern, Var
 from repro.rules.facts import Fact
 from repro.simkernel.simulator import Simulator
+from repro.snmp.engine import VarBind
 
 
 class TestTransportConservation:
@@ -55,35 +59,39 @@ class TestRecordProperties:
                                  allow_nan=False))
 
     @given(st.lists(st.tuples(
-        st.sampled_from(["cpu_load", "mem_available", "proc_name",
-                         "if_in_octets", "disk_total"]),
+        st.sampled_from(["ssCpuBusy", "memAvailReal", "hrSWRunName.1",
+                         "ifInOctets.2", "dskTotal"]),
         values,
     ), max_size=10))
-    def test_parse_is_idempotent_and_shrinking(self, metric_values):
-        samples = [
-            Sample("d", "s", "performance", metric, value, 1.0)
-            for metric, value in metric_values
-        ]
-        record = ManagementRecord(
-            "d", "s", "A", "performance", samples, 1.0, size_units=4.5)
+    def test_parse_is_idempotent_and_shrinking(self, named_values):
+        record = ManagementRecord.from_varbinds(
+            "d", "s", "A", "performance",
+            [VarBind("1.3.6", value, mib_name)
+             for mib_name, value in named_values], 1.0, size_units=4.5)
+        assert [metric for metric, _, _ in record.values] == [
+            metric_from_mib_name(mib_name)[0]
+            for mib_name, _ in named_values
+            if mib_name in ("ssCpuBusy", "memAvailReal", "ifInOctets.2")]
         parsed_once = record.parse(1.5)
         parsed_twice = parsed_once.parse(1.5)
-        assert len(parsed_twice) == len(parsed_once) <= len(record)
-        assert parsed_once.metrics() == parsed_twice.metrics()
+        assert parsed_twice.values == parsed_once.values == record.values
         assert parsed_once.size_units <= record.size_units
 
     @given(st.lists(st.tuples(
         st.sampled_from(["cpu_load", "disk_free"]), values), max_size=8))
     def test_to_facts_preserves_every_sample(self, metric_values):
-        samples = [
-            Sample("d", "s", "performance", metric, value, 2.0)
-            for metric, value in metric_values
-        ]
         record = ManagementRecord(
-            "d", "s", "A", "performance", samples, 2.0, size_units=4.5)
-        facts = record.to_facts()
-        assert len(facts) == len(samples)
+            "d", "s", "A", "performance",
+            [(metric, None, value) for metric, value in metric_values], 2.0,
+            size_units=4.5)
+        facts = []
+        offer_cluster(SimpleNamespace(
+            offer=lambda kind, attrs: facts.append(Fact.owning(kind, attrs))),
+            [record], [])
+        assert len(facts) == len(metric_values)
         assert all(fact["device"] == "d" for fact in facts)
+        assert [(fact["metric"], fact["value"]) for fact in facts] == \
+            metric_values
 
 
 class TestOntologyProperties:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.costs import CostModel, TaskCost, TaskKind
-from repro.core.records import ManagementRecord, Sample
+from repro.core.records import ManagementRecord
 from repro.core.storage import ManagementDataStore
 from repro.network.topology import Network
 from repro.network.transport import Transport
@@ -70,8 +70,7 @@ def _store(history):
     store = ManagementDataStore(host=None, cost_model=FREE_STORE)
     records = [
         ManagementRecord(device, "s1", "A", "performance",
-                         [Sample(device, "s1", "performance", metric, value,
-                                 time, instance)],
+                         [(metric, instance, value)],
                          time, size_units=1.0, parsed=True)
         for (device, metric, instance), points in history.items()
         for time, value in points
@@ -130,8 +129,7 @@ INSTANCES = (None, 1, 2)
 def _records(series):
     return [
         ManagementRecord(device, "s1", "A", "performance",
-                         [Sample(device, "s1", "performance", metric, 1.0,
-                                 50.0, instance)],
+                         [(metric, instance, 1.0)],
                          50.0, size_units=1.0, parsed=True)
         for device, metric, instance in series
     ]

@@ -13,7 +13,7 @@ re-pin only for a deliberate change, and say why.
 import pytest
 
 from repro.core.processor import offer_cluster
-from repro.core.records import ManagementRecord, Sample
+from repro.core.records import ManagementRecord
 from repro.rules.conditions import Pattern
 from repro.rules.facts import WorkingMemory
 from repro.rules.stdlib import standard_knowledge_base
@@ -48,20 +48,18 @@ def _cluster():
         for request_type, group, metrics, instances in (
                 ("A", "performance", PERFORMANCE, (None,)),
                 ("C", "traffic", TRAFFIC, (1, 2))):
-            samples = [
-                Sample(name, "site%d" % (device % 2), group, metric,
-                       _value(device, metric, instance), time=60.0,
-                       instance=instance)
+            values = [
+                (metric, instance, _value(device, metric, instance))
                 for metric in metrics for instance in instances
             ]
             records.append(ManagementRecord(
-                name, "site%d" % (device % 2), request_type, group, samples,
+                name, "site%d" % (device % 2), request_type, group, values,
                 collected_at=60.0, size_units=1.0, parsed=True))
-            for sample in samples:
-                mean = sample.value / (4.0 if device == 5 else 1.0)
+            for metric, instance, value in values:
+                mean = value / (4.0 if device == 5 else 1.0)
                 baselines.append({
-                    "device": name, "metric": sample.metric,
-                    "instance": sample.instance, "mean": mean,
+                    "device": name, "metric": metric,
+                    "instance": instance, "mean": mean,
                     "maximum": mean * 1.5, "count": 10,
                 })
     return records, baselines
@@ -82,7 +80,7 @@ def match_calls(monkeypatch):
 
 def test_cluster_analysis_work_is_pinned(match_calls):
     records, baselines = _cluster()
-    offered = sum(len(record) for record in records) + len(baselines)
+    offered = sum(len(record.values) for record in records) + len(baselines)
     memory = WorkingMemory()
     engine = standard_knowledge_base().engine_for(
         memory, groups=("performance", "traffic"), max_level=2)
