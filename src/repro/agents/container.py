@@ -143,8 +143,8 @@ class AgentContainer:
         return ResourceProfile(
             container_name=self.name,
             host_name=self.host.name,
-            cpu_capacity=self.host.cpu.capacity,
-            disk_capacity=self.host.disk.capacity,
+            cpu_capacity=self.host.cpu_capacity,
+            disk_capacity=self.host.disk_capacity,
             services=self.services,
             knowledge=self.knowledge,
             cpu_queue_length=self.host.cpu.queue_length,

@@ -37,7 +37,8 @@ class CollectorAgent(Agent):
             which ships raw data).
         device_specs: optional map device name -> (interface_count,
             process_slots) used to build poll OID lists; defaults applied
-            otherwise.
+            otherwise.  Held, not copied: every collector of a deployment
+            reads the one table the deployment built.
         batch_size: records per shipped envelope.
         protocol: shipping :class:`~repro.network.protocols.ProtocolSpec`.
         poll_retries: extra SNMP attempts after a timeout before the poll
@@ -67,7 +68,7 @@ class CollectorAgent(Agent):
         self.classifier_name = classifier_name
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.parse_locally = parse_locally
-        self.device_specs = dict(device_specs or {})
+        self.device_specs = device_specs if device_specs is not None else {}
         self.batch_size = max(1, batch_size)
         self.protocol = protocol
         self.poll_retries = max(0, poll_retries)

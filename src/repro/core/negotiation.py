@@ -150,7 +150,7 @@ class ContractNetResponder:
             job_cpu_units_estimate = 20.0 * content["record_count"]
         backlog_units = host.cpu.queue_length * 20.0
         estimate = (
-            (backlog_units + job_cpu_units_estimate) / host.cpu.capacity
+            (backlog_units + job_cpu_units_estimate) / host.cpu_capacity
             + self.busy_penalty * container.busy_agents
         )
         proposal = JOB_PROPOSAL.make(

@@ -506,7 +506,7 @@ class ProcessorRootAgent(Agent):
         # grace that doubles per attempt; a busy queue is not a dead host.
         chosen_container = self.platform.containers.get(container_name)
         capacity = (
-            chosen_container.host.cpu.capacity if chosen_container is not None
+            chosen_container.host.cpu_capacity if chosen_container is not None
             else 10.0
         )
         backlog = self.outstanding()[container_name] * cpu_units
@@ -1084,7 +1084,7 @@ class AnalyzerAgent(Agent):
         conversation = "%s-%s" % (conversation_tag, self.name)
         template = MessageTemplate(conversation_id=conversation)
         patience = self.fetch_timeout + 2.0 * (
-            size_units + reply_units) / self.host.nic.capacity
+            size_units + reply_units) / self.host.net_capacity
         reply = None
         for attempt in range(1 + self.fetch_retries):
             if attempt:

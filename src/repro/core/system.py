@@ -30,6 +30,8 @@ from repro.snmp.engine import SnmpEngine
 class DeviceSpec:
     """One managed device in the deployment."""
 
+    __slots__ = ("name", "profile", "site")
+
     def __init__(self, name, profile="server", site="site1"):
         try:
             resolve_profile(profile)

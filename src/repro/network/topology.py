@@ -73,8 +73,19 @@ class Site:
         return "Site(%r, hosts=%d)" % (self.name, len(self.hosts))
 
 
+#: Host attribute -> (resource kind, capacity attribute).
+_RESOURCES = {
+    "cpu": (ResourceKind.CPU, "cpu_capacity"),
+    "disk": (ResourceKind.DISK, "disk_capacity"),
+    "nic": (ResourceKind.NET, "net_capacity"),
+}
+
+
 class Host:
     """A machine with accounted CPU, disk and network-interface resources.
+
+    Each resource is built when it is first read, so a host nobody puts
+    work on (most devices) holds only its capacities.
 
     Args:
         sim: the simulator.
@@ -88,6 +99,10 @@ class Host:
         tags: extra labels (e.g. capabilities) for directory experiments.
     """
 
+    __slots__ = ("sim", "name", "site", "role", "tags", "up", "_ports",
+                 "cpu_capacity", "disk_capacity", "net_capacity",
+                 "cpu", "disk", "nic")
+
     def __init__(
         self,
         sim,
@@ -99,17 +114,34 @@ class Host:
         role="host",
         tags=(),
     ):
+        for capacity in (cpu_capacity, disk_capacity, net_capacity):
+            if capacity <= 0:
+                raise ValueError(
+                    "capacity must be positive, got %r" % capacity)
         self.sim = sim
         self.name = name
         self.site = site
         self.role = role
         self.tags = tuple(tags)
-        self.cpu = Resource(sim, "cpu", ResourceKind.CPU, cpu_capacity, owner=self)
-        self.disk = Resource(sim, "disk", ResourceKind.DISK, disk_capacity, owner=self)
-        self.nic = Resource(sim, "nic", ResourceKind.NET, net_capacity, owner=self)
+        self.cpu_capacity = float(cpu_capacity)
+        self.disk_capacity = float(disk_capacity)
+        self.net_capacity = float(net_capacity)
         self.up = True
         self._ports = {}
         site.hosts.append(self)
+
+    def __getattr__(self, name):
+        # Reached only while the ``cpu``/``disk``/``nic`` slot is empty:
+        # the first read builds that resource.
+        try:
+            kind, capacity = _RESOURCES[name]
+        except KeyError:
+            raise AttributeError("%r object has no attribute %r" % (
+                type(self).__name__, name)) from None
+        resource = Resource(self.sim, name, kind, getattr(self, capacity),
+                            owner=self)
+        setattr(self, name, resource)
+        return resource
 
     # -- port binding (used by Transport) --------------------------------
 

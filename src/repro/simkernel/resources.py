@@ -105,7 +105,7 @@ class Resource:
         self.owner = owner
         self._busy_time = 0.0
         self._total_units = 0.0
-        self._units_by_label = collections.Counter()
+        self._units_by_label = None  # allocated by the first booking
         self._completed = 0
         # Waiting processes live in a plain FIFO deque while every queued
         # priority is the default 0, and in a heap of (priority, seq,
@@ -144,7 +144,7 @@ class Resource:
     def units_by_label(self):
         if self._bookings:
             self._settle()
-        return self._units_by_label
+        return self._ledger()
 
     @property
     def completed_requests(self):
@@ -221,10 +221,17 @@ class Resource:
         if self._bookings:
             self._settle()
         self._total_units += units
-        self._units_by_label[label] += units
+        self._ledger()[label] += units
         self._busy_time += units / self.capacity
 
     # -- kernel internals -------------------------------------------------
+
+    def _ledger(self):
+        """The units-by-label counter, allocated on first use."""
+        ledger = self._units_by_label
+        if ledger is None:
+            ledger = self._units_by_label = collections.Counter()
+        return ledger
 
     def _settle(self):
         """Book, in FIFO order, every reservation whose service has ended."""
@@ -236,7 +243,7 @@ class Resource:
                 break
             self._busy_time += units / self.capacity
             self._total_units += units
-            self._units_by_label[label] += units
+            self._ledger()[label] += units
             self._completed += 1
             ended += 1
         del bookings[:ended]
@@ -314,7 +321,7 @@ class Resource:
         if not request.abandoned:
             self._busy_time += request.service_time
             self._total_units += request.units
-            self._units_by_label[request.label] += request.units
+            self._ledger()[request.label] += request.units
             self._completed += 1
             self.sim._step(request.process, send=request)
         self._try_start()

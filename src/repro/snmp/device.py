@@ -4,9 +4,9 @@ A :class:`ManagedDevice` wraps a simulated :class:`~repro.network.topology.Host`
 (role ``"device"``).  Its MIB is the template of its shape bound to it.
 The state evolves in fixed ticks that are sampled on demand, when the
 device is read, so devices nobody polls cost no simulation work and hold
-no RNG stream or MIB.  Fault injection (used by the fault-management
-example and benches) switches the dynamics into degraded regimes that the
-stock analysis rules detect.
+no RNG stream, MIB or fault flags of their own.  Fault injection (used by
+the fault-management example and benches) switches the dynamics into
+degraded regimes that the stock analysis rules detect.
 """
 
 from functools import lru_cache
@@ -118,11 +118,20 @@ def _mib_template(interface_count, process_slots):
 class _Faults:
     """Active fault flags for a device."""
 
-    def __init__(self):
+    __slots__ = ("cpu_runaway", "memory_leak", "disk_filling",
+                 "down_interfaces")
+
+    def __init__(self, down_interfaces):
         self.cpu_runaway = False
         self.memory_leak = False
         self.disk_filling = False
-        self.down_interfaces = set()
+        self.down_interfaces = down_interfaces
+
+
+#: The flags of every device that was never faulted, shared and never
+#: written: a device switches to flags of its own before its first fault
+#: change (the frozenset makes a stray ``add`` raise).
+_NO_FAULTS = _Faults(frozenset())
 
 
 class ManagedDevice:
@@ -146,13 +155,18 @@ class ManagedDevice:
         tick: seconds between dynamics updates.
     """
 
+    __slots__ = ("sim", "host", "_profile", "tick", "faults", "started_at",
+                 "_ticks_done", "_mib", "cpu_load", "load_avg",
+                 "mem_available_kb", "disk_free_kb", "proc_count",
+                 "if_in_octets", "if_out_octets")
+
     def __init__(self, sim, host, profile="server", tick=1.0):
         profile = resolve_profile(profile)
         self.sim = sim
         self.host = host
         self._profile = profile
         self.tick = tick
-        self.faults = _Faults()
+        self.faults = _NO_FAULTS
         self.started_at = sim.now
         self._ticks_done = 0
         self._mib = None  # bound on first read
@@ -294,15 +308,22 @@ class ManagedDevice:
     def _switch_fault(self, kind, interface, active):
         self.catch_up()  # regime switches apply from a caught-up state
         if kind in ("cpu_runaway", "memory_leak", "disk_filling"):
-            setattr(self.faults, kind, active)
+            setattr(self._own_faults(), kind, active)
         elif kind == "interface_down":
             self.check_interface(interface)
+            down = self._own_faults().down_interfaces
             if active:
-                self.faults.down_interfaces.add(interface)
+                down.add(interface)
             else:
-                self.faults.down_interfaces.discard(interface)
+                down.discard(interface)
         else:
             raise ValueError("unknown fault kind %r" % kind)
+
+    def _own_faults(self):
+        """The device's own flags, split off the shared ones on first use."""
+        if self.faults is _NO_FAULTS:
+            self.faults = _Faults(set())
+        return self.faults
 
     def check_interface(self, interface):
         """Raise ValueError unless ``interface`` is a valid 0-based index."""

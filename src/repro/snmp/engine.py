@@ -119,6 +119,9 @@ class SnmpEngine:
 
     PORT = "snmp"
 
+    __slots__ = ("device", "transport", "sim", "cpu_cost_per_varbind",
+                 "port", "pdus_handled")
+
     def __init__(self, device, transport, cpu_cost_per_varbind=0.2, port=PORT):
         self.device = device
         self.transport = transport
